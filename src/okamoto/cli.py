@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dimensions, estimators, separation, subsystem, systems
-from .errors import OkamotoError
+from .errors import DepthCapError, OkamotoError
 
 SCHEMA_VERSION = "1"
 
@@ -84,7 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--q", default=None, help="comma-separated q values for tau/L^q columns")
 
-    p = add("graph", help="CSV sample of the function graph")
+    p = add("graph", help="CSV of the graph points (k/3^depth, T(k/3^depth))")
     p.add_argument("--a", required=True)
     p.add_argument("--depth", type=int, default=6)
 
@@ -108,7 +108,6 @@ def build_parser() -> _Parser:
     p = add("separation", help="exact minimal-gap separation certificate")
     p.add_argument("--b", required=True, help="rational p/q (exact arithmetic)")
     p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--mode", choices=("pruned", "exhaustive"), default="pruned")
 
     p = add("lq", help="tau(q) and L^q dimension")
     p.add_argument("--a", required=True)
@@ -166,14 +165,14 @@ def _cmd_dims(cfg):
 
 
 def _cmd_graph(cfg):
-    a = parse_number(cfg.a)
     n = cfg.depth
-    rows = []
-    for k in range(3**n + 1):
-        x = Fraction(k, 3**n)
-        y, _ = systems.evaluate_T(float(a), x, tolerance=min(1e-9, 3.0**-n))
-        rows.append([float(x), float(y)])
-    return "csv", ["x", "y"], rows
+    if not 0 <= n <= estimators.GRID_DEPTH_CAP:
+        raise DepthCapError(f"graph depth must lie in [0, {estimators.GRID_DEPTH_CAP}], got {n}")
+    system = systems.build_system("projection", float(parse_number(cfg.a)))
+    # the depth-n anchors are T(k/3^n) for k < 3^n; the endpoint T(1) = 1 closes the graph
+    ys = np.append(systems.expand_level(*system.parts(), n).t, 1.0)
+    xs = np.arange(3**n + 1) / 3**n
+    return "csv", ["x", "y"], np.column_stack([xs, ys]).tolist()
 
 
 def _cmd_boxdim(cfg):
@@ -215,7 +214,7 @@ def _cmd_separation(cfg):
     b = parse_number(cfg.b)
     if not isinstance(b, Fraction):
         raise UsageError("separation needs an exact rational --b, e.g. 1/2")
-    report = separation.verify_sesc(b, n_max=cfg.max_depth, mode=cfg.mode)
+    report = separation.verify_sesc(b, n_max=cfg.max_depth)
     if cfg.format == "csv":
         rows = [[r["n"], float(r["gap"]), r["gap_root"], r["floor"]] for r in report.rows()]
         return "csv", ["n", "gap", "gap_root", "floor"], rows

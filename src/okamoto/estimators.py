@@ -9,9 +9,11 @@ and counts occupied mesh cells, so it can only undercount and serves as the
 independent cross-check from below.
 
 Level sets are covered by branch and bound: a word is extended only while its
-closed y-interval still contains the target level.  The exact-rational
-recursion (words retained) and the float array scan (counts only) implement
-the same pruning; the exhaustive filter oracle lives in the test suite.
+closed y-interval still contains the target level.  Both the grid samples and
+the level-set covers run on the one level kernel, systems.expand_level: the
+covers on exact object arrays when a and y are rational and on float64
+otherwise, all with the same prune predicate.  The exhaustive filter oracle
+lives in the test suite.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .errors import BudgetError, DepthCapError, ParameterError
 from .dimensions import LOG3, okamoto_s0
-from .systems import SystemSpec, build_system
-from .words import Number, Word, check_a
+from .systems import SystemSpec, build_system, expand_level
+from .words import Number, check_a
 
 COLUMN_DEPTH_CAP = 20
 GRID_DEPTH_CAP = 14
@@ -96,18 +98,6 @@ def _box_count_column(a: Number, n: int) -> int:
     return total
 
 
-def _y_level_arrays(a: float, n: int) -> tuple:
-    """Anchor and signed-ratio arrays of the y-maps for all depth-n words, in x-order."""
-    tau = np.array([0.0, a, 1.0 - a])
-    rho = np.array([a, 1.0 - 2.0 * a, a])
-    t = np.zeros(1)
-    r = np.ones(1)
-    for _ in range(n):
-        t = (t[:, None] + r[:, None] * tau[None, :]).ravel()
-        r = (r[:, None] * rho[None, :]).ravel()
-    return t, r
-
-
 def _box_count_grid(a: float, n: int, extra_levels: int | None = None) -> int:
     """Boxes needed for sampled graph points, greedily covered column by column.
 
@@ -118,9 +108,10 @@ def _box_count_grid(a: float, n: int, extra_levels: int | None = None) -> int:
     """
     if extra_levels is None:
         extra_levels = _grid_sampling_levels(a, n)
-    t, r = _y_level_arrays(a, n)
-    anchors, _ = _y_level_arrays(a, extra_levels)
-    anchors = np.append(anchors, 1.0)
+    tau, rho = build_system("projection", a).parts()
+    level = expand_level(tau, rho, n)
+    t, r = level.t, level.r
+    anchors = np.append(expand_level(tau, rho, extra_levels).t, 1.0)
     delta = 3.0**-n
     total = 0
     chunk = max(64, (1 << 22) // len(anchors))
@@ -181,6 +172,17 @@ class LevelSetCover:
         return math.log(self.count) / (self.depth * LOG3) if self.depth else 0.0
 
 
+def _contains(y):
+    """Prune predicate: the closed y-interval between t and t + r of a word contains y."""
+
+    def keep(t, r):
+        end = t + r
+        down = r < 0
+        return (np.where(down, end, t) <= y) & (y <= np.where(down, t, end))
+
+    return keep
+
+
 def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     """Depth-n words whose closed y-interval contains y, by branch and bound.
 
@@ -191,45 +193,19 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
         raise ParameterError(f"level y must lie in [0, 1], got {y}")
     if not (1 <= n <= LEVEL_SET_DEPTH_CAP):
         raise DepthCapError(f"depth must lie in [1, {LEVEL_SET_DEPTH_CAP}], got {n}")
-    exact = isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))
-    if not exact:
+    if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float(a), float(y)
-    tau = (0 * a, a, 1 - a)
-    rho = (a, 1 - 2 * a, a)
-    words: list[Word] = []
-    frontier = [((), 0 * a, 1 + 0 * a)]  # word, anchor, signed ratio
-    for _ in range(n):
-        nxt = []
-        for word, t, r in frontier:
-            for s in (1, 2, 3):
-                t2 = t + r * tau[s - 1]
-                r2 = r * rho[s - 1]
-                lo, hi = (t2 + r2, t2) if r2 < 0 else (t2, t2 + r2)
-                if lo <= y <= hi:
-                    nxt.append((word + (s,), t2, r2))
-        frontier = nxt
-    words = [w for w, _, _ in frontier]
-    return LevelSetCover(a=a, y=y, depth=n, words=tuple(words))
+    level = expand_level(*build_system("projection", a).parts(), n, _contains(y))
+    return LevelSetCover(a=a, y=y, depth=n, words=level.words())
 
 
 def level_set_count(a: float, y: float, n: int) -> int:
-    """Cover cardinality only, via the vectorized float scan."""
+    """Cover cardinality only, on the float64 level kernel."""
     check_a(a)
     if not (1 <= n <= LEVEL_SET_DEPTH_CAP):
         raise DepthCapError(f"depth must lie in [1, {LEVEL_SET_DEPTH_CAP}], got {n}")
-    a = float(a)
-    tau = np.array([0.0, a, 1.0 - a])
-    rho = np.array([a, 1.0 - 2.0 * a, a])
-    t = np.zeros(1)
-    r = np.ones(1)
-    for _ in range(n):
-        t = (t[:, None] + r[:, None] * tau[None, :]).ravel()
-        r = (r[:, None] * rho[None, :]).ravel()
-        lo = t + np.minimum(r, 0.0)
-        hi = t + np.maximum(r, 0.0)
-        keep = (lo <= y) & (y <= hi)
-        t, r = t[keep], r[keep]
-    return len(t)
+    level = expand_level(*build_system("projection", float(a)).parts(), n, _contains(y))
+    return len(level.t)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import BudgetError, ParameterError
 from .estimators import ks_statistic, level_set_count
 from .dimensions import okamoto_s0
-from .systems import Similarity1D, build_system, compose_word
+from .systems import Similarity1D, build_system, compose_word, fold_word
 from .words import Number, check_a, subsystem_alphabet, two_count
 
 ALPHABET_BUDGET = 10**7
@@ -88,13 +88,10 @@ class SplitSystem:
         return len(self.block_translations) ** self.blocks
 
     def iter_translations(self) -> Iterator:
-        for combo in product(self.block_translations, repeat=self.blocks):
-            t = 0 * self.ratio
-            scale = 1 + 0 * self.ratio
-            for tau in combo:
-                t = t + scale * tau
-                scale = scale * self.block_ratio
-            yield t
+        """Translations of the block compositions, lazily, in lexicographic block order."""
+        rho = (self.block_ratio,) * len(self.block_translations)
+        for combo in product(range(1, len(rho) + 1), repeat=self.blocks):
+            yield fold_word(self.block_translations, rho, combo)[0]
 
     def maps(self, budget: int = MATERIALIZE_BUDGET) -> tuple:
         if self.size > budget:

@@ -11,6 +11,14 @@ Kinds:
 Finite-word projection means the composition applied to 0 (the origin for the
 planar system), i.e. the exact value of the infinite word w.222... .  All maps
 keep exact rationals exact: a Fraction parameter gives Fraction output.
+
+Every composed map comes from one recursion, the one-symbol extension
+t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.  It is
+written twice: `fold_word` runs it over one word (compositions, projections,
+cylinder images, the evaluation of T), and `expand_level` runs it over every
+word of a depth at once on numpy arrays, with optional pruning (grid box
+counts, level-set covers, the graph sample).  The depth-n anchors t are the
+values T(k/3^n), so the graph sample is one level array.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ParameterError
 from .words import Number, check_a, check_word
@@ -72,6 +82,10 @@ class SystemSpec:
 
     def is_planar(self) -> bool:
         return self.kind == "okamoto-planar"
+
+    def parts(self) -> tuple:
+        """(translations, ratios) of a 1-D system's maps, in symbol order."""
+        return tuple(f.translation for f in self.maps), tuple(f.ratio for f in self.maps)
 
     def support(self) -> tuple[Number, Number]:
         """Interval carrying the attractor ([0,1] except for the conjugate system)."""
@@ -137,18 +151,76 @@ def _half(b: Number) -> Number:
     return Fraction(1, 2) if isinstance(b, (Fraction, int)) else 0.5
 
 
+def fold_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
+    """(t, r) of the composition of the maps x -> rho[s-1]*x + tau[s-1] along a word.
+
+    Runs the one-symbol extension left to right from the identity, in the
+    number kind of rho.  Symbols are not checked here.
+    """
+    t = 0 * rho[0]
+    r = 1 + t
+    for s in word:
+        t = t + r * tau[s - 1]
+        r = r * rho[s - 1]
+    return t, r
+
+
+@dataclass(frozen=True)
+class Level:
+    """Translations t and signed ratios r of the surviving depth-n words, in lexicographic order.
+
+    kept[l] holds the positions kept among the children at depth l+1, three
+    per surviving parent; None for an unpruned expansion, whose i-th word is
+    words.index_to_word(i, n).
+    """
+
+    t: np.ndarray
+    r: np.ndarray
+    kept: tuple | None
+
+    def words(self) -> tuple:
+        """The surviving words of a pruned expansion of depth >= 1, recovered from the kept positions."""
+        n = len(self.kept)
+        symbols = np.empty((len(self.t), n), dtype=np.uint8)
+        idx = np.arange(len(self.t))
+        for depth in reversed(range(n)):
+            pos = self.kept[depth][idx]
+            symbols[:, depth] = pos % 3 + 1
+            idx = pos // 3
+        raw = symbols.tobytes()  # a bytes slice iterates as Python ints
+        return tuple(tuple(raw[i : i + n]) for i in range(0, len(raw), n))
+
+
+def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = None) -> Level:
+    """The one-symbol extension over all depth-n words of a three-map system at once.
+
+    Fraction or int coefficients run on object arrays in exact arithmetic,
+    floats on float64.  keep(t, r) masks the words to extend further; their
+    positions are kept to recover the words.  Unpruned, no positions are kept.
+    """
+    exact = all(isinstance(v, (Fraction, int)) for v in (*tau, *rho))
+    dtype = object if exact else np.float64
+    tau, rho = np.array(tau, dtype=dtype), np.array(rho, dtype=dtype)
+    t, r = np.zeros(1, dtype=dtype), np.ones(1, dtype=dtype)
+    kept = None if keep is None else []
+    for _ in range(n):
+        t = (t[:, None] + r[:, None] * tau).ravel()
+        r = (r[:, None] * rho).ravel()
+        if keep is not None:
+            pos = np.flatnonzero(keep(t, r))
+            t, r = t[pos], r[pos]
+            kept.append(pos)
+    return Level(t, r, None if kept is None else tuple(kept))
+
+
 def project_word(system: SystemSpec, word: Sequence[int]):
     """Finite composition applied to 0 (origin for the planar system)."""
     w = check_word(word)
     if system.is_planar():
-        pt = (0 * system.parameter, 0 * system.parameter)
-        for s in reversed(w):
-            pt = system.maps[s - 1](pt)
-        return pt
-    v = 0 * system.maps[0].ratio
-    for s in reversed(w):
-        v = system.maps[s - 1](v)
-    return v
+        x, _ = fold_word([f.x_shift for f in system.maps], [f.x_ratio for f in system.maps], w)
+        y, _ = fold_word([f.y_shift for f in system.maps], [f.y_ratio for f in system.maps], w)
+        return x, y
+    return fold_word(*system.parts(), w)[0]
 
 
 def compose_word(system: SystemSpec, word: Sequence[int]) -> Similarity1D:
@@ -158,12 +230,7 @@ def compose_word(system: SystemSpec, word: Sequence[int]) -> Similarity1D:
     w = check_word(word)
     if not w:
         raise ValueError("compose_word needs a nonempty word (the identity is not a contraction)")
-    ratio = 1 + 0 * system.maps[0].ratio
-    translation = 0 * system.maps[0].ratio
-    for s in w:  # left to right: (r,t) <- (r*r_s, t + r*t_s)
-        f = system.maps[s - 1]
-        translation = translation + ratio * f.translation
-        ratio = ratio * f.ratio
+    translation, ratio = fold_word(*system.parts(), w)
     return Similarity1D(ratio, translation)
 
 
@@ -171,16 +238,9 @@ def image_interval(system: SystemSpec, word: Sequence[int], base: tuple) -> tupl
     """Image of an interval under the composed map, endpoints sorted."""
     if system.is_planar():
         raise ParameterError("image_interval applies to 1-D systems only")
-    w = check_word(word)
-    lo, hi = base
-    ratio = 1 + 0 * system.maps[0].ratio
-    translation = 0 * system.maps[0].ratio
-    for s in w:
-        f = system.maps[s - 1]
-        translation = translation + ratio * f.translation
-        ratio = ratio * f.ratio
-    e0 = ratio * lo + translation
-    e1 = ratio * hi + translation
+    translation, ratio = fold_word(*system.parts(), check_word(word))
+    e0 = ratio * base[0] + translation
+    e1 = ratio * base[1] + translation
     return (e0, e1) if e0 <= e1 else (e1, e0)
 
 
@@ -215,7 +275,9 @@ def pi_polynomial(word: Sequence[int]) -> RationalPoly:
     """Coefficients of the conjugate-system projection of a finite word as a polynomial in b.
 
     phi_1: v -> (1+b)/2 * v - 1,  phi_2: v -> -b*v,  phi_3: v -> (1+b)/2 * v + 1,
-    applied to the zero polynomial from the innermost symbol outward.
+    applied to the zero polynomial from the innermost symbol outward.  The
+    number kind here is a polynomial in b, and RationalPoly has no arithmetic
+    to run fold_word with, so this keeps its own recursion.
     """
     w = check_word(word)
     half = Fraction(1, 2)
@@ -265,9 +327,10 @@ def evaluate_T(a: Number, x: Number, tolerance: float = 1e-9, digit_cap: int = D
     """Value of the function at x with guaranteed error bound.
 
     Takes n = ceil(log tolerance / log a) ternary digits of x, maps digit d to
-    symbol d+1 and returns the y-part of the composed maps applied to 0.  The
-    true value lies in the cylinder's y-interval, whose width is at most a^n,
-    so |error| <= a^n <= tolerance.  Returns (y, realized_bound).
+    symbol d+1 and returns the y-part of the composed maps applied to 0, the
+    anchor of the digits' cylinder.  The true value lies in the cylinder's
+    y-interval, whose width is at most a^n, so |error| <= a^n <= tolerance.
+    Returns (y, realized_bound).
     """
     check_a(a)
     if not tolerance > 0:
@@ -279,15 +342,9 @@ def evaluate_T(a: Number, x: Number, tolerance: float = 1e-9, digit_cap: int = D
     n = max(1, math.ceil(math.log(tolerance) / math.log(float(a))))
     if n > digit_cap:
         raise ParameterError(f"tolerance {tolerance} needs {n} digits, beyond cap {digit_cap}")
-    digits = ternary_digits(x, n)
-    system = build_system("projection", a)
-    y = 0 * a
-    width = 1 + 0 * a
-    for d in reversed(digits):
-        f = system.maps[d]
-        y = f(y)
-        width *= abs(f.ratio)
-    return y, width
+    word = [d + 1 for d in ternary_digits(x, n)]
+    y, ratio = fold_word(*build_system("projection", a).parts(), word)
+    return y, abs(ratio)
 
 
 # --- serialization -----------------------------------------------------------

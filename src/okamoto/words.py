@@ -99,14 +99,22 @@ def enumerate_words(n: int, cap: int | None = None) -> Iterator[Word]:
     yield from rec((), n)
 
 
+def index_to_word(idx: int, n: int) -> Word:
+    """The word at position idx of the lexicographic enumeration of all length-n words."""
+    digits = []
+    for _ in range(n):
+        digits.append(idx % 3 + 1)
+        idx //= 3
+    return tuple(reversed(digits))
+
+
 def x_cylinder(word: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Closed x-interval coded by a word under the digit convention s -> s-1."""
-    lo = Fraction(0)
-    scale = Fraction(1)
-    for s in word:
-        scale /= 3
-        lo += (s - 1) * scale
-    return lo, lo + scale
+    from .systems import fold_word  # systems imports this module
+
+    third = Fraction(1, 3)
+    lo, width = fold_word((0, third, 2 * third), (third,) * 3, word)
+    return lo, lo + width
 
 
 def symbol_ratios(a: Number) -> tuple[Number, Number, Number]:
@@ -116,6 +124,7 @@ def symbol_ratios(a: Number) -> tuple[Number, Number, Number]:
 
 
 def ratio_product(a: Number, word: Sequence[int]) -> Number:
+    """Unsigned contraction of a word; it tracks the ratio only, so it needs no translation fold."""
     lam = symbol_ratios(a)
     out = a - a + 1  # one of the same numeric kind as a
     for s in word:
@@ -146,7 +155,9 @@ def stopping_cover(a: Number, r: Number, size_budget: int = 10**7) -> StoppingCo
 
     Depth-first descent from the empty word (product 1 > r); a branch stops
     the first time its product drops to r or below, which makes the result
-    prefix-free and complete by construction.
+    prefix-free and complete by construction.  Only the ratio product is
+    tracked, and words stop at different depths, so this does not use the
+    level kernel of systems.
     """
     check_a(a)
     if not (0 < r < 1):

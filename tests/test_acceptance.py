@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from okamoto import dimensions, estimators, separation, subsystem, systems, words
+from separation_oracle import delta_exhaustive
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -73,10 +74,10 @@ def test_criterion_4_separation_oracle_equivalence():
     t0 = time.monotonic()
     ok = True
     for b in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)):
-        ok = ok and separation.delta_n(b, 1, "pruned") == 1
+        ok = ok and separation.delta_n(b, 1) == 1
         for n in range(1, 9):
-            pruned = separation.delta_n(b, n, "pruned")
-            exhaustive = separation.delta_n(b, n, "exhaustive")
+            pruned = separation.delta_n(b, n)
+            exhaustive, _ = delta_exhaustive(b, n)
             ok = ok and pruned == exhaustive
     elapsed = time.monotonic() - t0
     _report(

@@ -70,6 +70,38 @@ def test_graph_csv_fixed_points_and_symmetry():
         assert abs(y1 + y2 - 1.0) < 1e-9
 
 
+def _graph_rows(a, n):
+    code, out = _run(["graph", "--a", a, "--depth", str(n)])
+    assert code == 0
+    return [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+
+
+def test_graph_depth_is_bounded_before_any_work():
+    for depth in ("-1", "15", "1000000"):
+        code, out = _run(["graph", "--a", "0.75", "--depth", depth])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "DepthCapError"
+    assert _graph_rows("0.75", 0) == [(0.0, 0.0), (1.0, 1.0)]
+
+
+def test_graph_near_one_needs_no_digit_budget():
+    rows = _graph_rows("0.99", 4)
+    assert len(rows) == 82
+    assert rows[0] == (0.0, 0.0) and rows[-1] == (1.0, 1.0)
+    for (_, y1), (_, y2) in zip(rows, reversed(rows)):
+        assert abs(y1 + y2 - 1.0) <= 2e-9
+
+
+@pytest.mark.parametrize("a", ["0.55", "0.75", "0.9", "2/3"])
+def test_graph_rows_equal_evaluate_T(a):
+    from okamoto.systems import evaluate_T
+
+    af = float(parse_number(a))
+    for n in range(7):
+        expected = [(float(x), evaluate_T(af, x)[0]) for x in (Fraction(k, 3**n) for k in range(3**n + 1))]
+        assert _graph_rows(a, n) == expected
+
+
 def test_separation_json_and_csv():
     code, out = _run(["separation", "--b", "2/5", "--max-depth", "6"])
     payload = json.loads(out)

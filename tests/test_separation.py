@@ -15,6 +15,7 @@ from okamoto.separation import (
 )
 from okamoto.systems import build_system, project_word
 from okamoto.words import common_prefix, enumerate_words, shift
+from separation_oracle import delta_exhaustive
 
 
 def test_classify_pair_all_head_combinations():
@@ -76,21 +77,21 @@ def test_f_function_invalid_k():
 
 def test_delta_1_is_one_for_any_b():
     for b in (Fraction(1, 5), Fraction(1, 2), Fraction(7, 9)):
-        assert delta_n(b, 1, "pruned") == 1
-        assert delta_n(b, 1, "exhaustive") == 1
+        assert delta_n(b, 1) == 1
+        assert delta_exhaustive(b, 1)[0] == 1
 
 
 def test_delta_2_half_oracle():
     # nine exact depth-2 values at b=1/2: {-7/4,-1,-1/4,1/2,0,-1/2,1/4,1,7/4};
     # sorted adjacent differences bottom out at 1/4
-    assert delta_n(Fraction(1, 2), 2, "pruned") == Fraction(1, 4)
-    assert delta_n(Fraction(1, 2), 2, "exhaustive") == Fraction(1, 4)
+    assert delta_n(Fraction(1, 2), 2) == Fraction(1, 4)
+    assert delta_exhaustive(Fraction(1, 2), 2)[0] == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)])
 def test_pruned_equals_exhaustive_small(b):
     for n in range(1, 7):
-        assert delta_n(b, n, "pruned") == delta_n(b, n, "exhaustive")
+        assert delta_n(b, n) == delta_exhaustive(b, n)[0]
 
 
 def test_gaps_non_increasing():
@@ -105,9 +106,7 @@ def test_delta_rejects_float_and_bad_depth():
     with pytest.raises(ParameterError):
         delta_n(Fraction(1, 2), 0)
     with pytest.raises(DepthCapError):
-        delta_n(Fraction(1, 2), 9, "exhaustive")
-    with pytest.raises(DepthCapError):
-        delta_n(Fraction(1, 2), 13, "pruned")
+        delta_n(Fraction(1, 2), 13)
 
 
 def test_appended_two_invariance_of_gap():
@@ -185,9 +184,8 @@ def test_verify_sesc_detects_coincidence_at_half():
 
 def test_delta_witness_words_realize_gap():
     b = Fraction(3, 5)
-    for mode in ("pruned", "exhaustive"):
-        gap, (wi, wj) = delta_n_detail(b, 4, mode)
-        sys_b = build_system("conjugate", b)
+    sys_b = build_system("conjugate", b)
+    for gap, (wi, wj) in (delta_n_detail(b, 4), delta_exhaustive(b, 4)):
         assert abs(project_word(sys_b, wi) - project_word(sys_b, wj)) == gap
 
 
@@ -196,4 +194,4 @@ def test_delta_witness_words_realize_gap():
 def test_pruned_matches_exhaustive_random_b(q, p):
     b = Fraction(p % (q - 1) + 1, q)
     for n in (2, 3):
-        assert delta_n(b, n, "pruned") == delta_n(b, n, "exhaustive")
+        assert delta_n(b, n) == delta_exhaustive(b, n)[0]

@@ -12,12 +12,15 @@ from okamoto.systems import (
     build_system,
     compose_word,
     evaluate_T,
+    expand_level,
+    fold_word,
     image_interval,
     pi_polynomial,
     project_word,
     system_to_json,
     ternary_digits,
 )
+from okamoto.words import enumerate_words
 
 words_st = st.lists(st.sampled_from([1, 2, 3]), min_size=0, max_size=8).map(tuple)
 
@@ -137,13 +140,50 @@ def test_image_interval_nesting_and_width(word, s):
     assert hi - lo <= a ** len(word)
 
 
-def test_compose_word_matches_projection():
-    sys_a = build_system("projection", Fraction(3, 4))
-    for word in [(1,), (2, 1), (3, 2, 2), (1, 2, 3, 1)]:
-        f = compose_word(sys_a, word)
-        assert f.translation == project_word(sys_a, word)
+fraction_systems_st = st.sampled_from(
+    [
+        build_system("projection", Fraction(3, 4)),
+        build_system("projection", Fraction(2, 3)),
+        build_system("conjugate", Fraction(2, 5)),
+    ]
+)
+
+
+@given(fraction_systems_st, words_st.filter(len), st.fractions(-2, 2))
+def test_compose_word_matches_projection(system, word, x):
+    f = compose_word(system, word)
+    assert f.translation == project_word(system, word)
+    assert image_interval(system, word, (0, 1)) == tuple(sorted((f(0), f(1))))
+    # the maps applied one by one, innermost first
+    v = x
+    for s in reversed(word):
+        v = system.maps[s - 1](v)
+    assert f(x) == v
+    assert image_interval(system, (), (0, 1)) == (0, 1)
     with pytest.raises(ValueError):
-        compose_word(sys_a, ())
+        compose_word(system, ())
+
+
+@pytest.mark.parametrize("a", [Fraction(3, 4), 0.55, 0.9])
+def test_expand_level_matches_fold_word(a):
+    # the level kernel and the word fold are the two copies of one recursion:
+    # equal bit for bit on floats and exactly on Fractions, pruned or not
+    tau, rho = build_system("projection", a).parts()
+    for n in range(6):
+        level = expand_level(tau, rho, n)
+        assert level.kept is None
+        assert level.t.dtype == (object if isinstance(a, Fraction) else float)
+        folds = [fold_word(tau, rho, w) for w in enumerate_words(n)]
+        assert (level.t.tolist(), level.r.tolist()) == ([t for t, _ in folds], [r for _, r in folds])
+    for n in range(1, 6):
+        # a word survives when every prefix keeps its anchor below 1/2
+        pruned = expand_level(tau, rho, n, lambda t, r: t < 0.5)
+        words = [
+            w for w in enumerate_words(n) if all(fold_word(tau, rho, w[:k])[0] < 0.5 for k in range(1, n + 1))
+        ]
+        assert 1 < len(words) < 3**n
+        assert list(pruned.words()) == words
+        assert pruned.t.tolist() == [fold_word(tau, rho, w)[0] for w in words]
 
 
 # --- conjugacy ----------------------------------------------------------------
