@@ -31,6 +31,7 @@ from .estimators import (
     ks_statistic,
     level_set_cover,
     level_set_scan,
+    level_statistics,
     local_dimension_estimate,
     natural_measure_sample,
     sample_measure,

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -58,33 +57,22 @@ def _q_list(text: str) -> list:
         raise UsageError(f"bad q list {text!r}; expected comma-separated numbers") from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    options: dict
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError as exc:
-            raise AttributeError(name) from exc
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="okamoto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, help, formats=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if formats:  # only commands that render both JSON and CSV take --format
+            p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
     p = add("dims", help="closed-form dimension report")
     p.add_argument("--a", required=True)
     p.add_argument("--q", default=None, help="comma-separated q values for tau/L^q columns")
 
-    p = add("graph", help="CSV of the graph points (k/3^depth, T(k/3^depth))")
+    p = add("graph", help="CSV of the graph points (k/3^depth, T(k/3^depth))", formats=False)
     p.add_argument("--a", required=True)
     p.add_argument("--depth", type=int, default=6)
 
@@ -127,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tmax", type=float, default=1e4)
     p.add_argument("--tcount", type=int, default=30)
 
-    p = add("subsystem", help="homogeneous-subsystem checks")
+    p = add("subsystem", help="homogeneous-subsystem checks", formats=False)
     p.add_argument("--a", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
@@ -136,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--seed", type=int, default=None)
 
-    p = add("bundle", help="composite desk-scale report for one parameter")
+    p = add("bundle", help="composite desk-scale report for one parameter", formats=False)
     p.add_argument("--a", required=True)
     p.add_argument("--seed", type=int, required=True)
 
@@ -369,9 +357,8 @@ def run(argv, stdout=None) -> int:
     out_stream = stdout if stdout is not None else sys.stdout
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = RunConfig(command=ns.command, options={k.replace("-", "_"): v for k, v in vars(ns).items()})
-        result = _HANDLERS[ns.command](cfg)
+        cfg = parser.parse_args(argv)
+        result = _HANDLERS[cfg.command](cfg)
         text = _render(result)
     except UsageError as exc:
         out_stream.write(_emit_error("usage", str(exc)))

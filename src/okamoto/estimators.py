@@ -13,21 +13,24 @@ closed y-interval still contains the target level.  Both the grid samples and
 the level-set covers run on the one level kernel, systems.expand_level: the
 covers on exact object arrays when a and y are rational and on float64
 otherwise, all with the same prune predicate.  The exhaustive filter oracle
-lives in the test suite.
+lives in the test suite.  level_statistics is the one place where a set of
+levels, uniform or drawn from a measure, becomes float64 covers, estimates
+log N_n / (n log 3) and their quantile summary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DepthCapError, ParameterError
+from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from .dimensions import LOG3, okamoto_s0
-from .systems import SystemSpec, build_system, expand_level
+from .systems import Level, SystemSpec, build_system, expand_level
 from .words import Number, check_a
 
 COLUMN_DEPTH_CAP = 20
@@ -158,18 +161,30 @@ class LevelSetCover:
     a: Number
     y: Number
     depth: int
-    words: tuple
+    level: Level
 
     @property
     def count(self) -> int:
-        return len(self.words)
+        return len(self.level.t)
+
+    @cached_property
+    def words(self) -> tuple:
+        """The covering words in lexicographic order, recovered on first access only."""
+        return self.level.words()
 
     def weighted_sum(self, t: float) -> float:
         return self.count * (3.0**-self.depth) ** t
 
     @property
     def dim_estimate(self) -> float:
-        return math.log(self.count) / (self.depth * LOG3) if self.depth else 0.0
+        """log N_n / (n log 3).
+
+        T is continuous with T(0) = 0 and T(1) = 1, so every level in [0, 1] is
+        hit and its cover is never empty; an empty one is a defect, not level data.
+        """
+        if not self.count:
+            raise OkamotoError(f"empty depth-{self.depth} cover of level y = {self.y} at a = {self.a}")
+        return math.log(self.count) / (self.depth * LOG3)
 
 
 def _contains(y):
@@ -196,16 +211,26 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float(a), float(y)
     level = expand_level(*build_system("projection", a).parts(), n, _contains(y))
-    return LevelSetCover(a=a, y=y, depth=n, words=level.words())
+    return LevelSetCover(a=a, y=y, depth=n, level=level)
 
 
-def level_set_count(a: float, y: float, n: int) -> int:
-    """Cover cardinality only, on the float64 level kernel."""
-    check_a(a)
-    if not (1 <= n <= LEVEL_SET_DEPTH_CAP):
-        raise DepthCapError(f"depth must lie in [1, {LEVEL_SET_DEPTH_CAP}], got {n}")
-    level = expand_level(*build_system("projection", float(a)).parts(), n, _contains(y))
-    return len(level.t)
+@dataclass(frozen=True)
+class LevelStatistics:
+    estimates: np.ndarray  # dim_estimate per level, in level order
+    quantiles: dict  # q10, q25, q50, q75, q90
+    median: float
+
+
+def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
+    """Depth-n cover-count dimension estimates at the given levels, on float64, and their summary."""
+    if len(ys) == 0:
+        raise ParameterError("level statistics need at least one level")
+    est = np.array([level_set_cover(float(a), float(y), n).dim_estimate for y in ys])
+    return LevelStatistics(
+        estimates=est,
+        quantiles={f"q{int(100 * q)}": float(np.quantile(est, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)},
+        median=float(np.median(est)),
+    )
 
 
 @dataclass(frozen=True)
@@ -243,32 +268,26 @@ def level_set_scan(
     ys: Sequence[float] | None = None,
     tolerance: float = 0.08,
 ) -> LevelSetScan:
-    """Distribution of cover-count dimension estimates over sampled levels."""
+    """Distribution of cover-count dimension estimates over uniformly drawn (or given) levels."""
     check_a(a)
     if ys is None:
         if seed is None:
             raise ParameterError("level_set_scan needs a seed when levels are drawn randomly")
-        rng = np.random.default_rng(seed)
-        ys = rng.random(sample_count)
-    ys = [float(v) for v in ys]
-    estimates = []
-    for y in ys:
-        count = level_set_count(a, y, n)
-        estimates.append(math.log(count) / (n * LOG3) if count else float("nan"))
-    est = np.array(estimates)
+        ys = np.random.default_rng(seed).random(sample_count)
+    ys = tuple(float(v) for v in ys)
+    stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0
-    qs = {f"q{int(100 * q)}": float(np.quantile(est, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
     return LevelSetScan(
         a=float(a),
         depth=n,
         seed=seed,
         tolerance=tolerance,
         s0_minus_1=bound,
-        ys=tuple(ys),
-        estimates=tuple(float(e) for e in est),
-        quantiles=qs,
-        frac_above=float(np.mean(est > bound + tolerance)),
-        median_gap=float(np.median(est) - bound),
+        ys=ys,
+        estimates=tuple(float(e) for e in stats.estimates),
+        quantiles=stats.quantiles,
+        frac_above=float(np.mean(stats.estimates > bound + tolerance)),
+        median_gap=stats.median - bound,
     )
 
 
@@ -310,26 +329,13 @@ def sample_measure(
         raise ParameterError(f"invalid weight vector {weights} for {len(system.maps)} maps")
     cum = np.cumsum(w)
     rng = np.random.default_rng(seed)
+    coords = [(np.array(tau, dtype=float), np.array(rho, dtype=float)) for tau, rho in system.coordinate_parts()]
     # innermost-to-outermost composition; symbol order is irrelevant for i.i.d. draws
-    if system.is_planar():
-        xr = np.array([float(f.x_ratio) for f in system.maps])
-        xs_ = np.array([float(f.x_shift) for f in system.maps])
-        yr = np.array([float(f.y_ratio) for f in system.maps])
-        ys_ = np.array([float(f.y_shift) for f in system.maps])
-        px = np.zeros(count)
-        py = np.zeros(count)
-        for _ in range(depth):
-            s = np.searchsorted(cum, rng.random(count), side="right")
-            px = xr[s] * px + xs_[s]
-            py = yr[s] * py + ys_[s]
-        pts = np.column_stack([px, py])
-    else:
-        ratios = np.array([float(f.ratio) for f in system.maps])
-        shifts = np.array([float(f.translation) for f in system.maps])
-        pts = np.zeros(count)
-        for _ in range(depth):
-            s = np.searchsorted(cum, rng.random(count), side="right")
-            pts = ratios[s] * pts + shifts[s]
+    pts = [np.zeros(count) for _ in coords]
+    for _ in range(depth):
+        s = np.searchsorted(cum, rng.random(count), side="right")
+        pts = [rho[s] * p + tau[s] for (tau, rho), p in zip(coords, pts)]
+    pts = np.column_stack(pts) if system.is_planar() else pts[0]
     param = None if system.parameter is None else float(system.parameter)
     return MeasureSample(
         system_kind=system.kind,
@@ -348,39 +354,20 @@ def natural_measure_sample(a: float, count: int, depth: int, seed: int) -> Measu
     return sample_measure(build_system("projection", float(a)), natural_weights(float(a)), count, depth, seed)
 
 
-def ball_masses(points: np.ndarray, x: float, radii: Sequence[float]) -> list:
-    """Empirical closed-ball masses mu(B(x, r)) from a sample."""
-    xs = np.sort(points)
-    n = len(xs)
-    out = []
-    for r in radii:
-        cnt = np.searchsorted(xs, x + r, side="right") - np.searchsorted(xs, x - r, side="left")
-        out.append(cnt / n)
-    return out
+def _ball_counts(points: np.ndarray, xs: Sequence[float], radii: Sequence[float]) -> np.ndarray:
+    """Closed-ball point counts #{p : |p - x| <= r}, one row per x and one column per radius."""
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(radii > 0):
+        raise ParameterError(f"radii must be positive, got {radii.tolist()}")
+    pts = np.sort(points)
+    centres = np.asarray(xs, dtype=float)[:, None]
+    return np.searchsorted(pts, centres + radii, side="right") - np.searchsorted(pts, centres - radii, side="left")
 
 
 def local_dimension_estimate(sample: MeasureSample, x: float, radii: Sequence[float]) -> list:
     """log mu(B(x,r)) / log r per radius; empty balls give nan, not zero."""
-    for r in radii:
-        if not r > 0:
-            raise ParameterError(f"radii must be positive, got {r}")
-    masses = ball_masses(sample.points, x, radii)
+    masses = _ball_counts(sample.points, [x], radii)[0] / sample.count
     return [math.log(m) / math.log(r) if m > 0 else float("nan") for m, r in zip(masses, radii)]
-
-
-def local_dimension_batch(sample: MeasureSample, xs: Sequence[float], radii: Sequence[float]) -> np.ndarray:
-    """Matrix of local-dimension ratios, points sorted once; nan marks empty balls."""
-    sorted_pts = np.sort(sample.points)
-    n = len(sorted_pts)
-    out = np.full((len(xs), len(radii)), np.nan)
-    for i, x in enumerate(xs):
-        for j, r in enumerate(radii):
-            cnt = np.searchsorted(sorted_pts, x + r, side="right") - np.searchsorted(
-                sorted_pts, x - r, side="left"
-            )
-            if cnt:
-                out[i, j] = math.log(cnt / n) / math.log(r)
-    return out
 
 
 def local_dimension_slopes(
@@ -396,16 +383,12 @@ def local_dimension_slopes(
     the liminf quotient; points with any empty ball give nan.
     """
     radii = np.geomspace(r_lo, r_hi, r_count)
-    sorted_pts = np.sort(sample.points)
-    n = len(sorted_pts)
+    counts = _ball_counts(sample.points, xs, radii)
     log_r = np.log(radii)
-    out = np.full(len(xs), np.nan)
-    for i, x in enumerate(xs):
-        cnts = np.searchsorted(sorted_pts, x + radii, side="right") - np.searchsorted(
-            sorted_pts, x - radii, side="left"
-        )
+    out = np.full(len(counts), np.nan)
+    for i, cnts in enumerate(counts):
         if np.all(cnts > 0):
-            out[i] = np.polyfit(log_r, np.log(cnts / n), 1)[0]
+            out[i] = np.polyfit(log_r, np.log(cnts / sample.count), 1)[0]
     return out
 
 

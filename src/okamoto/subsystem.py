@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .estimators import ks_statistic, level_set_count
+from .estimators import ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import Similarity1D, build_system, compose_word, fold_word
 from .words import Number, check_a, subsystem_alphabet, two_count
@@ -368,20 +368,17 @@ def slice_lower_bound_report(
     """
     ys = sample_subsystem_measure(a, m, sample_count, seed)
     keep = (ys > 0.0) & (ys < 1.0)
-    excluded = int(len(ys) - keep.sum())
-    estimates = np.array([math.log(max(level_set_count(a, float(y), depth), 1)) / (depth * math.log(3.0)) for y in ys[keep]])
+    stats = level_statistics(a, ys[keep], depth)
     bound = okamoto_s0(a) - 1.0
-    qs = {f"q{int(100 * q)}": float(np.quantile(estimates, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
-    frac = {eps: float(np.mean(estimates >= bound - eps)) for eps in epsilons}
     return SliceBoundReport(
         a=float(a),
         m=m,
         depth=depth,
         seed=seed,
         sample_count=sample_count,
-        excluded=excluded,
+        excluded=int(len(ys) - keep.sum()),
         s0_minus_1=bound,
-        quantiles=qs,
-        frac_above=frac,
-        median_estimate=float(np.median(estimates)),
+        quantiles=stats.quantiles,
+        frac_above={eps: float(np.mean(stats.estimates >= bound - eps)) for eps in epsilons},
+        median_estimate=stats.median,
     )

@@ -87,6 +87,15 @@ class SystemSpec:
         """(translations, ratios) of a 1-D system's maps, in symbol order."""
         return tuple(f.translation for f in self.maps), tuple(f.ratio for f in self.maps)
 
+    def coordinate_parts(self) -> tuple:
+        """One (translations, ratios) pair per coordinate: x then y for the planar system."""
+        if self.is_planar():
+            return (
+                (tuple(f.x_shift for f in self.maps), tuple(f.x_ratio for f in self.maps)),
+                (tuple(f.y_shift for f in self.maps), tuple(f.y_ratio for f in self.maps)),
+            )
+        return (self.parts(),)
+
     def support(self) -> tuple[Number, Number]:
         """Interval carrying the attractor ([0,1] except for the conjugate system)."""
         if self.kind == "conjugate":
@@ -216,11 +225,8 @@ def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = N
 def project_word(system: SystemSpec, word: Sequence[int]):
     """Finite composition applied to 0 (origin for the planar system)."""
     w = check_word(word)
-    if system.is_planar():
-        x, _ = fold_word([f.x_shift for f in system.maps], [f.x_ratio for f in system.maps], w)
-        y, _ = fold_word([f.y_shift for f in system.maps], [f.y_ratio for f in system.maps], w)
-        return x, y
-    return fold_word(*system.parts(), w)[0]
+    point = tuple(fold_word(tau, rho, w)[0] for tau, rho in system.coordinate_parts())
+    return point if system.is_planar() else point[0]
 
 
 def compose_word(system: SystemSpec, word: Sequence[int]) -> Similarity1D:

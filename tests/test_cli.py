@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from okamoto.cli import parse_number, run
@@ -207,3 +208,34 @@ def test_out_file_writing(tmp_path):
     assert code == 0
     assert json.loads(msg)["written"] == str(target)
     assert json.loads(target.read_text())["schema_version"] == "1"
+
+
+def test_empty_level_lists_are_json_errors():
+    for argv in (
+        ["levelset-scan", "--a", "0.75", "--samples", "0", "--depth", "8", "--seed", "1"],
+        ["subsystem", "--a", "0.75", "--m", "4", "--check", "slices", "--samples", "0", "--depth", "8", "--seed", "1"],
+    ):
+        code, out = _run(argv)
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "ParameterError"
+
+
+def test_slices_with_every_level_excluded_are_a_json_error(monkeypatch):
+    from okamoto import subsystem
+
+    monkeypatch.setattr(subsystem, "sample_subsystem_measure", lambda *args: np.array([0.0, 1.0, 0.0]))
+    code, out = _run(["subsystem", "--a", "0.75", "--m", "4", "--check", "slices", "--samples", "3", "--seed", "1"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ParameterError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--a", "0.75", "--depth", "2"],
+    ["subsystem", "--a", "0.75", "--m", "2", "--check", "ratio"],
+    ["bundle", "--a", "0.75", "--seed", "1"],
+])
+def test_json_or_csv_only_commands_reject_format(argv):
+    for fmt in ("json", "csv"):
+        code, out = _run(argv + ["--format", fmt])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "usage"

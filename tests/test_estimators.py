@@ -5,24 +5,24 @@ import numpy as np
 import pytest
 
 from okamoto.dimensions import okamoto_s0
-from okamoto.errors import BudgetError, DepthCapError, ParameterError
+from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
+    LevelSetCover,
     box_count_graph,
     box_count_series,
     fit_dimension,
     fourier_decay_fit,
     fourier_estimate,
     ks_statistic,
-    level_set_count,
     level_set_cover,
     level_set_scan,
-    local_dimension_batch,
+    level_statistics,
     local_dimension_estimate,
     local_dimension_slopes,
     natural_measure_sample,
     sample_measure,
 )
-from okamoto.systems import build_system, image_interval
+from okamoto.systems import Level, build_system, image_interval
 from okamoto.words import enumerate_words
 
 
@@ -92,8 +92,8 @@ def test_level_set_half_frozen_counts():
     # every depth-2 interval still touches it (1/2 is the fixed point of S_2)
     assert level_set_cover(Fraction(3, 4), Fraction(1, 2), 1).count == 3
     assert level_set_cover(Fraction(3, 4), Fraction(1, 2), 2).count == 9
-    assert level_set_count(0.75, 0.5, 1) == 3
-    assert level_set_count(0.75, 0.5, 2) == 9
+    assert level_set_cover(0.75, 0.5, 1).count == 3
+    assert level_set_cover(0.75, 0.5, 2).count == 9
 
 
 def _exhaustive_filter(a, y, n):
@@ -117,7 +117,8 @@ def test_level_set_float_count_matches_exact():
     a = Fraction(3, 4)
     for y in (Fraction(1, 3), Fraction(2, 7), Fraction(7, 10)):
         for n in (3, 6, 9):
-            assert level_set_count(0.75, float(y), n) == level_set_cover(a, y, n).count
+            cover = level_set_cover(0.75, float(y), n)
+            assert cover.count == level_set_cover(a, y, n).count == len(cover.words)
 
 
 def test_level_set_dim_estimate_capped():
@@ -151,6 +152,37 @@ def test_level_set_scan_forced_levels_and_reproducibility():
     assert s1.ys == s2.ys and s1.estimates == s2.estimates
     with pytest.raises(ParameterError):
         level_set_scan(0.75, 50, 10)  # no seed, no levels
+
+
+def test_level_set_scan_rejects_levels_outside_the_unit_interval():
+    with pytest.raises(ParameterError):
+        level_set_scan(0.75, 0, 10, ys=[1.5])
+    with pytest.raises(ParameterError):
+        level_set_scan(0.75, 0, 10, ys=[0.5, -0.25])
+
+
+def test_level_statistics_reject_an_empty_level_list():
+    with pytest.raises(ParameterError):
+        level_statistics(0.75, [], 10)
+    with pytest.raises(ParameterError):
+        level_set_scan(0.75, 0, 10, seed=1)
+
+
+def test_empty_cover_is_an_error_not_an_estimate():
+    # every level in [0, 1] is hit, so no level kernel output is empty; build one by hand
+    empty = LevelSetCover(a=0.75, y=0.5, depth=3, level=Level(np.zeros(0), np.zeros(0), None))
+    assert empty.count == 0
+    with pytest.raises(OkamotoError, match="empty"):
+        empty.dim_estimate
+
+
+def test_level_statistics_match_the_covers():
+    ys = [0.0, 0.2, 0.5, 0.81, 1.0]
+    stats = level_statistics(Fraction(3, 4), ys, 9)  # rational a still runs on float64
+    expected = [level_set_cover(0.75, y, 9).dim_estimate for y in ys]
+    assert stats.estimates.tolist() == expected
+    assert stats.median == float(np.median(expected))
+    assert stats.quantiles["q50"] == stats.median
 
 
 def test_level_set_scan_summary_fields():
@@ -245,13 +277,13 @@ def test_local_dimension_empty_ball_is_nan():
         local_dimension_estimate(sample, 0.5, [0.0])
 
 
-def test_local_dimension_batch_matches_single():
-    sample = _uniform_sample(50_000, 4)
-    radii = [1e-3, 1e-2]
-    batch = local_dimension_batch(sample, [0.3, 0.6], radii)
-    for i, x in enumerate([0.3, 0.6]):
-        single = local_dimension_estimate(sample, x, radii)
-        assert np.allclose(batch[i], single)
+def test_local_dimension_counts_closed_balls():
+    sample = _uniform_sample(20_000, 4)
+    pts = sample.points
+    for x in (0.3, float(pts[17])):  # a sample point sits on its own ball's centre
+        radii = [1e-3, 1e-2, abs(float(pts[5]) - x)]  # the last ball has a point on its boundary
+        expected = [math.log(np.sum(np.abs(pts - x) <= r) / len(pts)) / math.log(r) for r in radii]
+        assert local_dimension_estimate(sample, x, radii) == expected
 
 
 def test_local_dimension_slopes_uniform():
