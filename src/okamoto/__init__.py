@@ -44,7 +44,6 @@ from .subsystem import (
     entropy_ratio,
     gamma_conjugate,
     slice_lower_bound_report,
-    split_systems,
 )
 from .systems import (
     AffineDiag2D,

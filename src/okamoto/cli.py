@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dimensions, estimators, separation, subsystem, systems
 from .errors import DepthCapError, OkamotoError
+from .words import word_to_str
 
 SCHEMA_VERSION = "1"
 
@@ -178,7 +179,7 @@ def _cmd_levelset(cfg):
     y = parse_number(cfg.y)
     cover = estimators.level_set_cover(a, y, cfg.depth)
     if cfg.format == "csv":
-        return "csv", ["word"], [[("".join(map(str, w)))] for w in cover.words]
+        return "csv", ["word"], [[word_to_str(w)] for w in cover.words]
     return "json", {
         "schema_version": SCHEMA_VERSION,
         "a": float(a),
@@ -186,7 +187,7 @@ def _cmd_levelset(cfg):
         "depth": cover.depth,
         "count": cover.count,
         "dim_estimate": cover.dim_estimate,
-        "words": ["".join(map(str, w)) for w in cover.words],
+        "words": [word_to_str(w) for w in cover.words],
     }
 
 
@@ -215,7 +216,7 @@ def _cmd_separation(cfg):
         "epsilon": report.epsilon,
         "pass": report.passed,
         "floors": list(report.floors),
-        "witness": None if report.witness is None else ["".join(map(str, w)) for w in report.witness],
+        "witness": None if report.witness is None else [word_to_str(w) for w in report.witness],
     }
 
 
@@ -252,7 +253,7 @@ def _cmd_fourier(cfg):
     sample = estimators.natural_measure_sample(float(a), cfg.samples, 50, cfg.seed)
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
-    slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
+    slope, intercept, used = estimators.fourier_decay_fit(ts, mags, sample.count)
     if cfg.format == "csv":
         return "csv", ["t", "magnitude"], [[float(t), float(m)] for t, m in zip(ts, mags)]
     return "json", {

@@ -38,6 +38,7 @@ GRID_DEPTH_CAP = 14
 LEVEL_SET_DEPTH_CAP = 24
 SAMPLE_COUNT_CAP = 10**8
 SAMPLE_DEPTH_CAP = 60
+SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
 
 
 def _ceil_exact(x) -> int:
@@ -101,20 +102,18 @@ def _box_count_column(a: Number, n: int) -> int:
     return total
 
 
-def _box_count_grid(a: float, n: int, extra_levels: int | None = None) -> int:
+def _box_count_grid(a: float, n: int) -> int:
     """Boxes needed for sampled graph points, greedily covered column by column.
 
-    Samples are the cylinder anchors extra_levels deeper plus the right
-    endpoint, all exact graph points.  Covering the sampled points of one
+    Samples are the cylinder anchors _grid_sampling_levels deeper plus the
+    right endpoint, all exact graph points.  Covering the sampled points of one
     column with height-delta boxes greedily needs at most ceil(extent/delta)
     boxes, so this count never exceeds the column formula.
     """
-    if extra_levels is None:
-        extra_levels = _grid_sampling_levels(a, n)
     tau, rho = build_system("projection", a).parts()
     level = expand_level(tau, rho, n)
     t, r = level.t, level.r
-    anchors = np.append(expand_level(tau, rho, extra_levels).t, 1.0)
+    anchors = np.append(expand_level(tau, rho, _grid_sampling_levels(a, n)).t, 1.0)
     delta = 3.0**-n
     total = 0
     chunk = max(64, (1 << 22) // len(anchors))
@@ -132,12 +131,8 @@ def _box_count_grid(a: float, n: int, extra_levels: int | None = None) -> int:
     return total
 
 
-def fit_dimension(rows) -> tuple:
-    """OLS slope of log N against n log 3, plus the largest absolute residual."""
-    if isinstance(rows, BoxCountSeries):
-        pairs = [(n, c) for n, _, c in rows.rows]
-    else:
-        pairs = [(n, c) for n, c in rows]
+def fit_dimension(pairs: Sequence[tuple]) -> tuple:
+    """OLS slope of log N against n log 3 over (n, count) pairs, plus the largest absolute residual."""
     if len(pairs) < 3:
         raise ParameterError(f"dimension fit needs >= 3 rows, got {len(pairs)}")
     xs = np.array([n * LOG3 for n, _ in pairs])
@@ -237,7 +232,7 @@ def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
 class LevelSetScan:
     a: float
     depth: int
-    seed: int | None
+    seed: int
     tolerance: float
     s0_minus_1: float
     ys: tuple
@@ -260,33 +255,22 @@ class LevelSetScan:
         }
 
 
-def level_set_scan(
-    a: float,
-    sample_count: int,
-    n: int,
-    seed: int | None = None,
-    ys: Sequence[float] | None = None,
-    tolerance: float = 0.08,
-) -> LevelSetScan:
-    """Distribution of cover-count dimension estimates over uniformly drawn (or given) levels."""
+def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetScan:
+    """Distribution of cover-count dimension estimates over uniformly drawn levels."""
     check_a(a)
-    if ys is None:
-        if seed is None:
-            raise ParameterError("level_set_scan needs a seed when levels are drawn randomly")
-        ys = np.random.default_rng(seed).random(sample_count)
-    ys = tuple(float(v) for v in ys)
+    ys = tuple(float(v) for v in np.random.default_rng(seed).random(sample_count))
     stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0
     return LevelSetScan(
         a=float(a),
         depth=n,
         seed=seed,
-        tolerance=tolerance,
+        tolerance=SCAN_TOLERANCE,
         s0_minus_1=bound,
         ys=ys,
         estimates=tuple(float(e) for e in stats.estimates),
         quantiles=stats.quantiles,
-        frac_above=float(np.mean(stats.estimates > bound + tolerance)),
+        frac_above=float(np.mean(stats.estimates > bound + SCAN_TOLERANCE)),
         median_gap=stats.median - bound,
     )
 
@@ -320,6 +304,8 @@ def sample_measure(
     Each point is the composition along an i.i.d. weight-distributed random
     word of the given depth, applied to 0.  Deterministic per seed.
     """
+    if count < 1 or depth < 0:
+        raise ParameterError(f"sampling needs count >= 1 and depth >= 0, got count {count}, depth {depth}")
     if count > SAMPLE_COUNT_CAP:
         raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
     if depth > SAMPLE_DEPTH_CAP:
@@ -405,14 +391,13 @@ def fourier_estimate(sample: MeasureSample, t_values: Sequence[float]) -> np.nda
     return out
 
 
-def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple:
-    """(slope, intercept, points used) of the log-log decay fit.
+def fourier_decay_fit(t_values: Sequence[float], mags: np.ndarray, count: int) -> tuple:
+    """(slope, intercept, points used) of the log-log fit to fourier_estimate magnitudes.
 
-    Points whose magnitude sits below three standard errors are noise and are
-    dropped before fitting.
+    Points whose magnitude sits below three standard errors of a count-point
+    sample are noise and are dropped before fitting.
     """
-    mags = fourier_estimate(sample, t_values)
-    floor = 3.0 / math.sqrt(sample.count)
+    floor = 3.0 / math.sqrt(count)
     keep = mags > floor
     if keep.sum() < 2:
         return float("nan"), float("nan"), int(keep.sum())

@@ -26,18 +26,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
+from .errors import ParameterError
 from .estimators import ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import Similarity1D, build_system, compose_word, fold_word
 from .words import Number, check_a, subsystem_alphabet, two_count
 
-ALPHABET_BUDGET = 10**7
-MATERIALIZE_BUDGET = 10**6
+SAMPLING_TAIL = 1e-9  # the sampling depth keeps the dropped tail sum_{l >= depth} |lambda|^l below this
+GAMMA_TUPLE_BUDGET = 4096  # block tuples checked by the gamma conjugation
+SLICE_EPSILONS = (0.05, 0.1)  # slice report: share of estimates >= s0 - 1 - epsilon
 
 
 def subsystem_ratio(a: Number, m: int) -> Number:
@@ -59,9 +59,9 @@ class HomogeneousSystem:
         return np.array([float(f.translation) for f in self.maps])
 
 
-def build_subsystem(a: Number, m: int, budget: int = ALPHABET_BUDGET) -> HomogeneousSystem:
+def build_subsystem(a: Number, m: int) -> HomogeneousSystem:
     """Compositions S_w over the subsystem alphabet; ratios checked exactly for rational a."""
-    alphabet = subsystem_alphabet(a, m, budget=budget)
+    alphabet = subsystem_alphabet(a, m)
     system = build_system("projection", a)
     lam = subsystem_ratio(a, m)
     exact = isinstance(a, (Fraction, int))
@@ -74,48 +74,11 @@ def build_subsystem(a: Number, m: int, budget: int = ALPHABET_BUDGET) -> Homogen
     return HomogeneousSystem(a=a, m=m, alphabet=alphabet, ratio=lam, maps=tuple(maps))
 
 
-@dataclass(frozen=True)
-class SplitSystem:
-    """Uniform-ratio system with translations summed over `blocks` alphabet blocks."""
-
-    ratio: Number  # lambda^k
-    block_translations: tuple
-    blocks: int  # k-1 for the off-positions system, 1 for the k-th-position system
-    block_ratio: Number  # lambda
-
-    @property
-    def size(self) -> int:
-        return len(self.block_translations) ** self.blocks
-
-    def iter_translations(self) -> Iterator:
-        """Translations of the block compositions, lazily, in lexicographic block order."""
-        rho = (self.block_ratio,) * len(self.block_translations)
-        for combo in product(range(1, len(rho) + 1), repeat=self.blocks):
-            yield fold_word(self.block_translations, rho, combo)[0]
-
-    def maps(self, budget: int = MATERIALIZE_BUDGET) -> tuple:
-        if self.size > budget:
-            raise BudgetError(f"{self.size} maps exceed materialization budget {budget}")
-        return tuple(Similarity1D(self.ratio, t) for t in self.iter_translations())
-
-
-def split_systems(a: Number, m: int, k: int) -> tuple:
-    """(off-positions system, k-th-position system) for the block split at k."""
-    if k < 2:
-        raise ParameterError(f"split needs k >= 2, got {k}")
-    sub = build_subsystem(a, m)
-    lam = sub.ratio
-    taus = tuple(f.translation for f in sub.maps)
-    below = SplitSystem(ratio=lam**k, block_translations=taus, blocks=k - 1, block_ratio=lam)
-    at = SplitSystem(ratio=lam**k, block_translations=taus, blocks=1, block_ratio=lam)
-    return below, at
-
-
 # --- sampling and the convolution identity -----------------------------------------
 
 
-def _sampling_depth(lam: float, tail: float = 1e-9) -> int:
-    return max(4, math.ceil(math.log(tail * (1.0 - abs(lam))) / math.log(abs(lam))))
+def _sampling_depth(lam: float) -> int:
+    return max(4, math.ceil(math.log(SAMPLING_TAIL * (1.0 - abs(lam))) / math.log(abs(lam))))
 
 
 def _sample_block_coding(
@@ -137,14 +100,12 @@ def _sample_block_coding(
     return out
 
 
-def sample_subsystem_measure(a: float, m: int, count: int, seed: int, depth: int | None = None) -> np.ndarray:
+def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndarray:
     """Draw from the uniform-coding measure of the subsystem."""
     sub = build_subsystem(float(a), m)
     lam = float(sub.ratio)
-    if depth is None:
-        depth = _sampling_depth(lam)
     rng = np.random.default_rng(seed)
-    return _sample_block_coding(sub.translations(), lam, count, depth, rng)
+    return _sample_block_coding(sub.translations(), lam, count, _sampling_depth(lam), rng)
 
 
 @dataclass(frozen=True)
@@ -169,9 +130,7 @@ class ConvolutionReport:
         }
 
 
-def convolution_check(
-    a: float, m: int, k: int, count: int, seed: int, swap_streams: bool = False
-) -> ConvolutionReport:
+def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> ConvolutionReport:
     """KS distance between a direct draw from mu_m and the split-convolution draw."""
     if k < 2:
         raise ParameterError(f"convolution split needs k >= 2, got {k}")
@@ -182,8 +141,6 @@ def convolution_check(
     depth += (-depth) % k  # whole superblocks
     streams = np.random.SeedSequence(seed).spawn(3)
     rng_x, rng_y, rng_z = (np.random.default_rng(s) for s in streams)
-    if swap_streams:
-        rng_y, rng_z = rng_z, rng_y
     direct = _sample_block_coding(taus, lam, count, depth, rng_x)
     off = _sample_block_coding(taus, lam, count, depth, rng_y, skip_every=k)
     lam_k = lam**k
@@ -227,13 +184,16 @@ class GammaReport:
         }
 
 
-def gamma_conjugate(a: Number, m: int, k: int, tuple_budget: int = 4096) -> tuple:
+def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     """(gamma offset, conjugated maps, report): exact verification of the conjugation identity.
 
     gamma(x) = x + c turns every off-positions map g into lambda^k x + t_g +
     c(1 - lambda^k); the claim is that this equals the composition
-    S_{j_1} o ... o S_{j_{k-1}} o S_i with the all-1s-then-2s block i.  Both
-    candidate offsets are tried and the verified exponent is recorded.
+    S_{j_1} o ... o S_{j_{k-1}} o S_i with the all-1s-then-2s block i.  The
+    off-positions translation t_g = sum_l lambda^(l-1) tau_{j_l} is the fold
+    of the block translations with ratio lambda.  The first GAMMA_TUPLE_BUDGET
+    block tuples, in lexicographic order, are checked.  Both candidate offsets
+    are tried and the verified exponent is recorded.
     """
     if k < 2:
         raise ParameterError(f"gamma conjugation needs k >= 2, got {k}")
@@ -246,17 +206,18 @@ def gamma_conjugate(a: Number, m: int, k: int, tuple_budget: int = 4096) -> tupl
     lam = sub.ratio
     lam_k = lam**k
     tau_tilde = compose_word(system, tilde).translation
-    below, _ = split_systems(a, m, k)
+    taus = tuple(f.translation for f in sub.maps)
+    rho = (lam,) * len(taus)
 
-    combos = list(islice(product(sub.alphabet, repeat=k - 1), tuple_budget))
-    g_translations = list(islice(below.iter_translations(), tuple_budget))
+    combos = list(islice(product(range(1, len(taus) + 1), repeat=k - 1), GAMMA_TUPLE_BUDGET))
+    g_translations = [fold_word(taus, rho, combo)[0] for combo in combos]
 
     candidates = {}
     for exponent in (k - 1, k):
         offset = tau_tilde * lam**exponent / (1 - lam_k)
         ok = True
         for combo, t_g in zip(combos, g_translations):
-            flat = tuple(s for w in combo for s in w) + tilde
+            flat = tuple(s for j in combo for s in sub.alphabet[j - 1]) + tilde
             rhs = compose_word(system, flat)
             if rhs.ratio != lam_k or rhs.translation != t_g + offset * (1 - lam_k):
                 ok = False
@@ -353,14 +314,7 @@ class SliceBoundReport:
         }
 
 
-def slice_lower_bound_report(
-    a: float,
-    m: int,
-    sample_count: int,
-    depth: int,
-    seed: int,
-    epsilons: Sequence[float] = (0.05, 0.1),
-) -> SliceBoundReport:
+def slice_lower_bound_report(a: float, m: int, sample_count: int, depth: int, seed: int) -> SliceBoundReport:
     """Level-set dimension estimates at levels drawn from the subsystem measure.
 
     Levels that land exactly on the endpoint atoms 0 or 1 (where the level set
@@ -379,6 +333,6 @@ def slice_lower_bound_report(
         excluded=int(len(ys) - keep.sum()),
         s0_minus_1=bound,
         quantiles=stats.quantiles,
-        frac_above={eps: float(np.mean(stats.estimates >= bound - eps)) for eps in epsilons},
+        frac_above={eps: float(np.mean(stats.estimates >= bound - eps)) for eps in SLICE_EPSILONS},
         median_estimate=stats.median,
     )

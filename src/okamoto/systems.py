@@ -329,7 +329,7 @@ def ternary_digits(x: Number, n: int) -> list[int]:
     return digits
 
 
-def evaluate_T(a: Number, x: Number, tolerance: float = 1e-9, digit_cap: int = DIGIT_CAP) -> tuple:
+def evaluate_T(a: Number, x: Number, tolerance: float = 1e-9) -> tuple:
     """Value of the function at x with guaranteed error bound.
 
     Takes n = ceil(log tolerance / log a) ternary digits of x, maps digit d to
@@ -346,8 +346,8 @@ def evaluate_T(a: Number, x: Number, tolerance: float = 1e-9, digit_cap: int = D
         # approaches 1 from below, so return the exact endpoint values
         return (0 * a if x == 0 else 1 + 0 * a), 0 * a
     n = max(1, math.ceil(math.log(tolerance) / math.log(float(a))))
-    if n > digit_cap:
-        raise ParameterError(f"tolerance {tolerance} needs {n} digits, beyond cap {digit_cap}")
+    if n > DIGIT_CAP:
+        raise ParameterError(f"tolerance {tolerance} needs {n} digits, beyond cap {DIGIT_CAP}")
     word = [d + 1 for d in ternary_digits(x, n)]
     y, ratio = fold_word(*build_system("projection", a).parts(), word)
     return y, abs(ratio)

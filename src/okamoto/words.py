@@ -8,7 +8,6 @@ and lexicographic word order is left-to-right order on [0,1].
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -20,22 +19,9 @@ Word = tuple  # tuple of ints drawn from {1,2,3}
 Number = Union[int, float, Fraction]
 
 ALPHABET = (1, 2, 3)
-DEFAULT_DEPTH_CAP = 16
-ENV_DEPTH_CAP = "OKAMOTO_DEPTH_CAP"
-
-
-def depth_cap() -> int:
-    """Enumeration depth cap; OKAMOTO_DEPTH_CAP overrides the default of 16."""
-    raw = os.environ.get(ENV_DEPTH_CAP)
-    if raw is None:
-        return DEFAULT_DEPTH_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DepthCapError(f"{ENV_DEPTH_CAP} must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise DepthCapError(f"{ENV_DEPTH_CAP} must be >= 0, got {cap}")
-    return cap
+DEPTH_CAP = 16  # longest enumerated word and subsystem block
+ALPHABET_BUDGET = 10**7  # subsystem alphabet size
+STOPPING_COVER_BUDGET = 10**7  # stopping-cover size
 
 
 def check_word(word: Sequence[int]) -> Word:
@@ -80,14 +66,12 @@ def common_prefix(i: Sequence[int], j: Sequence[int]) -> tuple[Word, int]:
     return tuple(i[:n]), n
 
 
-def enumerate_words(n: int, cap: int | None = None) -> Iterator[Word]:
+def enumerate_words(n: int) -> Iterator[Word]:
     """Yield all 3^n words of length n in lexicographic order."""
-    if cap is None:
-        cap = depth_cap()
     if n < 0:
         raise ValueError(f"word length must be >= 0, got {n}")
-    if n > cap:
-        raise DepthCapError(f"depth {n} exceeds cap {cap}")
+    if n > DEPTH_CAP:
+        raise DepthCapError(f"depth {n} exceeds cap {DEPTH_CAP}")
 
     def rec(prefix: Word, k: int) -> Iterator[Word]:
         if k == 0:
@@ -150,7 +134,7 @@ class StoppingCover:
         return max(len(w) for w in self.words)
 
 
-def stopping_cover(a: Number, r: Number, size_budget: int = 10**7) -> StoppingCover:
+def stopping_cover(a: Number, r: Number) -> StoppingCover:
     """All words with lambda_{i_1}...lambda_{i_n} <= r < lambda_{i_1}...lambda_{i_{n-1}}.
 
     Depth-first descent from the empty word (product 1 > r); a branch stops
@@ -172,8 +156,8 @@ def stopping_cover(a: Number, r: Number, size_budget: int = 10**7) -> StoppingCo
             w = word + (s,)
             if p <= r:
                 out.append(w)
-                if len(out) > size_budget:
-                    raise BudgetError(f"stopping cover exceeds {size_budget} words")
+                if len(out) > STOPPING_COVER_BUDGET:
+                    raise BudgetError(f"stopping cover exceeds {STOPPING_COVER_BUDGET} words")
             else:
                 stack.append((w, p))
     out.sort()
@@ -195,18 +179,18 @@ def alphabet_size(a: Number, m: int) -> int:
     return 2 ** (m - j) * math.comb(m, j)
 
 
-def subsystem_alphabet(a: Number, m: int, budget: int = 10**7) -> tuple:
+def subsystem_alphabet(a: Number, m: int) -> tuple:
     """All length-m words with exactly floor(m*p) symbols equal to 2, sorted.
 
     The non-2 positions carry either 1 or 3, so the words are generated from
     position subsets rather than by filtering all of Sigma_m.
     """
     check_a(a)
-    if not (1 <= m <= depth_cap()):
-        raise DepthCapError(f"m must lie in [1, {depth_cap()}], got {m}")
+    if not (1 <= m <= DEPTH_CAP):
+        raise DepthCapError(f"m must lie in [1, {DEPTH_CAP}], got {m}")
     j = two_count(a, m)
-    if alphabet_size(a, m) > budget:
-        raise BudgetError(f"alphabet size {alphabet_size(a, m)} exceeds budget {budget}")
+    if alphabet_size(a, m) > ALPHABET_BUDGET:
+        raise BudgetError(f"alphabet size {alphabet_size(a, m)} exceeds budget {ALPHABET_BUDGET}")
     words: list[Word] = []
     for two_positions in combinations(range(m), j):
         twos = set(two_positions)

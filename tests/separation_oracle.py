@@ -23,7 +23,7 @@ def delta_exhaustive(b: Fraction, n: int) -> tuple:
     if n > EXHAUSTIVE_CAP:
         raise DepthCapError(f"all-pairs oracle capped at n <= {EXHAUSTIVE_CAP}, got {n}")
     system = build_system("conjugate", b)
-    words = list(enumerate_words(n, cap=max(n, 16)))
+    words = list(enumerate_words(n))
     unit = (2 * b.denominator) ** n
     scaled = []
     for w in words:

@@ -116,7 +116,7 @@ def test_criterion_5_level_set_oracle_equivalence():
 
 def test_criterion_6_level_set_statistics():
     t0 = time.monotonic()
-    scan = estimators.level_set_scan(0.75, 200, 14, seed=20260808, tolerance=0.08)
+    scan = estimators.level_set_scan(0.75, 200, 14, seed=20260808)
     elapsed = time.monotonic() - t0
     median_ok = abs(scan.quantiles["q50"] - scan.s0_minus_1) < 0.08
     cap_ok = max(scan.estimates) <= scan.s0_minus_1 + 0.08
@@ -218,7 +218,7 @@ def test_criterion_9_structural_invariants():
 def test_criterion_10_fourier_decay():
     sample = estimators.natural_measure_sample(0.75, 2 * 10**6, 50, seed=13)
     ts = np.geomspace(10.0, 1e4, 30)
-    slope, _, used = estimators.fourier_decay_fit(sample, ts)
+    slope, _, used = estimators.fourier_decay_fit(ts, estimators.fourier_estimate(sample, ts), sample.count)
     _report(
         "10",
         used >= 2 and slope < 0.0,

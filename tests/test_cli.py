@@ -239,3 +239,14 @@ def test_json_or_csv_only_commands_reject_format(argv):
         code, out = _run(argv + ["--format", fmt])
         assert code == 2
         assert json.loads(out)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fourier", "--a", "0.75", "--samples", "0", "--seed", "1"],
+    ["measure", "--a", "0.75", "--samples", "0", "--seed", "1"],
+    ["measure", "--a", "0.75", "--samples", "10", "--depth", "-1", "--seed", "1"],
+])
+def test_empty_or_negative_draws_are_json_errors(argv):
+    code, out = _run(argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ParameterError"

@@ -145,20 +145,22 @@ def test_level_set_domain_errors():
 
 
 def test_level_set_scan_forced_levels_and_reproducibility():
-    scan = level_set_scan(0.75, 0, 10, ys=[0.0, 0.5, 0.25])
-    assert scan.estimates[0] == 0.0  # y=0 is the singleton level set
+    # given levels go through level_statistics, the estimator the scan draws its levels for
+    forced = level_statistics(0.75, [0.0, 0.5, 0.25], 10)
+    assert forced.estimates[0] == 0.0  # y=0 is the singleton level set
     s1 = level_set_scan(0.75, 50, 10, seed=11)
     s2 = level_set_scan(0.75, 50, 10, seed=11)
     assert s1.ys == s2.ys and s1.estimates == s2.estimates
-    with pytest.raises(ParameterError):
-        level_set_scan(0.75, 50, 10)  # no seed, no levels
+    assert s1.estimates == tuple(level_statistics(0.75, s1.ys, 10).estimates.tolist())
+    with pytest.raises(TypeError):
+        level_set_scan(0.75, 50, 10)  # the seed is required
 
 
-def test_level_set_scan_rejects_levels_outside_the_unit_interval():
+def test_level_statistics_reject_levels_outside_the_unit_interval():
     with pytest.raises(ParameterError):
-        level_set_scan(0.75, 0, 10, ys=[1.5])
+        level_statistics(0.75, [1.5], 10)
     with pytest.raises(ParameterError):
-        level_set_scan(0.75, 0, 10, ys=[0.5, -0.25])
+        level_statistics(0.75, [0.5, -0.25], 10)
 
 
 def test_level_statistics_reject_an_empty_level_list():
@@ -232,6 +234,9 @@ def test_sample_measure_caps():
         sample_measure(system, (0.375, 0.25, 0.375), 10, 61, seed=0)
     with pytest.raises(ParameterError):
         sample_measure(system, (0.5, 0.5), 10, 10, seed=0)
+    for count, depth in ((0, 10), (-5, 10), (10, -1)):  # empty or negative draws
+        with pytest.raises(ParameterError):
+            sample_measure(system, (0.375, 0.25, 0.375), count, depth, seed=0)
 
 
 def test_sample_measure_depth_convergence():
@@ -304,7 +309,8 @@ def test_fourier_at_zero_is_one():
 
 def test_fourier_decay_fit_negative_slope():
     sample = natural_measure_sample(0.75, 400_000, 50, seed=13)
-    slope, _, used = fourier_decay_fit(sample, np.geomspace(10, 1e4, 30))
+    ts = np.geomspace(10, 1e4, 30)
+    slope, _, used = fourier_decay_fit(ts, fourier_estimate(sample, ts), sample.count)
     assert used >= 2
     assert slope < 0
 

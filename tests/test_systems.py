@@ -291,8 +291,9 @@ def test_evaluate_T_symmetry_sampled():
 
 
 def test_evaluate_T_digit_cap():
+    # a = 0.99 needs 2062 digits for 1e-9, beyond DIGIT_CAP = 1000
     with pytest.raises(ParameterError):
-        evaluate_T(0.99, 0.3, 1e-9, digit_cap=100)
+        evaluate_T(0.99, 0.3, 1e-9)
 
 
 def test_evaluate_T_domain():

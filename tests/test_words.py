@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from okamoto.errors import DepthCapError, ParameterError
+from okamoto import words
+from okamoto.errors import BudgetError, DepthCapError, ParameterError
 from okamoto.words import (
     alphabet_size,
     common_prefix,
     count_twos,
-    depth_cap,
     enumerate_words,
     ratio_product,
     stopping_cover,
@@ -63,8 +63,9 @@ def test_enumerate_words_count_and_uniqueness(n):
 def test_enumerate_words_depth_cap(monkeypatch):
     with pytest.raises(DepthCapError):
         list(enumerate_words(17))
-    monkeypatch.setenv("OKAMOTO_DEPTH_CAP", "18")
-    assert depth_cap() == 18
+    with pytest.raises(DepthCapError):
+        subsystem_alphabet(0.75, 17)
+    monkeypatch.setattr(words, "DEPTH_CAP", 18)  # read at call time
     gen = enumerate_words(17)
     assert next(gen) == (1,) * 17
 
@@ -169,13 +170,14 @@ def test_subsystem_alphabet_shared_ratio_magnitude():
             assert ratio_product(a, w) == expected
 
 
-def test_enumeration_budgets():
-    from okamoto.errors import BudgetError
-
+def test_enumeration_budgets(monkeypatch):
+    # no alphabet inside the depth cap reaches ALPHABET_BUDGET, so the check is reached by patching it
+    monkeypatch.setattr(words, "ALPHABET_BUDGET", 100)
     with pytest.raises(BudgetError):
-        subsystem_alphabet(0.75, 8, budget=100)
+        subsystem_alphabet(0.75, 8)
+    monkeypatch.setattr(words, "STOPPING_COVER_BUDGET", 50)
     with pytest.raises(BudgetError):
-        stopping_cover(0.75, 0.01, size_budget=50)
+        stopping_cover(0.75, 0.01)
 
 
 def test_x_cylinder_convention():
