@@ -253,7 +253,7 @@ def _cmd_fourier(cfg):
     sample = estimators.natural_measure_sample(float(a), cfg.samples, 50, cfg.seed)
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
-    slope, intercept, used = estimators.fourier_decay_fit(ts, mags, sample.count)
+    slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
     if cfg.format == "csv":
         return "csv", ["t", "magnitude"], [[float(t), float(m)] for t, m in zip(ts, mags)]
     return "json", {

@@ -258,6 +258,8 @@ class LevelSetScan:
 def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetScan:
     """Distribution of cover-count dimension estimates over uniformly drawn levels."""
     check_a(a)
+    if seed is None:
+        raise ParameterError("level_set_scan needs a seed")
     ys = tuple(float(v) for v in np.random.default_rng(seed).random(sample_count))
     stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0
@@ -391,13 +393,14 @@ def fourier_estimate(sample: MeasureSample, t_values: Sequence[float]) -> np.nda
     return out
 
 
-def fourier_decay_fit(t_values: Sequence[float], mags: np.ndarray, count: int) -> tuple:
-    """(slope, intercept, points used) of the log-log fit to fourier_estimate magnitudes.
+def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple:
+    """(slope, intercept, points used) of the log-log decay fit.
 
-    Points whose magnitude sits below three standard errors of a count-point
-    sample are noise and are dropped before fitting.
+    Points whose magnitude sits below three standard errors are noise and are
+    dropped before fitting.
     """
-    floor = 3.0 / math.sqrt(count)
+    mags = fourier_estimate(sample, t_values)
+    floor = 3.0 / math.sqrt(sample.count)
     keep = mags > floor
     if keep.sum() < 2:
         return float("nan"), float("nan"), int(keep.sum())

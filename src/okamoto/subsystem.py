@@ -217,7 +217,7 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
         offset = tau_tilde * lam**exponent / (1 - lam_k)
         ok = True
         for combo, t_g in zip(combos, g_translations):
-            flat = tuple(s for j in combo for s in sub.alphabet[j - 1]) + tilde
+            flat = tuple(s for idx in combo for s in sub.alphabet[idx - 1]) + tilde
             rhs = compose_word(system, flat)
             if rhs.ratio != lam_k or rhs.translation != t_g + offset * (1 - lam_k):
                 ok = False

@@ -20,7 +20,6 @@ Number = Union[int, float, Fraction]
 
 ALPHABET = (1, 2, 3)
 DEPTH_CAP = 16  # longest enumerated word and subsystem block
-ALPHABET_BUDGET = 10**7  # subsystem alphabet size
 STOPPING_COVER_BUDGET = 10**7  # stopping-cover size
 
 
@@ -189,8 +188,6 @@ def subsystem_alphabet(a: Number, m: int) -> tuple:
     if not (1 <= m <= DEPTH_CAP):
         raise DepthCapError(f"m must lie in [1, {DEPTH_CAP}], got {m}")
     j = two_count(a, m)
-    if alphabet_size(a, m) > ALPHABET_BUDGET:
-        raise BudgetError(f"alphabet size {alphabet_size(a, m)} exceeds budget {ALPHABET_BUDGET}")
     words: list[Word] = []
     for two_positions in combinations(range(m), j):
         twos = set(two_positions)

@@ -154,6 +154,8 @@ def test_level_set_scan_forced_levels_and_reproducibility():
     assert s1.estimates == tuple(level_statistics(0.75, s1.ys, 10).estimates.tolist())
     with pytest.raises(TypeError):
         level_set_scan(0.75, 50, 10)  # the seed is required
+    with pytest.raises(ParameterError):
+        level_set_scan(0.75, 50, 10, None)  # and may not be None
 
 
 def test_level_statistics_reject_levels_outside_the_unit_interval():
@@ -309,8 +311,7 @@ def test_fourier_at_zero_is_one():
 
 def test_fourier_decay_fit_negative_slope():
     sample = natural_measure_sample(0.75, 400_000, 50, seed=13)
-    ts = np.geomspace(10, 1e4, 30)
-    slope, _, used = fourier_decay_fit(ts, fourier_estimate(sample, ts), sample.count)
+    slope, _, used = fourier_decay_fit(sample, np.geomspace(10, 1e4, 30))
     assert used >= 2
     assert slope < 0
 
