@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Numbers given as "p/q" are parsed into exact rationals and routed to the
-exact-arithmetic paths; decimals stay floats.  Every JSON artifact carries
-schema_version "1", every CSV a header row, and runs are deterministic for a
-fixed config and seed (no timestamps, sorted keys).
+exact-arithmetic paths; decimals stay floats.  This module is the only place
+the artifact format is defined: every JSON artifact is strict JSON (never NaN
+or Infinity) with schema_version "1", report dataclasses render by their
+fields and rationals as "p/q"; every CSV has a header row.  Runs are
+deterministic for a fixed config and seed (no timestamps, sorted keys).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -135,16 +138,34 @@ def build_parser() -> _Parser:
 # --- handlers: each returns ("json", payload) or ("csv", header, rows) ----------
 
 
+def _lq_rows(a, text: str) -> list:
+    return [
+        {"q": q, "tau": dimensions.tau_q(a, q), "dim": dimensions.lq_dimension(a, q)}
+        for q in _q_list(text)
+    ]
+
+
+def _box_json(series) -> dict:
+    return {**vars(series), "rows": [{"n": n, "delta": d, "count": c} for n, d, c in series.rows]}
+
+
+def _scan_json(scan) -> dict:
+    """The scan summary: the drawn levels and their estimates stay out of the artifact."""
+    fields = {k: v for k, v in vars(scan).items() if k not in ("ys", "estimates")}
+    return {**fields, "sample_count": len(scan.ys)}
+
+
+def _gamma_json(report) -> dict:
+    # string keys sort as strings in the artifact: "10" before "9"
+    return {**vars(report), "candidates": {str(e): ok for e, ok in report.candidates.items()}}
+
+
 def _cmd_dims(cfg):
     a = parse_number(cfg.a)
     report = dimensions.dim_report(a)
-    payload = {"schema_version": SCHEMA_VERSION, **report.to_json()}
-    payload["assouad_bound"] = dimensions.assouad_bound(float(a), report.level_set_bound)
+    payload = {**vars(report), "assouad_bound": dimensions.assouad_bound(float(a), report.level_set_bound)}
     if cfg.q:
-        payload["lq"] = [
-            {"q": q, "tau": dimensions.tau_q(a, q), "dim": dimensions.lq_dimension(a, q)}
-            for q in _q_list(cfg.q)
-        ]
+        payload["lq"] = _lq_rows(a, cfg.q)
     if cfg.format == "csv":
         header = ["a", "b", "s0", "p1", "p2", "p3", "entropy", "chi1", "chi2", "fenghu_dim", "level_set_bound"]
         row = [report.a, report.b, report.s0, *report.weights, report.entropy,
@@ -171,7 +192,7 @@ def _cmd_boxdim(cfg):
     series = estimators.box_count_series(a, range(cfg.min_depth, cfg.max_depth + 1), cfg.mode)
     if cfg.format == "csv":
         return "csv", ["n", "delta", "count"], [[n, d, c] for n, d, c in series.rows]
-    return "json", {"schema_version": SCHEMA_VERSION, **series.to_json()}
+    return "json", _box_json(series)
 
 
 def _cmd_levelset(cfg):
@@ -181,7 +202,6 @@ def _cmd_levelset(cfg):
     if cfg.format == "csv":
         return "csv", ["word"], [[word_to_str(w)] for w in cover.words]
     return "json", {
-        "schema_version": SCHEMA_VERSION,
         "a": float(a),
         "y": float(y),
         "depth": cover.depth,
@@ -196,7 +216,7 @@ def _cmd_levelset_scan(cfg):
     scan = estimators.level_set_scan(float(a), cfg.samples, cfg.depth, seed=cfg.seed)
     if cfg.format == "csv":
         return "csv", ["y", "estimate"], [[y, e] for y, e in zip(scan.ys, scan.estimates)]
-    return "json", {"schema_version": SCHEMA_VERSION, **scan.to_json()}
+    return "json", _scan_json(scan)
 
 
 def _cmd_separation(cfg):
@@ -208,27 +228,23 @@ def _cmd_separation(cfg):
         rows = [[r["n"], float(r["gap"]), r["gap_root"], r["floor"]] for r in report.rows()]
         return "csv", ["n", "gap", "gap_root", "floor"], rows
     return "json", {
-        "schema_version": SCHEMA_VERSION,
-        "b": str(report.b),
-        "depths": list(report.depths),
-        "gaps": [str(g) for g in report.gaps],
+        "b": report.b,
+        "depths": report.depths,
+        "gaps": report.gaps,
         "gap_floats": [float(g) for g in report.gaps],
         "epsilon": report.epsilon,
         "pass": report.passed,
-        "floors": list(report.floors),
+        "floors": report.floors,
         "witness": None if report.witness is None else [word_to_str(w) for w in report.witness],
     }
 
 
 def _cmd_lq(cfg):
     a = parse_number(cfg.a)
-    values = [
-        {"q": q, "tau": dimensions.tau_q(a, q), "dim": dimensions.lq_dimension(a, q)}
-        for q in _q_list(cfg.q)
-    ]
+    values = _lq_rows(a, cfg.q)
     if cfg.format == "csv":
         return "csv", ["q", "tau", "dim"], [[v["q"], v["tau"], v["dim"]] for v in values]
-    return "json", {"schema_version": SCHEMA_VERSION, "a": float(a), "values": values}
+    return "json", {"a": float(a), "values": values}
 
 
 def _cmd_measure(cfg):
@@ -237,7 +253,6 @@ def _cmd_measure(cfg):
     if cfg.format == "json":
         pts = sample.points
         return "json", {
-            "schema_version": SCHEMA_VERSION,
             "a": float(a),
             "count": sample.count,
             "depth": sample.depth,
@@ -253,11 +268,10 @@ def _cmd_fourier(cfg):
     sample = estimators.natural_measure_sample(float(a), cfg.samples, 50, cfg.seed)
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
-    slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
     if cfg.format == "csv":
         return "csv", ["t", "magnitude"], [[float(t), float(m)] for t, m in zip(ts, mags)]
+    slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
     return "json", {
-        "schema_version": SCHEMA_VERSION,
         "a": float(a),
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -285,17 +299,14 @@ def _cmd_subsystem(cfg):
         }
     elif check == "gamma":
         _, _, report = subsystem.gamma_conjugate(a, cfg.m, cfg.k)
-        payload = report.to_json()
+        payload = _gamma_json(report)
     elif check == "convolution":
-        payload = subsystem.convolution_check(float(a), cfg.m, cfg.k, cfg.samples, cfg.seed).to_json()
+        payload = vars(subsystem.convolution_check(float(a), cfg.m, cfg.k, cfg.samples, cfg.seed))
     elif check == "entropy":
-        payload = subsystem.entropy_ratio(float(a), cfg.m, cfg.k).to_json()
+        payload = vars(subsystem.entropy_ratio(float(a), cfg.m, cfg.k))
     else:
-        payload = subsystem.slice_lower_bound_report(
-            float(a), cfg.m, cfg.samples, cfg.depth, cfg.seed
-        ).to_json()
-    payload["check"] = check
-    return "json", {"schema_version": SCHEMA_VERSION, **payload}
+        payload = vars(subsystem.slice_lower_bound_report(float(a), cfg.m, cfg.samples, cfg.depth, cfg.seed))
+    return "json", {**payload, "check": check}
 
 
 def _cmd_bundle(cfg):
@@ -306,18 +317,17 @@ def _cmd_bundle(cfg):
     scan = estimators.level_set_scan(af, 100, 12, seed=cfg.seed)
     entropy = subsystem.entropy_ratio(af, 200, 200)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "a": af,
-        "dims": dims_report.to_json(),
-        "box": box.to_json(),
-        "levelset_scan": scan.to_json(),
+        "dims": dims_report,
+        "box": _box_json(box),
+        "levelset_scan": _scan_json(scan),
         "assouad": {
             "theoretical_slice_bound": dims_report.level_set_bound,
             "bound": dimensions.assouad_bound(af, dims_report.level_set_bound),
             "empirical_slice_sup": max(scan.estimates),
             "bound_from_scan": dimensions.assouad_bound(af, max(scan.estimates)),
         },
-        "subsystem_entropy": entropy.to_json(),
+        "subsystem_entropy": entropy,
     }
     return "json", payload
 
@@ -337,9 +347,19 @@ _HANDLERS = {
 }
 
 
-def _render(result) -> str:
+def _encode(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} is not part of the artifact format")
+
+
+def _render(result, indent=2) -> str:
+    """The one JSON encoder: ("json", payload) gains schema_version and must be strict JSON."""
     if result[0] == "json":
-        return json.dumps(result[1], sort_keys=True, indent=2) + "\n"
+        payload = {"schema_version": SCHEMA_VERSION, **result[1]}
+        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False, default=_encode) + "\n"
     _, header, rows = result
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -350,8 +370,7 @@ def _render(result) -> str:
 
 
 def _emit_error(kind: str, message: str) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, "error": {"type": kind, "message": message}}
-    return json.dumps(payload, sort_keys=True) + "\n"
+    return _render(("json", {"error": {"type": kind, "message": message}}), indent=None)
 
 
 def run(argv, stdout=None) -> int:
@@ -373,7 +392,7 @@ def run(argv, stdout=None) -> int:
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
-        out_stream.write(json.dumps({"schema_version": SCHEMA_VERSION, "written": cfg.out}) + "\n")
+        out_stream.write(_render(("json", {"written": cfg.out}), indent=None))
     else:
         out_stream.write(text)
     return 0

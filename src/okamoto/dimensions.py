@@ -208,19 +208,6 @@ class DimReport:
     fenghu_dim: float
     level_set_bound: float  # s0 - 1
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "s0": self.s0,
-            "weights": list(self.weights),
-            "entropy": self.entropy,
-            "chi1": self.chi1,
-            "chi2": self.chi2,
-            "fenghu_dim": self.fenghu_dim,
-            "level_set_bound": self.level_set_bound,
-        }
-
 
 def dim_report(a: Number) -> DimReport:
     check_a(a)

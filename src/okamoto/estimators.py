@@ -55,19 +55,12 @@ class BoxCountSeries:
     fitted_slope: float
     fit_residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "method": self.method,
-            "rows": [{"n": n, "delta": d, "count": c} for n, d, c in self.rows],
-            "fitted_slope": self.fitted_slope,
-            "fit_residual": self.fit_residual,
-        }
-
 
 def box_count_graph(a: Number, n: int, method: str = "column") -> int:
     """Number of occupied mesh-size 3^-n boxes over the graph."""
     check_a(a)
+    if n < 0:
+        raise DepthCapError(f"box counting capped at n >= 0, got {n}")
     if n == 0:
         return 1
     if method == "column":
@@ -241,25 +234,14 @@ class LevelSetScan:
     frac_above: float
     median_gap: float
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "depth": self.depth,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "s0_minus_1": self.s0_minus_1,
-            "sample_count": len(self.ys),
-            "quantiles": self.quantiles,
-            "frac_above": self.frac_above,
-            "median_gap": self.median_gap,
-        }
-
 
 def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetScan:
     """Distribution of cover-count dimension estimates over uniformly drawn levels."""
     check_a(a)
     if seed is None:
         raise ParameterError("level_set_scan needs a seed")
+    if sample_count < 1:
+        raise ParameterError(f"level_set_scan needs sample_count >= 1, got {sample_count}")
     ys = tuple(float(v) for v in np.random.default_rng(seed).random(sample_count))
     stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0
@@ -397,13 +379,15 @@ def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple
     """(slope, intercept, points used) of the log-log decay fit.
 
     Points whose magnitude sits below three standard errors are noise and are
-    dropped before fitting.
+    dropped before fitting; fewer than two points left is a ParameterError.
     """
     mags = fourier_estimate(sample, t_values)
     floor = 3.0 / math.sqrt(sample.count)
     keep = mags > floor
     if keep.sum() < 2:
-        return float("nan"), float("nan"), int(keep.sum())
+        raise ParameterError(
+            f"decay fit needs >= 2 magnitudes above the noise floor 3/sqrt({sample.count}), got {int(keep.sum())}"
+        )
     xs = np.log(np.asarray(t_values, dtype=float)[keep])
     ys = np.log(mags[keep])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -29,8 +29,8 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import ParameterError
-from .estimators import ks_statistic, level_statistics
+from .errors import BudgetError, ParameterError
+from .estimators import SAMPLE_COUNT_CAP, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import Similarity1D, build_system, compose_word, fold_word
 from .words import Number, check_a, subsystem_alphabet, two_count
@@ -90,6 +90,10 @@ def _sample_block_coding(
     skip_every: int = 0,
 ) -> np.ndarray:
     """X = sum_l lambda^(l-1) tau_l over i.i.d. uniform blocks, optionally skipping l = 0 mod k."""
+    if count < 1:
+        raise ParameterError(f"sampling needs count >= 1, got {count}")
+    if count > SAMPLE_COUNT_CAP:
+        raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
     out = np.zeros(count)
     scale = 1.0
     for l in range(1, depth + 1):
@@ -117,17 +121,6 @@ class ConvolutionReport:
     depth: int
     scale_exponent: int  # the eta component enters scaled by lambda^(k-1)
     ks: float
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "m": self.m,
-            "k": self.k,
-            "count": self.count,
-            "depth": self.depth,
-            "scale_exponent": self.scale_exponent,
-            "ks": self.ks,
-        }
 
 
 def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> ConvolutionReport:
@@ -170,18 +163,6 @@ class GammaReport:
     exact: bool
     checked: int
     candidates: dict  # exponent -> identity held over all checked tuples
-
-    def to_json(self) -> dict:
-        return {
-            "a": str(self.a),
-            "m": self.m,
-            "k": self.k,
-            "offset": str(self.offset),
-            "exponent": self.exponent,
-            "exact": self.exact,
-            "checked": self.checked,
-            "candidates": {str(e): ok for e, ok in self.candidates.items()},
-        }
 
 
 def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
@@ -251,16 +232,6 @@ class EntropyRatioReport:
     limit: float
     limit_exceeds_one: bool
 
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "m": self.m,
-            "k": self.k,
-            "ratio": self.ratio,
-            "limit": self.limit,
-            "limit_exceeds_one": self.limit_exceeds_one,
-        }
-
 
 def entropy_ratio(a: float, m: int, k: int) -> EntropyRatioReport:
     """(k-1) log|alphabet| / (-k log|lambda|) and its closed-form large-(m,k) limit."""
@@ -298,20 +269,6 @@ class SliceBoundReport:
     quantiles: dict
     frac_above: dict  # epsilon -> fraction of estimates >= s0 - 1 - epsilon
     median_estimate: float
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.a,
-            "m": self.m,
-            "depth": self.depth,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "excluded": self.excluded,
-            "s0_minus_1": self.s0_minus_1,
-            "quantiles": self.quantiles,
-            "frac_above": {str(eps): frac for eps, frac in self.frac_above.items()},
-            "median_estimate": self.median_estimate,
-        }
 
 
 def slice_lower_bound_report(a: float, m: int, sample_count: int, depth: int, seed: int) -> SliceBoundReport:

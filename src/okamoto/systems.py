@@ -352,30 +352,3 @@ def evaluate_T(a: Number, x: Number, tolerance: float = 1e-9) -> tuple:
     y, ratio = fold_word(*build_system("projection", a).parts(), word)
     return y, abs(ratio)
 
-
-# --- serialization -----------------------------------------------------------
-
-
-def _num_to_json(v: Number):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return v
-
-
-def system_to_json(system: SystemSpec) -> dict:
-    if system.is_planar():
-        maps = [
-            {
-                "x_ratio": _num_to_json(f.x_ratio),
-                "y_ratio": _num_to_json(f.y_ratio),
-                "x_shift": _num_to_json(f.x_shift),
-                "y_shift": _num_to_json(f.y_shift),
-            }
-            for f in system.maps
-        ]
-    else:
-        maps = [
-            {"ratio": _num_to_json(f.ratio), "translation": _num_to_json(f.translation)}
-            for f in system.maps
-        ]
-    return {"kind": system.kind, "parameter": _num_to_json(system.parameter), "maps": maps}

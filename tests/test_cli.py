@@ -164,6 +164,8 @@ def test_subsystem_checks():
     code, out = _run(["subsystem", "--a", "3/4", "--m", "2", "--k", "2", "--check", "gamma"])
     payload = json.loads(out)
     assert payload["exact"] is True
+    code, out = _run(["subsystem", "--a", "3/4", "--m", "1", "--k", "10", "--check", "gamma"])
+    assert out.index('"10":') < out.index('"9":')  # exponent keys sort as strings
     code, out = _run(["subsystem", "--a", "0.75", "--m", "2", "--k", "2", "--check", "entropy"])
     assert json.loads(out)["limit_exceeds_one"] is True
     code, out = _run(["subsystem", "--a", "0.75", "--m", "1", "--k", "2", "--check", "convolution"])
@@ -245,8 +247,50 @@ def test_json_or_csv_only_commands_reject_format(argv):
     ["fourier", "--a", "0.75", "--samples", "0", "--seed", "1"],
     ["measure", "--a", "0.75", "--samples", "0", "--seed", "1"],
     ["measure", "--a", "0.75", "--samples", "10", "--depth", "-1", "--seed", "1"],
+    # fewer than two magnitudes clear the noise floor: no decay fit
+    ["fourier", "--a", "0.75", "--samples", "10", "--seed", "1", "--tcount", "3"],
+    ["subsystem", "--a", "0.75", "--m", "2", "--check", "convolution", "--samples", "0", "--seed", "1"],
+    ["subsystem", "--a", "0.75", "--m", "2", "--check", "convolution", "--samples", "-2", "--seed", "1"],
+    ["subsystem", "--a", "0.75", "--m", "2", "--check", "slices", "--samples", "-1", "--seed", "1"],
+    ["levelset-scan", "--a", "0.75", "--samples", "-3", "--seed", "1"],
+    ["boxdim", "--a", "0.75", "--min-depth", "-2"],
 ])
 def test_empty_or_negative_draws_are_json_errors(argv):
     code, out = _run(argv)
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "ParameterError"
+    expected = "DepthCapError" if argv[0] == "boxdim" else "ParameterError"
+    assert json.loads(out)["error"]["type"] == expected
+
+
+@pytest.mark.parametrize("check", ["convolution", "slices"])
+def test_subsystem_draw_count_above_cap_is_a_budget_error(check):
+    from okamoto.estimators import SAMPLE_COUNT_CAP
+
+    argv = ["subsystem", "--a", "0.75", "--m", "2", "--check", check,
+            "--samples", str(SAMPLE_COUNT_CAP + 1), "--seed", "1"]
+    code, out = _run(argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "BudgetError"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--a", "0.75", "--q", "2"],
+    ["boxdim", "--a", "3/4", "--min-depth", "2", "--max-depth", "5"],
+    ["levelset", "--a", "3/4", "--y", "1/3", "--depth", "6"],
+    ["levelset-scan", "--a", "0.75", "--samples", "5", "--depth", "6", "--seed", "1"],
+    ["separation", "--b", "2/5", "--max-depth", "4"],
+    ["lq", "--a", "0.75", "--q", "2"],
+    ["measure", "--a", "0.75", "--samples", "100", "--seed", "1"],
+    ["fourier", "--a", "0.75", "--samples", "20000", "--seed", "5", "--tcount", "12"],
+    ["fourier", "--a", "0.75", "--samples", "10", "--seed", "1", "--tcount", "3"],
+    ["subsystem", "--a", "3/4", "--m", "1", "--k", "10", "--check", "gamma"],
+    ["bundle", "--a", "0.75", "--seed", "1"],
+])
+def test_json_artifacts_are_strict(argv):
+    _, out = _run(argv)
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["schema_version"] == "1"

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okamoto.cli import run
 from okamoto.dimensions import (
     affinity_dimension,
     affinity_pressure,
@@ -213,7 +216,11 @@ def test_dim_report_consistency():
     assert 0 < rep.chi1 < rep.chi2
     assert abs(sum(rep.weights) - 1.0) < 1e-15
     assert rep.level_set_bound == rep.s0 - 1.0
-    d = rep.to_json()
+    buf = io.StringIO()
+    assert run(["dims", "--a", "0.75"], stdout=buf) == 0
+    d = json.loads(buf.getvalue())
     assert set(d) == {
         "a", "b", "s0", "weights", "entropy", "chi1", "chi2", "fenghu_dim", "level_set_bound",
+        "assouad_bound", "schema_version",
     }
+    assert d["weights"] == list(rep.weights)

@@ -1,9 +1,12 @@
+import io
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from okamoto.cli import run
 from okamoto.dimensions import okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
@@ -193,8 +196,15 @@ def test_level_set_scan_summary_fields():
     scan = level_set_scan(0.75, 60, 12, seed=3)
     assert set(scan.quantiles) == {"q10", "q25", "q50", "q75", "q90"}
     assert 0.0 <= scan.frac_above <= 1.0
-    d = scan.to_json()
+    buf = io.StringIO()
+    assert run(["levelset-scan", "--a", "0.75", "--samples", "60", "--depth", "12", "--seed", "3"], stdout=buf) == 0
+    d = json.loads(buf.getvalue())
+    assert set(d) == {
+        "a", "depth", "seed", "tolerance", "s0_minus_1", "sample_count", "quantiles", "frac_above",
+        "median_gap", "schema_version",
+    }
     assert d["sample_count"] == 60
+    assert d["quantiles"] == scan.quantiles
 
 
 # --- measure sampling ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -5,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from okamoto.cli import run
 from okamoto.dimensions import okamoto_s0
 from okamoto.errors import ParameterError
 from okamoto.estimators import ks_statistic
@@ -188,8 +191,17 @@ def test_slice_lower_bound_report_fields():
     assert set(report.quantiles) == {"q10", "q25", "q50", "q75", "q90"}
     for eps, frac in report.frac_above.items():
         assert 0.0 <= frac <= 1.0
-    d = report.to_json()
+    argv = ["subsystem", "--a", "0.75", "--m", "4", "--check", "slices", "--samples", "40", "--depth", "10",
+            "--seed", "2"]
+    buf = io.StringIO()
+    assert run(argv, stdout=buf) == 0
+    d = json.loads(buf.getvalue())
+    assert set(d) == {
+        "a", "m", "depth", "seed", "sample_count", "excluded", "s0_minus_1", "quantiles", "frac_above",
+        "median_estimate", "check", "schema_version",
+    }
     assert d["sample_count"] == 40
+    assert set(d["frac_above"]) == {str(eps) for eps in report.frac_above}
 
 
 def test_slice_estimates_refine_toward_bound_with_depth():

@@ -17,7 +17,6 @@ from okamoto.systems import (
     image_interval,
     pi_polynomial,
     project_word,
-    system_to_json,
     ternary_digits,
 )
 from okamoto.words import enumerate_words
@@ -302,14 +301,3 @@ def test_evaluate_T_domain():
     with pytest.raises(ParameterError):
         evaluate_T(0.75, 0.5, tolerance=0.0)
 
-
-# --- serialization ----------------------------------------------------------------
-
-
-def test_system_to_json_shapes():
-    d = system_to_json(build_system("projection", Fraction(3, 4)))
-    assert d["kind"] == "projection"
-    assert d["parameter"] == "3/4"
-    assert d["maps"][1] == {"ratio": "-1/2", "translation": "3/4"}
-    planar = system_to_json(build_system("okamoto-planar", 0.75))
-    assert set(planar["maps"][0]) == {"x_ratio", "y_ratio", "x_shift", "y_shift"}
