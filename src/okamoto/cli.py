@@ -15,16 +15,18 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import dimensions, estimators, separation, subsystem, systems
-from .errors import DepthCapError, OkamotoError
+from .errors import DepthCapError, OkamotoError, ParameterError
 from .words import word_to_str
 
 SCHEMA_VERSION = "1"
+_TCOUNT_CAP = 1000  # frequencies of one fourier grid
 
 
 class UsageError(Exception):
@@ -265,6 +267,10 @@ def _cmd_measure(cfg):
 
 def _cmd_fourier(cfg):
     a = parse_number(cfg.a)
+    if not (0 < cfg.tmin < math.inf and 0 < cfg.tmax < math.inf):
+        raise ParameterError(f"--tmin and --tmax must be finite and positive, got {cfg.tmin} and {cfg.tmax}")
+    if not 1 <= cfg.tcount <= _TCOUNT_CAP:
+        raise ParameterError(f"--tcount must lie in [1, {_TCOUNT_CAP}], got {cfg.tcount}")
     sample = estimators.natural_measure_sample(float(a), cfg.samples, 50, cfg.seed)
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)

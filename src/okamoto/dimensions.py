@@ -9,8 +9,8 @@ The central identities, for a in (1/2,1) and b = 2a-1:
     tau(q):   (1/3)^((s0-1)q) * (2 a^(q-tau) + b^(q-tau)) = 1
     L^q dim:  min{tau(q)/(q-1), 1}
 
-All root solving is bisection with a 200-iteration cap; every pressure used
-here is monotone in its argument, so brackets are found by doubling.
+tau(q) is the one root solved: bisection with a 200-iteration cap on a
+pressure that is monotone in tau, bracketed by stepping upward from q-1.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ BISECT_ITERS = 200
 RESIDUAL_TOL = 1e-12
 
 
-def _bisect(f, lo: float, hi: float, increasing: bool) -> float:
-    """Root of f on [lo, hi] with f(lo) <= 0 <= f(hi) (signs swapped if decreasing)."""
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of an increasing f on [lo, hi] with f(lo) <= 0 <= f(hi)."""
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -37,87 +37,17 @@ def _bisect(f, lo: float, hi: float, increasing: bool) -> float:
         v = f(mid)
         if v == 0.0:
             return mid
-        if (v < 0.0) == increasing:
+        if v < 0.0:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def similarity_dimension(ratios: Sequence[float]) -> float:
-    """Unique s with sum |r_i|^s = 1; bracket expands upward for overlapping lists."""
-    if not ratios:
-        raise ParameterError("similarity_dimension needs at least one ratio")
-    rs = [abs(float(r)) for r in ratios]
-    for r in rs:
-        if not (0 < r < 1):
-            raise ParameterError(f"ratios must satisfy 0 < |r| < 1, got {r}")
-    f = lambda s: sum(r**s for r in rs) - 1.0
-    if f(0.0) <= 0.0:  # single map: sum == 1 at s = 0
-        return 0.0
-    hi = 1.0
-    while f(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ParameterError("similarity dimension bracket expansion failed")
-    root = _bisect(f, 0.0, hi, increasing=False)
-    assert abs(f(root)) < RESIDUAL_TOL
-    return root
-
-
 def okamoto_s0(a: Number) -> float:
     """Box/affinity dimension of the graph: 1 + log(4a-1)/log 3."""
     check_a(a)
     return 1.0 + math.log(4.0 * float(a) - 1.0) / LOG3
-
-
-def okamoto_s0_bisection(a: Number) -> float:
-    """Root of (4a-1)(1/3)^(s-1) = 1, solved blind; cross-check for okamoto_s0."""
-    check_a(a)
-    c = 4.0 * float(a) - 1.0
-    f = lambda s: c * 3.0 ** (1.0 - s) - 1.0
-    root = _bisect(f, 0.0, 2.0, increasing=False)
-    assert abs(f(root)) < RESIDUAL_TOL
-    return root
-
-
-def affinity_pressure(alphas: Sequence[float], betas: Sequence[float], s: float) -> float:
-    """Singular-value pressure for diagonal planar systems.
-
-    0 <= s <= 1 : max(sum a_i^s, sum |b_i|^s)
-    1 <  s <  2 : max(sum a_i |b_i|^(s-1), sum |b_i| a_i^(s-1))
-    2 <= s      : sum (a_i |b_i|)^(s/2)
-    """
-    al = [float(x) for x in alphas]
-    be = [abs(float(x)) for x in betas]
-    if s <= 1.0:
-        return max(sum(x**s for x in al), sum(y**s for y in be))
-    if s < 2.0:
-        return max(
-            sum(x * y ** (s - 1.0) for x, y in zip(al, be)),
-            sum(y * x ** (s - 1.0) for x, y in zip(al, be)),
-        )
-    return sum((x * y) ** (s / 2.0) for x, y in zip(al, be))
-
-
-def affinity_dimension(alphas: Sequence[float], betas: Sequence[float]) -> float:
-    """Root of the pressure P(s) = 1, capped at 2 (ambient planar dimension)."""
-    if len(alphas) != len(betas) or not alphas:
-        raise ParameterError("alphas and betas must be nonempty, equal-length")
-    for x in alphas:
-        if not (0 < float(x) < 1):
-            raise ParameterError(f"alpha out of (0,1): {x}")
-    for y in betas:
-        if not (0 < abs(float(y)) < 1):
-            raise ParameterError(f"beta out of (0,1) in modulus: {y}")
-    f = lambda s: affinity_pressure(alphas, betas, s) - 1.0
-    if f(0.0) <= 0.0:
-        return 0.0
-    if f(2.0) >= 0.0:
-        return 2.0
-    root = _bisect(f, 0.0, 2.0, increasing=False)
-    assert abs(f(root)) < RESIDUAL_TOL
-    return root
 
 
 def natural_weights(a: Number) -> tuple:
@@ -145,15 +75,6 @@ def entropy_lyapunov(p: Sequence[float], y_ratios: Sequence[float]) -> tuple:
     return h, chi1, LOG3
 
 
-def feng_hu_dim(a: Number) -> float:
-    """1 + (h - chi1)/chi2 for the natural weights; equals s0 up to rounding."""
-    check_a(a)
-    af = float(a)
-    p = [float(x) for x in natural_weights(af)]
-    h, chi1, chi2 = entropy_lyapunov(p, (af, 2.0 * af - 1.0, af))
-    return 1.0 + (h - chi1) / chi2
-
-
 def tau_q(a: Number, q: float) -> float:
     """Multifractal exponent: unique tau with (1/3)^((s0-1)q) (2 a^(q-tau) + b^(q-tau)) = 1."""
     check_a(a)
@@ -175,7 +96,7 @@ def tau_q(a: Number, q: float) -> float:
         hi += max(1.0, hi - lo)
         if hi > 1e9:
             raise ParameterError("tau bracket expansion failed")
-    root = _bisect(pressure, lo, hi, increasing=True)
+    root = _bisect(pressure, lo, hi)
     if abs(pressure(root)) >= RESIDUAL_TOL:
         raise ParameterError(f"tau residual {pressure(root)} exceeds {RESIDUAL_TOL}")
     return root

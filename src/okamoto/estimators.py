@@ -1,4 +1,4 @@
-"""Numerical verification layer: box counting, level-set covers, measure sampling.
+"""Numerical verification layer: box counting, level-set covers, measure sampling and probes.
 
 Box counting comes in two routes.  The column method is exact bookkeeping:
 over a depth-n column the graph spans the full y-extent of its cylinder, which
@@ -16,6 +16,10 @@ otherwise, all with the same prune predicate.  The exhaustive filter oracle
 lives in the test suite.  level_statistics is the one place where a set of
 levels, uniform or drawn from a measure, becomes float64 covers, estimates
 log N_n / (n log 3) and their quantile summary.
+
+Measures are sampled on the one-dimensional systems, so every sample is an
+array of reals.  Two probes read a sample: local-dimension slopes from
+closed-ball counts, and Monte-Carlo Fourier magnitudes with their decay fit.
 """
 
 from __future__ import annotations
@@ -160,9 +164,6 @@ class LevelSetCover:
         """The covering words in lexicographic order, recovered on first access only."""
         return self.level.words()
 
-    def weighted_sum(self, t: float) -> float:
-        return self.count * (3.0**-self.depth) ** t
-
     @property
     def dim_estimate(self) -> float:
         """log N_n / (n log 3).
@@ -283,7 +284,7 @@ def sample_measure(
     depth: int,
     seed: int,
 ) -> MeasureSample:
-    """Monte-Carlo draw from the associated self-similar (or self-affine) measure.
+    """Monte-Carlo draw from the self-similar measure of a 1-D system with the given weights.
 
     Each point is the composition along an i.i.d. weight-distributed random
     word of the given depth, applied to 0.  Deterministic per seed.
@@ -299,17 +300,15 @@ def sample_measure(
         raise ParameterError(f"invalid weight vector {weights} for {len(system.maps)} maps")
     cum = np.cumsum(w)
     rng = np.random.default_rng(seed)
-    coords = [(np.array(tau, dtype=float), np.array(rho, dtype=float)) for tau, rho in system.coordinate_parts()]
+    tau, rho = (np.array(v, dtype=float) for v in system.parts())
     # innermost-to-outermost composition; symbol order is irrelevant for i.i.d. draws
-    pts = [np.zeros(count) for _ in coords]
+    pts = np.zeros(count)
     for _ in range(depth):
         s = np.searchsorted(cum, rng.random(count), side="right")
-        pts = [rho[s] * p + tau[s] for (tau, rho), p in zip(coords, pts)]
-    pts = np.column_stack(pts) if system.is_planar() else pts[0]
-    param = None if system.parameter is None else float(system.parameter)
+        pts = rho[s] * pts + tau[s]
     return MeasureSample(
         system_kind=system.kind,
-        parameter=param,
+        parameter=float(system.parameter),
         weights=tuple(float(x) for x in w),
         points=pts,
         seed=seed,
@@ -332,12 +331,6 @@ def _ball_counts(points: np.ndarray, xs: Sequence[float], radii: Sequence[float]
     pts = np.sort(points)
     centres = np.asarray(xs, dtype=float)[:, None]
     return np.searchsorted(pts, centres + radii, side="right") - np.searchsorted(pts, centres - radii, side="left")
-
-
-def local_dimension_estimate(sample: MeasureSample, x: float, radii: Sequence[float]) -> list:
-    """log mu(B(x,r)) / log r per radius; empty balls give nan, not zero."""
-    masses = _ball_counts(sample.points, [x], radii)[0] / sample.count
-    return [math.log(m) / math.log(r) if m > 0 else float("nan") for m, r in zip(masses, radii)]
 
 
 def local_dimension_slopes(

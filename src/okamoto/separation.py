@@ -1,4 +1,4 @@
-"""Pair classification, overlap functions, minimal projection gaps, separation certificates.
+"""Minimal projection gaps and separation certificates for the conjugate family.
 
 All gap computations run in exact rational arithmetic.  Internally a rational
 parameter b = p/q scales every depth-n projection to an integer over the
@@ -8,55 +8,20 @@ common denominator (2q)^n, so sorting and differencing stay exact:
     phi_3:  V' = (q+p)*V + (2q)^n
 
 The gap sorts the 3^n values and takes the minimal adjacent difference.  The
-all-pairs oracle that recomputes every projection independently lives in the
-test suite.
+all-pairs oracle that recomputes every projection independently through the
+conjugate system lives in the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DepthCapError, ParameterError
-from .systems import build_system, check_b, project_word
-from .words import check_word, index_to_word
+from .systems import check_b
+from .words import index_to_word
 
 PRUNED_CAP = 12
-
-
-def classify_pair(i: Sequence[int], j: Sequence[int]) -> frozenset:
-    """Every class among A1/A2/A3 the pair belongs to (classes overlap)."""
-    i, j = check_word(i), check_word(j)
-    if not i or not j:
-        raise ValueError("classify_pair needs nonempty words")
-    head = (i[0], j[0])
-    tags = set()
-    if head != (1, 3):
-        tags.add("A1")
-    if head != (3, 1):
-        tags.add("A2")
-    if head in ((1, 3), (3, 1)):
-        tags.add("A3")
-    return frozenset(tags)
-
-
-def f_value(k: int, pi_i, pi_j, b):
-    """F^k evaluated at given projection values (usable with fixed-point limits)."""
-    if k == 1:
-        return b * pi_i + (1 + b) / 2 * pi_j - 1
-    if k == 2:
-        return b * pi_i + (1 + b) / 2 * pi_j + 1
-    if k == 3:
-        return pi_i - pi_j
-    raise ValueError(f"k must be 1, 2 or 3, got {k}")
-
-
-def f_function(k: int, i: Sequence[int], j: Sequence[int], b: Fraction):
-    """F^k at b for finite words, via the finite-word projection convention."""
-    b = _check_rational_b(b)
-    system = build_system("conjugate", b)
-    return f_value(k, project_word(system, i), project_word(system, j), b)
 
 
 def _check_rational_b(b) -> Fraction:
@@ -85,12 +50,6 @@ def _scaled_level(b: Fraction, n: int) -> list:
             + [head * v + unit for v in vals]
         )
     return vals
-
-
-def delta_n(b, n: int) -> Fraction:
-    """Minimal gap between distinct depth-n projections (0 when two coincide)."""
-    gap, _ = delta_n_detail(b, n)
-    return gap
 
 
 def delta_n_detail(b, n: int) -> tuple:

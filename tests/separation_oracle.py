@@ -1,17 +1,17 @@
 """All-pairs oracle for the minimal projection gap Delta_n(b).
 
-Recomputes every depth-n projection independently with project_word and
-minimizes |v_i - v_j| over all pairs, sharing no code with the sorted-adjacent
+Recomputes every depth-n projection independently by folding each word through
+the conjugate system (the composition applied to 0) and minimizes |v_i - v_j| over all pairs, sharing no code with the sorted-adjacent
 gap in okamoto.separation.  The tests compare the two exactly.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
 from okamoto.errors import DepthCapError
-from okamoto.systems import build_system, project_word
-from okamoto.words import enumerate_words
+from okamoto.systems import build_system, fold_word
 
 EXHAUSTIVE_CAP = 8
 
@@ -22,12 +22,12 @@ def delta_exhaustive(b: Fraction, n: int) -> tuple:
     """(gap, witnessing word pair) by all pairs: every projection recomputed per word."""
     if n > EXHAUSTIVE_CAP:
         raise DepthCapError(f"all-pairs oracle capped at n <= {EXHAUSTIVE_CAP}, got {n}")
-    system = build_system("conjugate", b)
-    words = list(enumerate_words(n))
+    parts = build_system("conjugate", b).parts()
+    words = list(product((1, 2, 3), repeat=n))
     unit = (2 * b.denominator) ** n
     scaled = []
     for w in words:
-        v = project_word(system, w) * unit
+        v = fold_word(*parts, w)[0] * unit
         assert v.denominator == 1
         scaled.append(v.numerator)
     bound = max(abs(v) for v in scaled)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from graph_oracle import evaluate_T
 from okamoto.cli import parse_number, run
 from okamoto.dimensions import okamoto_s0
 
@@ -95,8 +96,6 @@ def test_graph_near_one_needs_no_digit_budget():
 
 @pytest.mark.parametrize("a", ["0.55", "0.75", "0.9", "2/3"])
 def test_graph_rows_equal_evaluate_T(a):
-    from okamoto.systems import evaluate_T
-
     af = float(parse_number(a))
     for n in range(7):
         expected = [(float(x), evaluate_T(af, x)[0]) for x in (Fraction(k, 3**n) for k in range(3**n + 1))]
@@ -254,6 +253,11 @@ def test_json_or_csv_only_commands_reject_format(argv):
     ["subsystem", "--a", "0.75", "--m", "2", "--check", "slices", "--samples", "-1", "--seed", "1"],
     ["levelset-scan", "--a", "0.75", "--samples", "-3", "--seed", "1"],
     ["boxdim", "--a", "0.75", "--min-depth", "-2"],
+    # the frequency grid must be finite, positive and of 1 to 1000 points
+    ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tmin", "-1", "--format", "csv"],
+    ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tmin", "0"],
+    ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tmax", "inf", "--format", "csv"],
+    ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tcount", "0", "--format", "csv"],
 ])
 def test_empty_or_negative_draws_are_json_errors(argv):
     code, out = _run(argv)

@@ -4,22 +4,15 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from okamoto.cli import run
 from okamoto.dimensions import (
-    affinity_dimension,
-    affinity_pressure,
     assouad_bound,
     dim_report,
     entropy_lyapunov,
-    feng_hu_dim,
     lq_dimension,
     natural_weights,
     okamoto_s0,
-    okamoto_s0_bisection,
-    similarity_dimension,
     tau_q,
 )
 from okamoto.errors import ParameterError
@@ -27,30 +20,36 @@ from okamoto.errors import ParameterError
 A_GRID = [0.5 + 0.5 * (k + 1) / 101 for k in range(100)]
 
 
-def test_similarity_dimension_exact_cases():
-    assert abs(similarity_dimension([1 / 3, 1 / 3, 1 / 3]) - 1.0) < 1e-12
-    assert abs(similarity_dimension([0.5, 0.5]) - 1.0) < 1e-12
+def _affinity_pressure(alphas, betas, s):
+    """Singular-value pressure of a diagonal planar system.
+
+    0 <= s <= 1 : max(sum a_i^s, sum |b_i|^s)
+    1 <  s <  2 : max(sum a_i |b_i|^(s-1), sum |b_i| a_i^(s-1))
+    2 <= s      : sum (a_i |b_i|)^(s/2)
+    """
+    be = [abs(y) for y in betas]
+    if s <= 1.0:
+        return max(sum(x**s for x in alphas), sum(y**s for y in be))
+    if s < 2.0:
+        return max(
+            sum(x * y ** (s - 1.0) for x, y in zip(alphas, be)),
+            sum(y * x ** (s - 1.0) for x, y in zip(alphas, be)),
+        )
+    return sum((x * y) ** (s / 2.0) for x, y in zip(alphas, be))
 
 
-def test_similarity_dimension_overlapping_projection_ratios():
-    # 2*(3/4)^s + (1/2)^s = 1 has its root above 2 (sum at s=2 is 1.375)
-    s = similarity_dimension([0.75, 0.5, 0.75])
-    assert 2.0 < s < 3.0
-    assert abs(2 * 0.75**s + 0.5**s - 1.0) < 1e-12
+def _affinity_dimension(alphas, betas):
+    """Root of the decreasing pressure P(s) = 1 on [0, 2] by bisection; 2 when P >= 1 throughout.
 
-
-def test_similarity_dimension_errors():
-    with pytest.raises(ParameterError):
-        similarity_dimension([])
-    with pytest.raises(ParameterError):
-        similarity_dimension([1.0])
-
-
-@given(st.lists(st.floats(0.05, 0.9), min_size=1, max_size=6))
-@settings(max_examples=60)
-def test_similarity_dimension_residual(ratios):
-    s = similarity_dimension(ratios)
-    assert abs(sum(abs(r) ** s for r in ratios) - 1.0) < 1e-10 or s == 0.0
+    The oracle for s0: it knows the graph IFS only through its ratios.
+    """
+    lo, hi = 0.0, 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _affinity_pressure(alphas, betas, mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def test_okamoto_s0_boundaries_and_example():
@@ -60,9 +59,10 @@ def test_okamoto_s0_boundaries_and_example():
     assert abs(okamoto_s0(0.75) - (1 + math.log(2) / math.log(3))) < 1e-15
 
 
-@pytest.mark.parametrize("a", [0.51, 0.6, 2 / 3, 0.75, 0.85, 0.95, 0.99])
+@pytest.mark.parametrize("a", [0.51, 0.6, 2 / 3, 0.75, 0.85, 0.9, 0.95, 0.99])
 def test_okamoto_s0_closed_form_matches_bisection(a):
-    assert abs(okamoto_s0(a) - okamoto_s0_bisection(a)) < 1e-12
+    # the root of the affinity pressure of the graph IFS, ratios 1/3 and (a, 1-2a, a)
+    assert abs(okamoto_s0(a) - _affinity_dimension((1 / 3, 1 / 3, 1 / 3), (a, 1 - 2 * a, a))) < 1e-12
 
 
 def test_okamoto_s0_domain():
@@ -71,31 +71,19 @@ def test_okamoto_s0_domain():
             okamoto_s0(bad)
 
 
-# --- affinity dimension ------------------------------------------------------
-
-
-def test_affinity_dimension_matches_okamoto_family():
-    for a in (0.6, 0.75, 0.9):
-        alphas = (1 / 3, 1 / 3, 1 / 3)
-        betas = (a, 2 * a - 1, a)
-        assert abs(affinity_dimension(alphas, betas) - okamoto_s0(a)) < 1e-10
-
-
-def test_affinity_dimension_similarity_collapse():
-    ratios = (0.4, 0.3, 0.2)
-    assert abs(affinity_dimension(ratios, ratios) - similarity_dimension(ratios)) < 1e-10
+# --- the affinity-pressure oracle -------------------------------------------------
 
 
 def test_affinity_dimension_cap_at_two():
     # sum(alpha*beta) = 3*0.36 >= 1 pins the root at the ambient dimension
-    assert affinity_dimension((0.6, 0.6, 0.6), (0.6, 0.6, 0.6)) == 2.0
+    assert _affinity_dimension((0.6, 0.6, 0.6), (0.6, 0.6, 0.6)) == 2.0
 
 
 def test_affinity_pressure_branches_are_continuous():
     alphas, betas = (1 / 3, 1 / 3, 1 / 3), (0.75, 0.5, 0.75)
     for s in (1.0, 2.0):
-        below = affinity_pressure(alphas, betas, s - 1e-9)
-        above = affinity_pressure(alphas, betas, s + 1e-9)
+        below = _affinity_pressure(alphas, betas, s - 1e-9)
+        above = _affinity_pressure(alphas, betas, s + 1e-9)
         assert abs(below - above) < 1e-6
 
 
@@ -141,12 +129,12 @@ def test_chi1_two_forms_agree():
 
 def test_feng_hu_identity():
     for a in (0.6, 0.75, 0.9, 0.51, 0.99):
-        assert abs(feng_hu_dim(a) - okamoto_s0(a)) < 1e-10
-    assert abs(feng_hu_dim(0.5000001) - 1.0) < 1e-5
+        assert abs(dim_report(a).fenghu_dim - okamoto_s0(a)) < 1e-10
+    assert abs(dim_report(0.5000001).fenghu_dim - 1.0) < 1e-5
 
 
 def test_feng_hu_identity_dense_grid():
-    worst = max(abs(feng_hu_dim(a) - okamoto_s0(a)) for a in A_GRID)
+    worst = max(abs(dim_report(a).fenghu_dim - okamoto_s0(a)) for a in A_GRID)
     assert worst < 1e-10
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,47 +8,24 @@ from hypothesis import strategies as st
 
 from okamoto import words
 from okamoto.errors import BudgetError, DepthCapError, ParameterError
-from okamoto.words import (
-    alphabet_size,
-    common_prefix,
-    count_twos,
-    enumerate_words,
-    ratio_product,
-    stopping_cover,
-    subsystem_alphabet,
-    word_from_str,
-    word_to_str,
-    x_cylinder,
-)
-
-words_st = st.lists(st.sampled_from([1, 2, 3]), max_size=12).map(tuple)
+from okamoto.systems import build_system, compose_word, fold_word
+from okamoto.words import check_word, index_to_word, stopping_cover, subsystem_alphabet, word_to_str
 
 
-def test_common_prefix_prefix_relation():
-    assert common_prefix((1, 2, 3), (1, 2)) == ((1, 2), 2)
+def _ratio_product(a, word):
+    """Unsigned contraction of a word: the magnitude of its composed projection-system ratio."""
+    return abs(compose_word(build_system("projection", a), word).ratio)
 
 
-def test_common_prefix_first_symbols_differ():
-    assert common_prefix((1, 1, 1), (3, 1, 1)) == ((), 0)
-
-
-def test_common_prefix_direct():
-    assert common_prefix((2, 2, 1, 3), (2, 2, 3, 1)) == ((2, 2), 2)
-
-
-@given(words_st, words_st)
-def test_common_prefix_is_maximal_shared_prefix(i, j):
-    prefix, n = common_prefix(i, j)
-    assert len(prefix) == n
-    assert i[:n] == prefix and j[:n] == prefix
-    if n < min(len(i), len(j)):
-        assert i[n] != j[n]
+def _enumerate_words(n):
+    """All length-n words in the lexicographic enumeration that index_to_word indexes."""
+    return [index_to_word(i, n) for i in range(3**n)]
 
 
 def test_enumerate_words_small():
-    assert list(enumerate_words(0)) == [()]
-    assert list(enumerate_words(1)) == [(1,), (2,), (3,)]
-    level2 = list(enumerate_words(2))
+    assert _enumerate_words(0) == [()]
+    assert _enumerate_words(1) == [(1,), (2,), (3,)]
+    level2 = _enumerate_words(2)
     assert len(level2) == 9
     assert level2[0] == (1, 1) and level2[-1] == (3, 3)
     assert level2 == sorted(level2)
@@ -55,37 +33,34 @@ def test_enumerate_words_small():
 
 @pytest.mark.parametrize("n", range(7))
 def test_enumerate_words_count_and_uniqueness(n):
-    ws = list(enumerate_words(n))
-    assert len(ws) == 3**n
+    ws = _enumerate_words(n)
+    assert ws == list(product((1, 2, 3), repeat=n))
     assert len(set(ws)) == 3**n
 
 
-def test_enumerate_words_depth_cap():
-    with pytest.raises(DepthCapError):
-        list(enumerate_words(17))
+def test_subsystem_alphabet_depth_cap():
     with pytest.raises(DepthCapError):
         subsystem_alphabet(0.75, 17)
 
 
 def test_word_string_round_trip():
-    assert word_from_str("123") == (1, 2, 3)
+    for w in ((1, 2, 3), (3, 1, 2), ()):
+        assert check_word(int(c) for c in word_to_str(w)) == w
     assert word_to_str((3, 1, 2)) == "312"
-    assert word_from_str("") == ()
     with pytest.raises(ValueError):
-        word_from_str("140")
+        check_word((1, 4, 0))
 
 
 # --- stopping covers -------------------------------------------------------
 
 
 def test_stopping_cover_single_letters():
-    cover = stopping_cover(0.75, 0.8)
-    assert cover.words == ((1,), (2,), (3,))
+    assert stopping_cover(0.75, 0.8) == ((1,), (2,), (3,))
 
 
 def test_stopping_cover_r_at_least_a():
     for r in (0.75, 0.9, 0.99):
-        assert stopping_cover(0.75, r).words == ((1,), (2,), (3,))
+        assert stopping_cover(0.75, r) == ((1,), (2,), (3,))
 
 
 def test_stopping_cover_a075_r06():
@@ -93,7 +68,7 @@ def test_stopping_cover_a075_r06():
     # two-letter extension of '1' and '3' has product <= 0.6 < first letter.
     cover = stopping_cover(0.75, 0.6)
     expected = {(2,), (1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (3, 3)}
-    assert set(cover.words) == expected
+    assert set(cover) == expected
 
 
 def test_stopping_cover_domain_errors():
@@ -106,7 +81,7 @@ def test_stopping_cover_domain_errors():
 
 
 def _assert_prefix_free_and_complete(cover):
-    ws = sorted(cover.words)
+    ws = sorted(cover)
     for prev, cur in zip(ws, ws[1:]):
         assert cur[: len(prev)] != prev, f"{prev} is a prefix of {cur}"
     total = sum(Fraction(1, 3 ** len(w)) for w in ws)
@@ -118,18 +93,18 @@ def test_stopping_cover_invariants(a, r):
     cover = stopping_cover(a, r)
     _assert_prefix_free_and_complete(cover)
     b = 2 * a - 1
-    for w in cover.words:
-        prod = ratio_product(a, w)
+    for w in cover:
+        prod = _ratio_product(a, w)
         assert prod <= r
         assert prod > r * b  # one-step refinement window
-    assert cover.min_length() >= math.log(r) / math.log(b) - 1e-12
+    assert min(len(w) for w in cover) >= math.log(r) / math.log(b) - 1e-12
 
 
 def test_stopping_cover_exact_rational_window():
     cover = stopping_cover(Fraction(3, 4), Fraction(3, 5))
     _assert_prefix_free_and_complete(cover)
-    for w in cover.words:
-        prod = ratio_product(Fraction(3, 4), w)
+    for w in cover:
+        prod = _ratio_product(Fraction(3, 4), w)
         assert prod <= Fraction(3, 5) < prod / (Fraction(3, 4) if w[-1] != 2 else Fraction(1, 2))
 
 
@@ -138,33 +113,34 @@ def test_stopping_cover_exact_rational_window():
 
 def test_subsystem_alphabet_m1():
     assert subsystem_alphabet(0.75, 1) == ((1,), (3,))
-    assert alphabet_size(0.75, 1) == 2
 
 
 def test_subsystem_alphabet_m4():
     words = subsystem_alphabet(0.75, 4)
-    assert len(words) == 32 == alphabet_size(0.75, 4)
-    assert all(count_twos(w) == 1 for w in words)
+    assert len(words) == 32
+    assert all(w.count(2) == 1 for w in words)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_alphabet_size_matches_enumeration(m):
+    # the alphabet is exactly the length-m words with floor(pm) symbols 2, in
+    # lexicographic order, and has the closed-form size 2^(m-j) * C(m, j)
     a = Fraction(3, 4)
     j = math.floor(Fraction(2 * a - 1, 4 * a - 1) * m)
-    brute = sum(1 for w in enumerate_words(m) if count_twos(w) == j)
-    assert alphabet_size(a, m) == brute
+    alphabet = subsystem_alphabet(a, m)
+    assert len(alphabet) == 2 ** (m - j) * math.comb(m, j)
     if m <= 9:
-        assert len(subsystem_alphabet(a, m)) == brute
+        assert alphabet == tuple(w for w in product((1, 2, 3), repeat=m) if w.count(2) == j)
 
 
 def test_subsystem_alphabet_shared_ratio_magnitude():
     a = Fraction(3, 4)
     for m in (1, 2, 3, 4, 5, 6):
         words = subsystem_alphabet(a, m)
-        j = count_twos(words[0])
+        j = words[0].count(2)
         expected = a ** (m - j) * (2 * a - 1) ** j
         for w in words:
-            assert ratio_product(a, w) == expected
+            assert _ratio_product(a, w) == expected
 
 
 def test_enumeration_budgets(monkeypatch):
@@ -173,17 +149,24 @@ def test_enumeration_budgets(monkeypatch):
         stopping_cover(0.75, 0.01)
 
 
+def _x_cylinder(word):
+    """Closed x-interval coded by a word: symbol s is ternary digit s-1."""
+    third = Fraction(1, 3)
+    lo, width = fold_word((0, third, 2 * third), (third,) * 3, word)
+    return lo, lo + width
+
+
 def test_x_cylinder_convention():
-    assert x_cylinder(()) == (0, 1)
-    assert x_cylinder((1,)) == (0, Fraction(1, 3))
-    assert x_cylinder((2,)) == (Fraction(1, 3), Fraction(2, 3))
-    assert x_cylinder((3, 1)) == (Fraction(2, 3), Fraction(2, 3) + Fraction(1, 9))
+    assert _x_cylinder(()) == (0, 1)
+    assert _x_cylinder((1,)) == (0, Fraction(1, 3))
+    assert _x_cylinder((2,)) == (Fraction(1, 3), Fraction(2, 3))
+    assert _x_cylinder((3, 1)) == (Fraction(2, 3), Fraction(2, 3) + Fraction(1, 9))
 
 
 @settings(max_examples=50)
 @given(st.integers(0, 5))
 def test_level_cylinders_tile_unit_interval(n):
-    intervals = [x_cylinder(w) for w in enumerate_words(n)]
+    intervals = [_x_cylinder(w) for w in _enumerate_words(n)]
     assert intervals[0][0] == 0 and intervals[-1][1] == 1
     for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
         assert hi == lo
