@@ -59,7 +59,7 @@ def test_okamoto_s0_boundaries_and_example():
     assert abs(okamoto_s0(0.75) - (1 + math.log(2) / math.log(3))) < 1e-15
 
 
-@pytest.mark.parametrize("a", [0.51, 0.6, 2 / 3, 0.75, 0.85, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("a", [0.51, 0.6, 2 / 3, 0.75, 0.85, 0.95, 0.99])
 def test_okamoto_s0_closed_form_matches_bisection(a):
     # the root of the affinity pressure of the graph IFS, ratios 1/3 and (a, 1-2a, a)
     assert abs(okamoto_s0(a) - _affinity_dimension((1 / 3, 1 / 3, 1 / 3), (a, 1 - 2 * a, a))) < 1e-12
@@ -72,6 +72,16 @@ def test_okamoto_s0_domain():
 
 
 # --- the affinity-pressure oracle -------------------------------------------------
+
+
+def test_affinity_dimension_matches_okamoto_family():
+    for a in (0.6, 0.75, 0.9):
+        assert abs(_affinity_dimension((1 / 3, 1 / 3, 1 / 3), (a, 2 * a - 1, a)) - okamoto_s0(a)) < 1e-10
+
+
+def test_affinity_dimension_similarity_collapse():
+    ratios = (0.4, 0.3, 0.2)  # equal ratios: the root solves the similarity equation sum r^s = 1
+    assert abs(sum(r ** _affinity_dimension(ratios, ratios) for r in ratios) - 1) < 1e-10
 
 
 def test_affinity_dimension_cap_at_two():

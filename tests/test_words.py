@@ -38,7 +38,8 @@ def test_enumerate_words_count_and_uniqueness(n):
     assert len(set(ws)) == 3**n
 
 
-def test_subsystem_alphabet_depth_cap():
+def test_enumerate_words_depth_cap():
+    # the subsystem alphabet is the one word enumeration left, capped at DEPTH_CAP = 16
     with pytest.raises(DepthCapError):
         subsystem_alphabet(0.75, 17)
 
