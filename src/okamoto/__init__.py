@@ -10,7 +10,6 @@ from .dimensions import (
     DimReport,
     assouad_bound,
     dim_report,
-    entropy_lyapunov,
     lq_dimension,
     natural_weights,
     okamoto_s0,
@@ -30,7 +29,6 @@ from .estimators import (
     level_set_cover,
     level_set_scan,
     level_statistics,
-    natural_measure_sample,
     sample_measure,
 )
 from .separation import SeparationReport, verify_sesc
@@ -42,7 +40,7 @@ from .subsystem import (
     gamma_conjugate,
     slice_lower_bound_report,
 )
-from .systems import Similarity1D, SystemSpec, build_system
+from .systems import projection_parts
 from .words import stopping_cover, subsystem_alphabet, word_to_str
 
 __version__ = "0.1.0"

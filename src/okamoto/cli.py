@@ -180,9 +180,9 @@ def _cmd_graph(cfg):
     n = cfg.depth
     if not 0 <= n <= estimators.GRID_DEPTH_CAP:
         raise DepthCapError(f"graph depth must lie in [0, {estimators.GRID_DEPTH_CAP}], got {n}")
-    system = systems.build_system("projection", float(parse_number(cfg.a)))
+    parts = systems.projection_parts(float(parse_number(cfg.a)))
     # the depth-n anchors are T(k/3^n) for k < 3^n; the endpoint T(1) = 1 closes the graph
-    ys = np.append(systems.expand_level(*system.parts(), n).t, 1.0)
+    ys = np.append(systems.expand_level(*parts, n).t, 1.0)
     xs = np.arange(3**n + 1) / 3**n
     return "csv", ["x", "y"], np.column_stack([xs, ys]).tolist()
 
@@ -251,7 +251,7 @@ def _cmd_lq(cfg):
 
 def _cmd_measure(cfg):
     a = parse_number(cfg.a)
-    sample = estimators.natural_measure_sample(float(a), cfg.samples, cfg.depth, cfg.seed)
+    sample = estimators.sample_measure(float(a), cfg.samples, cfg.depth, cfg.seed)
     if cfg.format == "json":
         pts = sample.points
         return "json", {
@@ -271,7 +271,7 @@ def _cmd_fourier(cfg):
         raise ParameterError(f"--tmin and --tmax must be finite and positive, got {cfg.tmin} and {cfg.tmax}")
     if not 1 <= cfg.tcount <= _TCOUNT_CAP:
         raise ParameterError(f"--tcount must lie in [1, {_TCOUNT_CAP}], got {cfg.tcount}")
-    sample = estimators.natural_measure_sample(float(a), cfg.samples, 50, cfg.seed)
+    sample = estimators.sample_measure(float(a), cfg.samples, 50, cfg.seed)
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
     if cfg.format == "csv":

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
 from .errors import ParameterError
 from .words import Number, check_a
 
@@ -58,21 +56,6 @@ def natural_weights(a: Number) -> tuple:
         return (Fraction(a) / s, Fraction(2 * a - 1) / s, Fraction(a) / s)
     s = 4.0 * a - 1.0
     return (a / s, (2.0 * a - 1.0) / s, a / s)
-
-
-def entropy_lyapunov(p: Sequence[float], y_ratios: Sequence[float]) -> tuple:
-    """(h, chi1, chi2) with the 0*log(0) = 0 convention; chi2 = log 3 exactly."""
-    p = [float(x) for x in p]
-    if len(p) != len(y_ratios):
-        raise ParameterError("weights and ratios must have equal length")
-    if any(x < 0 for x in p) or abs(sum(p) - 1.0) > 1e-9:
-        raise ParameterError(f"not a probability vector: {p}")
-    for r in y_ratios:
-        if not (0 < abs(float(r)) < 1):
-            raise ParameterError(f"ratio out of range: {r}")
-    h = -sum(x * math.log(x) for x in p if x > 0.0)
-    chi1 = -sum(x * math.log(abs(float(r))) for x, r in zip(p, y_ratios))
-    return h, chi1, LOG3
 
 
 def tau_q(a: Number, q: float) -> float:
@@ -133,8 +116,9 @@ class DimReport:
 def dim_report(a: Number) -> DimReport:
     check_a(a)
     af = float(a)
-    p = tuple(float(x) for x in natural_weights(af))
-    h, chi1, chi2 = entropy_lyapunov(p, (af, 2.0 * af - 1.0, af))
+    p = natural_weights(af)
+    h = -sum(x * math.log(x) for x in p)
+    chi1 = -sum(x * math.log(r) for x, r in zip(p, (af, 2.0 * af - 1.0, af)))
     return DimReport(
         a=af,
         b=2.0 * af - 1.0,
@@ -142,7 +126,7 @@ def dim_report(a: Number) -> DimReport:
         weights=p,
         entropy=h,
         chi1=chi1,
-        chi2=chi2,
-        fenghu_dim=1.0 + (h - chi1) / chi2,
+        chi2=LOG3,
+        fenghu_dim=1.0 + (h - chi1) / LOG3,
         level_set_bound=okamoto_s0(af) - 1.0,
     )

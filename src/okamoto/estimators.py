@@ -17,9 +17,10 @@ lives in the test suite.  level_statistics is the one place where a set of
 levels, uniform or drawn from a measure, becomes float64 covers, estimates
 log N_n / (n log 3) and their quantile summary.
 
-Measures are sampled on the one-dimensional systems, so every sample is an
-array of reals.  Two probes read a sample: local-dimension slopes from
-closed-ball counts, and Monte-Carlo Fourier magnitudes with their decay fit.
+The one measure sampled is the y-projection of the natural measure, S_a with
+weights (a, 2a-1, a)/(4a-1), so every sample is an array of reals.  Two
+probes read a sample: local-dimension slopes from closed-ball counts, and
+Monte-Carlo Fourier magnitudes with their decay fit.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
-from .dimensions import LOG3, okamoto_s0
-from .systems import Level, SystemSpec, build_system, expand_level
+from .dimensions import LOG3, natural_weights, okamoto_s0
+from .systems import Level, expand_level, projection_parts
 from .words import Number, check_a
 
 COLUMN_DEPTH_CAP = 20
@@ -43,12 +44,6 @@ LEVEL_SET_DEPTH_CAP = 24
 SAMPLE_COUNT_CAP = 10**8
 SAMPLE_DEPTH_CAP = 60
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
-
-
-def _ceil_exact(x) -> int:
-    if isinstance(x, Fraction):
-        return -((-x.numerator) // x.denominator)
-    return math.ceil(x)
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,7 @@ def box_count_graph(a: Number, n: int, method: str = "column") -> int:
     if method == "column":
         if n > COLUMN_DEPTH_CAP:
             raise DepthCapError(f"column method capped at n <= {COLUMN_DEPTH_CAP}")
-        return _box_count_column(a, n)
+        return _box_count_column(Fraction(a), n)
     if method == "grid":
         if n > GRID_DEPTH_CAP:
             raise DepthCapError(f"grid method capped at n <= {GRID_DEPTH_CAP}")
@@ -89,13 +84,16 @@ def _grid_sampling_levels(a: float, n: int) -> int:
     return max(2, min(needed, budget))
 
 
-def _box_count_column(a: Number, n: int) -> int:
-    """Exact count: words grouped by #2s; each column needs ceil(osc * 3^n) boxes."""
+def _box_count_column(a: Fraction, n: int) -> int:
+    """Exact count: words grouped by #2s; each column needs ceil(osc * 3^n) boxes.
+
+    a is exact, the input's own value for a float, so no boundary count is rounded.
+    """
     b = 2 * a - 1
     total = 0
     for j in range(n + 1):
         osc_boxes = a ** (n - j) * b**j * 3**n
-        total += math.comb(n, j) * 2 ** (n - j) * max(1, _ceil_exact(osc_boxes))
+        total += math.comb(n, j) * 2 ** (n - j) * max(1, math.ceil(osc_boxes))
     return total
 
 
@@ -107,7 +105,7 @@ def _box_count_grid(a: float, n: int) -> int:
     column with height-delta boxes greedily needs at most ceil(extent/delta)
     boxes, so this count never exceeds the column formula.
     """
-    tau, rho = build_system("projection", a).parts()
+    tau, rho = projection_parts(a)
     level = expand_level(tau, rho, n)
     t, r = level.t, level.r
     anchors = np.append(expand_level(tau, rho, _grid_sampling_levels(a, n)).t, 1.0)
@@ -199,7 +197,7 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
         raise DepthCapError(f"depth must lie in [1, {LEVEL_SET_DEPTH_CAP}], got {n}")
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float(a), float(y)
-    level = expand_level(*build_system("projection", a).parts(), n, _contains(y))
+    level = expand_level(*projection_parts(a), n, _contains(y))
     return LevelSetCover(a=a, y=y, depth=n, level=level)
 
 
@@ -277,50 +275,29 @@ class MeasureSample:
         return len(self.points)
 
 
-def sample_measure(
-    system: SystemSpec,
-    weights: Sequence[float],
-    count: int,
-    depth: int,
-    seed: int,
-) -> MeasureSample:
-    """Monte-Carlo draw from the self-similar measure of a 1-D system with the given weights.
+def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample:
+    """Monte-Carlo draw from the y-projection of the natural measure: S_a with weights (a, 2a-1, a)/(4a-1).
 
     Each point is the composition along an i.i.d. weight-distributed random
     word of the given depth, applied to 0.  Deterministic per seed.
     """
+    a = float(check_a(a))
     if count < 1 or depth < 0:
         raise ParameterError(f"sampling needs count >= 1 and depth >= 0, got count {count}, depth {depth}")
     if count > SAMPLE_COUNT_CAP:
         raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
     if depth > SAMPLE_DEPTH_CAP:
         raise BudgetError(f"sample depth {depth} exceeds cap {SAMPLE_DEPTH_CAP}")
-    w = np.asarray([float(x) for x in weights])
-    if len(w) != len(system.maps) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise ParameterError(f"invalid weight vector {weights} for {len(system.maps)} maps")
-    cum = np.cumsum(w)
+    weights = natural_weights(a)
+    cum = np.cumsum(weights)
     rng = np.random.default_rng(seed)
-    tau, rho = (np.array(v, dtype=float) for v in system.parts())
+    tau, rho = (np.array(v) for v in projection_parts(a))
     # innermost-to-outermost composition; symbol order is irrelevant for i.i.d. draws
     pts = np.zeros(count)
     for _ in range(depth):
         s = np.searchsorted(cum, rng.random(count), side="right")
         pts = rho[s] * pts + tau[s]
-    return MeasureSample(
-        system_kind=system.kind,
-        parameter=float(system.parameter),
-        weights=tuple(float(x) for x in w),
-        points=pts,
-        seed=seed,
-        depth=depth,
-    )
-
-
-def natural_measure_sample(a: float, count: int, depth: int, seed: int) -> MeasureSample:
-    """y-projection of the natural measure: projection system with weights (a,2a-1,a)/(4a-1)."""
-    from .dimensions import natural_weights
-
-    return sample_measure(build_system("projection", float(a)), natural_weights(float(a)), count, depth, seed)
+    return MeasureSample(system_kind="projection", parameter=a, weights=weights, points=pts, seed=seed, depth=depth)
 
 
 def _ball_counts(points: np.ndarray, xs: Sequence[float], radii: Sequence[float]) -> np.ndarray:

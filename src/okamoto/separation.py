@@ -1,5 +1,12 @@
 """Minimal projection gaps and separation certificates for the conjugate family.
 
+The conjugate family Phi_b = {((1+b)/2)x-1, -bx, ((1+b)/2)x+1}, b = 2a-1 in
+(0, 1), is S_a carried onto I_b = [-2/(1-b), 2/(1-b)] by x -> 4(x - 1/2)/(1-b),
+so its depth-n projections are those of S_a, scaled by 4/(1-b).  Only its
+integer-scaled one-symbol extension is written here; the maps of Phi_b live
+in the test suite, with the all-pairs gap oracle that recomputes every
+projection from them.
+
 All gap computations run in exact rational arithmetic.  Internally a rational
 parameter b = p/q scales every depth-n projection to an integer over the
 common denominator (2q)^n, so sorting and differencing stay exact:
@@ -7,9 +14,7 @@ common denominator (2q)^n, so sorting and differencing stay exact:
     phi_1:  V' = (q+p)*V - (2q)^n      phi_2:  V' = -2p*V
     phi_3:  V' = (q+p)*V + (2q)^n
 
-The gap sorts the 3^n values and takes the minimal adjacent difference.  The
-all-pairs oracle that recomputes every projection independently through the
-conjugate system lives in the test suite.
+The gap sorts the 3^n values and takes the minimal adjacent difference.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthCapError, ParameterError
-from .systems import check_b
 from .words import index_to_word
 
 PRUNED_CAP = 12
@@ -27,7 +31,10 @@ PRUNED_CAP = 12
 def _check_rational_b(b) -> Fraction:
     if not isinstance(b, (Fraction, int)):
         raise ParameterError(f"exact separation arithmetic needs a rational b, got {b!r}")
-    return check_b(Fraction(b))
+    b = Fraction(b)
+    if not (0 < b < 1):
+        raise ParameterError(f"parameter b must lie in (0, 1), got {b}")
+    return b
 
 
 def _scaled_level(b: Fraction, n: int) -> list:

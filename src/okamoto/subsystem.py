@@ -32,11 +32,12 @@ import numpy as np
 from .errors import BudgetError, ParameterError
 from .estimators import SAMPLE_COUNT_CAP, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
-from .systems import Similarity1D, build_system, compose_word, fold_word
+from .systems import compose_word, fold_word, projection_parts
 from .words import Number, check_a, subsystem_alphabet, two_count
 
 SAMPLING_TAIL = 1e-9  # the sampling depth keeps the dropped tail sum_{l >= depth} |lambda|^l below this
 GAMMA_TUPLE_BUDGET = 4096  # block tuples checked by the gamma conjugation
+SPLIT_CAP = 16  # largest block split k of the gamma conjugation and the convolution check
 SLICE_EPSILONS = (0.05, 0.1)  # slice report: share of estimates >= s0 - 1 - epsilon
 
 
@@ -49,29 +50,36 @@ def subsystem_ratio(a: Number, m: int) -> Number:
 
 @dataclass(frozen=True)
 class HomogeneousSystem:
+    """The maps x -> ratio*x + t, one translation t per alphabet word, in alphabet order."""
+
     a: Number
     m: int
     alphabet: tuple
     ratio: Number
-    maps: tuple
-
-    def translations(self) -> np.ndarray:
-        return np.array([float(f.translation) for f in self.maps])
+    translations: tuple
 
 
 def build_subsystem(a: Number, m: int) -> HomogeneousSystem:
     """Compositions S_w over the subsystem alphabet; ratios checked exactly for rational a."""
     alphabet = subsystem_alphabet(a, m)
-    system = build_system("projection", a)
+    parts = projection_parts(a)
     lam = subsystem_ratio(a, m)
     exact = isinstance(a, (Fraction, int))
-    maps = []
+    translations = []
     for w in alphabet:
-        f = compose_word(system, w)
-        if exact and f.ratio != lam:
-            raise AssertionError(f"ratio mismatch for word {w}: {f.ratio} != {lam}")
-        maps.append(Similarity1D(lam, f.translation))
-    return HomogeneousSystem(a=a, m=m, alphabet=alphabet, ratio=lam, maps=tuple(maps))
+        t, r = compose_word(*parts, w)
+        if exact and r != lam:
+            raise AssertionError(f"ratio mismatch for word {w}: {r} != {lam}")
+        translations.append(t)
+    return HomogeneousSystem(a=a, m=m, alphabet=alphabet, ratio=lam, translations=tuple(translations))
+
+
+def _check_split(k: int, what: str) -> None:
+    """The block split k lies in [2, SPLIT_CAP]; the work of both checks grows with k."""
+    if k < 2:
+        raise ParameterError(f"{what} needs k >= 2, got {k}")
+    if k > SPLIT_CAP:
+        raise ParameterError(f"{what} needs k <= {SPLIT_CAP}, got {k}")
 
 
 # --- sampling and the convolution identity -----------------------------------------
@@ -109,7 +117,7 @@ def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndar
     sub = build_subsystem(float(a), m)
     lam = float(sub.ratio)
     rng = np.random.default_rng(seed)
-    return _sample_block_coding(sub.translations(), lam, count, _sampling_depth(lam), rng)
+    return _sample_block_coding(np.array(sub.translations), lam, count, _sampling_depth(lam), rng)
 
 
 @dataclass(frozen=True)
@@ -125,11 +133,10 @@ class ConvolutionReport:
 
 def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> ConvolutionReport:
     """KS distance between a direct draw from mu_m and the split-convolution draw."""
-    if k < 2:
-        raise ParameterError(f"convolution split needs k >= 2, got {k}")
+    _check_split(k, "convolution split")
     sub = build_subsystem(float(a), m)
     lam = float(sub.ratio)
-    taus = sub.translations()
+    taus = np.array(sub.translations)
     depth = _sampling_depth(lam)
     depth += (-depth) % k  # whole superblocks
     streams = np.random.SeedSequence(seed).spawn(3)
@@ -166,7 +173,7 @@ class GammaReport:
 
 
 def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
-    """(gamma offset, conjugated maps, report): exact verification of the conjugation identity.
+    """(gamma offset, conjugated translations, report): exact verification of the conjugation identity.
 
     gamma(x) = x + c turns every off-positions map g into lambda^k x + t_g +
     c(1 - lambda^k); the claim is that this equals the composition
@@ -174,20 +181,20 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     off-positions translation t_g = sum_l lambda^(l-1) tau_{j_l} is the fold
     of the block translations with ratio lambda.  The first GAMMA_TUPLE_BUDGET
     block tuples, in lexicographic order, are checked.  Both candidate offsets
-    are tried and the verified exponent is recorded.
+    are tried and the verified exponent is recorded.  Every conjugated map
+    has ratio lambda^k, so each is given by its translation.
     """
-    if k < 2:
-        raise ParameterError(f"gamma conjugation needs k >= 2, got {k}")
+    _check_split(k, "gamma conjugation")
     a = Fraction(a)
     check_a(a)
     j = two_count(a, m)
     tilde = (1,) * (m - j) + (2,) * j
-    system = build_system("projection", a)
+    parts = projection_parts(a)
     sub = build_subsystem(a, m)
     lam = sub.ratio
     lam_k = lam**k
-    tau_tilde = compose_word(system, tilde).translation
-    taus = tuple(f.translation for f in sub.maps)
+    tau_tilde = compose_word(*parts, tilde)[0]
+    taus = sub.translations
     rho = (lam,) * len(taus)
 
     combos = list(islice(product(range(1, len(taus) + 1), repeat=k - 1), GAMMA_TUPLE_BUDGET))
@@ -199,8 +206,8 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
         ok = True
         for combo, t_g in zip(combos, g_translations):
             flat = tuple(s for idx in combo for s in sub.alphabet[idx - 1]) + tilde
-            rhs = compose_word(system, flat)
-            if rhs.ratio != lam_k or rhs.translation != t_g + offset * (1 - lam_k):
+            t, r = compose_word(*parts, flat)
+            if r != lam_k or t != t_g + offset * (1 - lam_k):
                 ok = False
                 break
         candidates[exponent] = ok
@@ -212,7 +219,7 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
         return Fraction(0), (), report
     exponent = k - 1 if candidates[k - 1] else k
     offset = tau_tilde * lam**exponent / (1 - lam_k)
-    conjugated = tuple(Similarity1D(lam_k, t + offset * (1 - lam_k)) for t in g_translations)
+    conjugated = tuple(t + offset * (1 - lam_k) for t in g_translations)
     report = GammaReport(
         a=a, m=m, k=k, offset=offset, exponent=exponent, exact=True,
         checked=len(combos), candidates=candidates,

@@ -1,10 +1,10 @@
-"""The two one-dimensional IFS families and their finite compositions.
+"""S_a, the one-dimensional system of the package, and its finite compositions.
 
-Kinds:
-  projection      S_a = {ax, (1-2a)x+a, ax+1-a}, the y-axis projection of the
-                  graph IFS (horizontal ratio 1/3, vertical ratios (a, 1-2a, a)).
-  conjugate       Phi_b = {((1+b)/2)x-1, -bx, ((1+b)/2)x+1} with b = 2a-1,
-                  supported on I_b = [-2/(1-b), 2/(1-b)].
+S_a = {ax, (1-2a)x+a, ax+1-a} is the y-axis projection of the graph IFS
+(horizontal ratio 1/3, vertical ratios (a, 1-2a, a)).  It is held as its pair
+(tau, rho) of translations and signed ratios: map s is x -> rho[s-1]*x +
+tau[s-1].  The conjugate family Phi_b of the separation gaps lives in the test
+suite, beside the all-pairs oracle that uses it.
 
 Finite-word projection means the composition applied to 0, i.e. the exact
 value of the infinite word w.222... .  All maps keep exact rationals exact: a
@@ -27,76 +27,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
 from .words import Number, check_a, check_word
 
-KINDS = ("projection", "conjugate")
 
-
-@dataclass(frozen=True)
-class Similarity1D:
-    """x -> ratio*x + translation with 0 < |ratio| < 1."""
-
-    ratio: Number
-    translation: Number
-
-    def __post_init__(self):
-        if self.ratio == 0 or not abs(self.ratio) < 1:
-            raise ParameterError(f"similarity ratio must satisfy 0 < |r| < 1, got {self.ratio}")
-
-    def __call__(self, x: Number) -> Number:
-        return self.ratio * x + self.translation
-
-    def fixed_point(self) -> Number:
-        return self.translation / (1 - self.ratio)
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    kind: str
-    parameter: Number
-    maps: tuple
-
-    def parts(self) -> tuple:
-        """(translations, ratios) of the maps, in symbol order."""
-        return tuple(f.translation for f in self.maps), tuple(f.ratio for f in self.maps)
-
-
-def check_b(b: Number) -> Number:
-    if not (0 < b < 1):
-        raise ParameterError(f"parameter b must lie in (0, 1), got {b}")
-    return b
-
-
-def build_system(kind: str, parameter: Number) -> SystemSpec:
-    if kind == "projection":
-        a = check_a(parameter)
-        return SystemSpec(
-            kind,
-            a,
-            (
-                Similarity1D(a, 0 * a),
-                Similarity1D(1 - 2 * a, a),
-                Similarity1D(a, 1 - a),
-            ),
-        )
-    if kind == "conjugate":
-        b = check_b(parameter)
-        half = _half(b)
-        return SystemSpec(
-            kind,
-            b,
-            (
-                Similarity1D((1 + b) * half, -1),
-                Similarity1D(-b, 0 * b),
-                Similarity1D((1 + b) * half, 1),
-            ),
-        )
-    raise ParameterError(f"unknown system kind {kind!r}; expected one of {KINDS}")
-
-
-def _half(b: Number) -> Number:
-    return Fraction(1, 2) if isinstance(b, (Fraction, int)) else 0.5
+def projection_parts(a: Number) -> tuple:
+    """(translations, ratios) of S_a in symbol order: ((0, a, 1-a), (a, 1-2a, a))."""
+    a = check_a(a)
+    return (0 * a, a, 1 - a), (a, 1 - 2 * a, a)
 
 
 def fold_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
@@ -161,10 +98,9 @@ def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = N
     return Level(t, r, None if kept is None else tuple(kept))
 
 
-def compose_word(system: SystemSpec, word: Sequence[int]) -> Similarity1D:
-    """Composed map S_{i_1} o ... o S_{i_n} as a single similarity (word nonempty)."""
+def compose_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
+    """(t, r) of the composed map S_{i_1} o ... o S_{i_n}, x -> r*x + t (word nonempty)."""
     w = check_word(word)
     if not w:
         raise ValueError("compose_word needs a nonempty word (the identity is not a contraction)")
-    translation, ratio = fold_word(*system.parts(), w)
-    return Similarity1D(ratio, translation)
+    return fold_word(tau, rho, w)

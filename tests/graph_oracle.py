@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from okamoto.errors import ParameterError
-from okamoto.systems import build_system, fold_word
+from okamoto.systems import fold_word, projection_parts
 from okamoto.words import check_a
 
 DIGIT_CAP = 1000
@@ -55,5 +55,5 @@ def evaluate_T(a, x, tolerance: float = 1e-9) -> tuple:
     if n > DIGIT_CAP:
         raise ParameterError(f"tolerance {tolerance} needs {n} digits, beyond cap {DIGIT_CAP}")
     word = [d + 1 for d in ternary_digits(x, n)]
-    y, ratio = fold_word(*build_system("projection", a).parts(), word)
+    y, ratio = fold_word(*projection_parts(a), word)
     return y, abs(ratio)

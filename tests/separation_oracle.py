@@ -1,8 +1,9 @@
-"""All-pairs oracle for the minimal projection gap Delta_n(b).
+"""The conjugate family Phi_b and the all-pairs oracle for its minimal projection gap Delta_n(b).
 
 Recomputes every depth-n projection independently by folding each word through
-the conjugate system (the composition applied to 0) and minimizes |v_i - v_j| over all pairs, sharing no code with the sorted-adjacent
-gap in okamoto.separation.  The tests compare the two exactly.
+Phi_b (the composition applied to 0) and minimizes |v_i - v_j| over all pairs,
+sharing no code with the sorted-adjacent gap in okamoto.separation.  The tests
+compare the two exactly.
 """
 
 from fractions import Fraction
@@ -10,19 +11,31 @@ from itertools import product
 
 import numpy as np
 
-from okamoto.errors import DepthCapError
-from okamoto.systems import build_system, fold_word
+from okamoto.errors import DepthCapError, ParameterError
+from okamoto.systems import fold_word
 
 EXHAUSTIVE_CAP = 8
 
 _INT64_SAFE = 2**62
 
 
+def conjugate_parts(b):
+    """(translations, ratios) of Phi_b = {((1+b)/2)x-1, -bx, ((1+b)/2)x+1}; exact for rational b.
+
+    Phi_b is supported on I_b = [-2/(1-b), 2/(1-b)] and is S_a conjugated by
+    x -> 4(x - 1/2)/(1-b), with b = 2a-1.
+    """
+    if not (0 < b < 1):
+        raise ParameterError(f"parameter b must lie in (0, 1), got {b}")
+    half = (1 + b) / 2
+    return (-1, 0 * b, 1), (half, -b, half)
+
+
 def delta_exhaustive(b: Fraction, n: int) -> tuple:
     """(gap, witnessing word pair) by all pairs: every projection recomputed per word."""
     if n > EXHAUSTIVE_CAP:
         raise DepthCapError(f"all-pairs oracle capped at n <= {EXHAUSTIVE_CAP}, got {n}")
-    parts = build_system("conjugate", b).parts()
+    parts = conjugate_parts(b)
     words = list(product((1, 2, 3), repeat=n))
     unit = (2 * b.denominator) ** n
     scaled = []

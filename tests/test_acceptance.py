@@ -10,14 +10,14 @@ implemented faithfully and marked strict-xfail; see the decisions ledger.
 
 import time
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
 
 from graph_oracle import evaluate_T
-from okamoto import dimensions, estimators, separation, subsystem, systems, words
+from okamoto import dimensions, estimators, separation, subsystem, words
 from separation_oracle import delta_exhaustive
+from word_oracle import exhaustive_level_filter
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -88,23 +88,13 @@ def test_criterion_4_separation_oracle_equivalence():
     )
 
 
-def _exhaustive_level_filter(a, y, n):
-    system = systems.build_system("projection", a)
-    out = []
-    for w in product((1, 2, 3), repeat=n):
-        f = systems.compose_word(system, w)
-        if min(f(0), f(1)) <= y <= max(f(0), f(1)):
-            out.append(w)
-    return tuple(out)
-
-
 def test_criterion_5_level_set_oracle_equivalence():
     a = Fraction(3, 4)
     ok = True
     for y in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(7, 10)):
         for n in range(1, 9):
             cover = estimators.level_set_cover(a, y, n)
-            ok = ok and cover.words == _exhaustive_level_filter(a, y, n)
+            ok = ok and cover.words == exhaustive_level_filter(a, y, n)
     singleton = all(
         estimators.level_set_cover(a, Fraction(0), n).count == 1 for n in range(1, 13)
     )
@@ -130,7 +120,7 @@ def test_criterion_6_level_set_statistics():
 
 
 def test_criterion_7_local_dimension():
-    sample = estimators.natural_measure_sample(0.75, 10**7, 60, seed=42)
+    sample = estimators.sample_measure(0.75, 10**7, 60, seed=42)
     xs = np.random.default_rng(7).choice(sample.points, 100, replace=False)
     slopes = estimators.local_dimension_slopes(sample, xs, r_lo=1e-5, r_hi=1e-2)
     median = float(np.nanmedian(slopes))
@@ -216,7 +206,7 @@ def test_criterion_9_structural_invariants():
 
 
 def test_criterion_10_fourier_decay():
-    sample = estimators.natural_measure_sample(0.75, 2 * 10**6, 50, seed=13)
+    sample = estimators.sample_measure(0.75, 2 * 10**6, 50, seed=13)
     ts = np.geomspace(10.0, 1e4, 30)
     slope, _, used = estimators.fourier_decay_fit(sample, ts)
     _report(

@@ -258,6 +258,9 @@ def test_json_or_csv_only_commands_reject_format(argv):
     ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tmin", "0"],
     ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tmax", "inf", "--format", "csv"],
     ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tcount", "0", "--format", "csv"],
+    # the gamma and convolution work grows with the block split k, which must lie in [2, 16]
+    ["subsystem", "--a", "3/4", "--m", "2", "--k", "17", "--check", "gamma"],
+    ["subsystem", "--a", "0.75", "--m", "2", "--k", "1000", "--check", "convolution", "--seed", "1"],
 ])
 def test_empty_or_negative_draws_are_json_errors(argv):
     code, out = _run(argv)

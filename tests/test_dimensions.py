@@ -9,7 +9,6 @@ from okamoto.cli import run
 from okamoto.dimensions import (
     assouad_bound,
     dim_report,
-    entropy_lyapunov,
     lq_dimension,
     natural_weights,
     okamoto_s0,
@@ -121,18 +120,9 @@ def test_natural_weights_boundary_trend():
     assert abs(w[0] - 0.5) < 1e-6 and w[1] < 1e-6
 
 
-def test_entropy_uniform_and_zero_convention():
-    h, chi1, chi2 = entropy_lyapunov((1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.5))
-    assert abs(h - math.log(3)) < 1e-15
-    assert chi2 == math.log(3)
-    h0, _, _ = entropy_lyapunov((0.5, 0.0, 0.5), (0.5, 0.5, 0.5))
-    assert abs(h0 - math.log(2)) < 1e-15
-
-
 def test_chi1_two_forms_agree():
     for a in (0.6, 0.75, 0.9):
-        p = natural_weights(a)
-        _, chi1, _ = entropy_lyapunov(p, (a, 2 * a - 1, a))
+        chi1 = dim_report(a).chi1
         factored = -(1 / (4 * a - 1)) * (2 * a * math.log(a) + (2 * a - 1) * math.log(2 * a - 1))
         assert abs(chi1 - factored) < 1e-12
 

@@ -2,13 +2,12 @@ import io
 import json
 import math
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
 
 from okamoto.cli import run
-from okamoto.dimensions import okamoto_s0
+from okamoto.dimensions import natural_weights, okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
     LevelSetCover,
@@ -24,15 +23,33 @@ from okamoto.estimators import (
     level_set_scan,
     level_statistics,
     local_dimension_slopes,
-    natural_measure_sample,
     sample_measure,
 )
-from okamoto.systems import Level, build_system, compose_word
+from okamoto.systems import Level
+from word_oracle import exhaustive_level_filter
 
 
 def test_box_count_column_depth1():
     # beta values (0.75, 0.5, 0.75) against delta=1/3: ceil(2.25)+ceil(1.5)+ceil(2.25)
     assert box_count_graph(0.75, 1, "column") == 8
+    # (2a - 1) * 3 at a = 0.8333333333333334 is 2 + 2^-52 exactly but 2.0 in floats,
+    # so the middle column needs three boxes, as the outer two do
+    assert box_count_graph(0.8333333333333334, 1, "column") == 9
+
+
+def _column_closed_form(a, n):
+    """sum over the number j of 2s of C(n, j) 2^(n-j) max(1, ceil(a^(n-j) (2a-1)^j 3^n)), for a Fraction a."""
+    return sum(
+        math.comb(n, j) * 2 ** (n - j) * max(1, math.ceil(a ** (n - j) * (2 * a - 1) ** j * 3**n)) for j in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("af", [0.8333333333333334, 0.75, 0.6, 0.9, 2 / 3, 0.55, 0.7071067811865476])
+def test_column_count_is_exact_at_the_float_input(af):
+    # a float a stands for the rational Fraction(af); its count is the exact count there
+    for n in range(1, 21):
+        exact = Fraction(af)
+        assert box_count_graph(af, n, "column") == box_count_graph(exact, n, "column") == _column_closed_form(exact, n)
 
 
 def test_box_count_depth0():
@@ -100,21 +117,11 @@ def test_level_set_half_frozen_counts():
     assert level_set_cover(0.75, 0.5, 2).count == 9
 
 
-def _exhaustive_filter(a, y, n):
-    system = build_system("projection", a)
-    out = []
-    for w in product((1, 2, 3), repeat=n):
-        f = compose_word(system, w)
-        if min(f(0), f(1)) <= y <= max(f(0), f(1)):
-            out.append(w)
-    return tuple(out)
-
-
 @pytest.mark.parametrize("y", [Fraction(1, 3), Fraction(1, 2), Fraction(7, 10)])
 def test_level_set_cover_matches_exhaustive_filter(y):
     a = Fraction(3, 4)
     for n in range(1, 7):
-        assert level_set_cover(a, y, n).words == _exhaustive_filter(a, y, n)
+        assert level_set_cover(a, y, n).words == exhaustive_level_filter(a, y, n)
 
 
 def test_level_set_float_count_matches_exact():
@@ -212,44 +219,47 @@ def test_level_set_scan_summary_fields():
 # --- measure sampling ---------------------------------------------------------------
 
 
-def test_sample_measure_degenerate_weights():
-    system = build_system("projection", 0.75)
-    sample = sample_measure(system, (1.0, 0.0, 0.0), 500, 30, seed=1)
-    assert np.all(sample.points == 0.0)  # fixed point of the first map
+def test_sample_measure_fields():
+    # the fields a sample is keyed by outside the package: its system, weights and draw
+    sample = sample_measure(0.75, 2000, 40, seed=9)
+    assert sample.system_kind == "projection"
+    assert sample.parameter == 0.75
+    assert sample.weights == natural_weights(0.75) == (0.375, 0.25, 0.375)
+    assert (sample.seed, sample.depth, sample.count) == (9, 40, 2000)
+    assert sample.points.shape == (2000,)
+    assert sample_measure(Fraction(3, 4), 10, 5, seed=1).parameter == 0.75
 
 
 def test_sample_measure_reproducible():
-    system = build_system("projection", 0.75)
-    s1 = sample_measure(system, (0.375, 0.25, 0.375), 2000, 40, seed=9)
-    s2 = sample_measure(system, (0.375, 0.25, 0.375), 2000, 40, seed=9)
+    s1 = sample_measure(0.75, 2000, 40, seed=9)
+    s2 = sample_measure(0.75, 2000, 40, seed=9)
     assert np.array_equal(s1.points, s2.points)
-    s3 = sample_measure(system, (0.375, 0.25, 0.375), 2000, 40, seed=10)
+    s3 = sample_measure(0.75, 2000, 40, seed=10)
     assert not np.array_equal(s1.points, s3.points)
 
 
 def test_sample_measure_symmetric_mean():
-    sample = natural_measure_sample(0.75, 200_000, 40, seed=5)
+    sample = sample_measure(0.75, 200_000, 40, seed=5)
     sigma = sample.points.std() / math.sqrt(sample.count)
     assert abs(sample.points.mean() - 0.5) < 3 * sigma + 1e-4
 
 
 def test_sample_measure_caps():
-    system = build_system("projection", 0.75)
     with pytest.raises(BudgetError):
-        sample_measure(system, (0.375, 0.25, 0.375), 10**9, 10, seed=0)
+        sample_measure(0.75, 10**9, 10, seed=0)
     with pytest.raises(BudgetError):
-        sample_measure(system, (0.375, 0.25, 0.375), 10, 61, seed=0)
-    with pytest.raises(ParameterError):
-        sample_measure(system, (0.5, 0.5), 10, 10, seed=0)
+        sample_measure(0.75, 10, 61, seed=0)
     for count, depth in ((0, 10), (-5, 10), (10, -1)):  # empty or negative draws
         with pytest.raises(ParameterError):
-            sample_measure(system, (0.375, 0.25, 0.375), count, depth, seed=0)
+            sample_measure(0.75, count, depth, seed=0)
+    with pytest.raises(ParameterError):
+        sample_measure(0.4, 10, 10, seed=0)
 
 
 def test_sample_measure_depth_convergence():
     # truncating the coding one level earlier moves mass by at most a^40
-    s40 = natural_measure_sample(0.75, 10**7, 40, seed=21)
-    s41 = natural_measure_sample(0.75, 10**7, 41, seed=22)
+    s40 = sample_measure(0.75, 10**7, 40, seed=21)
+    s41 = sample_measure(0.75, 10**7, 41, seed=22)
     assert ks_statistic(s40.points, s41.points) < 1e-3
 
 
@@ -302,14 +312,14 @@ def test_local_dimension_slopes_uniform():
 
 
 def test_fourier_at_zero_is_one():
-    sample = natural_measure_sample(0.75, 10_000, 40, seed=6)
+    sample = sample_measure(0.75, 10_000, 40, seed=6)
     mags = fourier_estimate(sample, [0.0, 5.0, 50.0])
     assert mags[0] == 1.0
     assert np.all(mags <= 1.0 + 3.0 / math.sqrt(sample.count))
 
 
 def test_fourier_decay_fit_negative_slope():
-    sample = natural_measure_sample(0.75, 400_000, 50, seed=13)
+    sample = sample_measure(0.75, 400_000, 50, seed=13)
     slope, _, used = fourier_decay_fit(sample, np.geomspace(10, 1e4, 30))
     assert used >= 2
     assert slope < 0

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from okamoto.errors import DepthCapError, ParameterError
 from okamoto.separation import delta_n_detail, verify_sesc
-from okamoto.systems import build_system, fold_word
-from separation_oracle import delta_exhaustive
-
-
-def _project(system, word):
-    return fold_word(*system.parts(), word)[0]
+from separation_oracle import conjugate_parts, delta_exhaustive
+from word_oracle import project
 
 
 # --- minimal gaps ---------------------------------------------------------------
@@ -56,10 +52,10 @@ def test_appended_two_invariance_of_gap():
     # projecting w.2 equals projecting w, so the depth-(n+1) value multiset
     # restricted to appended-2 words reproduces the depth-n gaps exactly
     b = Fraction(2, 5)
-    sys_b = build_system("conjugate", b)
+    phi = conjugate_parts(b)
     for n in (2, 3, 4):
-        direct = sorted(_project(sys_b, w) for w in product((1, 2, 3), repeat=n))
-        appended = sorted(_project(sys_b, w + (2,)) for w in product((1, 2, 3), repeat=n))
+        direct = sorted(project(*phi, w) for w in product((1, 2, 3), repeat=n))
+        appended = sorted(project(*phi, w + (2,)) for w in product((1, 2, 3), repeat=n))
         assert direct == appended
 
 
@@ -67,7 +63,7 @@ def test_a3_prefix_bound_chain():
     # |Pi(i|n) - Pi(j|n)| >= b^m |Pi(s^m i') - Pi(s^m j')| for A3 pairs with
     # common prefix length m, where i' = i|n . 2
     b = Fraction(1, 2)
-    sys_b = build_system("conjugate", b)
+    phi = conjugate_parts(b)
     pairs = [
         ((2, 1, 3, 3), (2, 3, 1, 1)),
         ((1, 1, 2, 3), (1, 3, 2, 3)),
@@ -77,8 +73,8 @@ def test_a3_prefix_bound_chain():
         m = next(k for k, (x, y) in enumerate(zip(i, j)) if x != y)  # common prefix length
         tail_i, tail_j = (i + (2,))[m:], (j + (2,))[m:]
         assert {tail_i[0], tail_j[0]} == {1, 3}  # an A3 pair: the tails start 1 and 3
-        lhs = abs(_project(sys_b, i) - _project(sys_b, j))
-        rhs = b**m * abs(_project(sys_b, tail_i) - _project(sys_b, tail_j))
+        lhs = abs(project(*phi, i) - project(*phi, j))
+        rhs = b**m * abs(project(*phi, tail_i) - project(*phi, tail_j))
         assert lhs >= rhs
 
 
@@ -112,18 +108,18 @@ def test_verify_sesc_detects_coincidence_at_half():
     assert report.witness is not None
     wi, wj = report.witness
     assert wi != wj
-    half = build_system("conjugate", Fraction(1, 2))
-    assert _project(half, wi) == _project(half, wj)
+    half = conjugate_parts(Fraction(1, 2))
+    assert project(*half, wi) == project(*half, wj)
     for b in (Fraction(1, 3), Fraction(2, 5)):  # distinct projections away from the root
-        sys_b = build_system("conjugate", b)
-        assert _project(sys_b, wi) != _project(sys_b, wj)
+        phi = conjugate_parts(b)
+        assert project(*phi, wi) != project(*phi, wj)
 
 
 def test_delta_witness_words_realize_gap():
     b = Fraction(3, 5)
-    sys_b = build_system("conjugate", b)
+    phi = conjugate_parts(b)
     for gap, (wi, wj) in (delta_n_detail(b, 4), delta_exhaustive(b, 4)):
-        assert abs(_project(sys_b, wi) - _project(sys_b, wj)) == gap
+        assert abs(project(*phi, wi) - project(*phi, wj)) == gap
 
 
 @settings(max_examples=20, deadline=None)

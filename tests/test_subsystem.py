@@ -12,6 +12,7 @@ from okamoto.dimensions import okamoto_s0
 from okamoto.errors import ParameterError
 from okamoto.estimators import ks_statistic
 from okamoto.subsystem import (
+    SPLIT_CAP,
     build_subsystem,
     convolution_check,
     entropy_ratio,
@@ -20,31 +21,32 @@ from okamoto.subsystem import (
     slice_lower_bound_report,
     subsystem_ratio,
 )
-from okamoto.systems import build_system, compose_word
+from okamoto.systems import compose_word, projection_parts
 
 
 def test_build_subsystem_m1():
     sub = build_subsystem(0.75, 1)
     assert sub.alphabet == ((1,), (3,))
     assert sub.ratio == 0.75
-    assert [(f.ratio, f.translation) for f in sub.maps] == [(0.75, 0.0), (0.75, 0.25)]
+    assert sub.translations == (0.0, 0.25)
 
 
 def test_build_subsystem_m4_exact():
-    sub = build_subsystem(Fraction(3, 4), 4)
-    assert len(sub.maps) == 32
+    a = Fraction(3, 4)
+    sub = build_subsystem(a, 4)
+    assert len(sub.translations) == 32
     assert sub.ratio == Fraction(3, 4) ** 3 * Fraction(-1, 2)
-    for f in sub.maps:
-        assert f.ratio == sub.ratio
+    for w, t in zip(sub.alphabet, sub.translations):
+        assert compose_word(*projection_parts(a), w) == (t, sub.ratio)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_ratio_uniform_exact(m):
     a = Fraction(3, 4)
     sub = build_subsystem(a, m)
-    system = build_system("projection", a)
+    parts = projection_parts(a)
     for w in sub.alphabet[:: max(1, len(sub.alphabet) // 8)]:
-        assert compose_word(system, w).ratio == sub.ratio
+        assert compose_word(*parts, w)[1] == sub.ratio
     assert sub.ratio == subsystem_ratio(a, m)
 
 
@@ -55,9 +57,8 @@ def test_ratio_uniform_exact(m):
 def test_gamma_identity_exact(m, k):
     offset, conjugated, report = gamma_conjugate(Fraction(3, 4), m, k)
     assert report.exact
-    assert report.checked > 0
-    lam_k = subsystem_ratio(Fraction(3, 4), m) ** k
-    assert all(f.ratio == lam_k for f in conjugated)
+    assert report.checked == len(conjugated) > 0
+    assert all(isinstance(t, Fraction) for t in conjugated)
 
 
 def test_gamma_exponent_disambiguation():
@@ -72,9 +73,9 @@ def test_gamma_exponent_disambiguation():
 
 def _off_position_translations(a, m, k):
     """[(block tuple, t_g)] in lexicographic order, t_g from compose_word of the concatenated blocks."""
-    system = build_system("projection", a)
+    parts = projection_parts(a)
     return [
-        (combo, compose_word(system, tuple(s for w in combo for s in w)).translation)
+        (combo, compose_word(*parts, tuple(s for w in combo for s in w))[0])
         for combo in product(build_subsystem(a, m).alphabet, repeat=k - 1)
     ]
 
@@ -82,17 +83,16 @@ def _off_position_translations(a, m, k):
 def test_split_translation_rule():
     # t_g = sum_l lambda^(l-1) tau_l over the k-1 blocks, and gamma's maps are x -> lambda^k x + t_g + c(1 - lambda^k)
     a = Fraction(3, 4)
-    system = build_system("projection", a)
+    parts = projection_parts(a)
     for m, k in ((1, 3), (2, 3), (4, 2)):
         offset, conjugated, _ = gamma_conjugate(a, m, k)
         lam = subsystem_ratio(a, m)
         reference = _off_position_translations(a, m, k)
         assert len(conjugated) == len(reference)
-        for f_conj, (combo, t_g) in zip(conjugated, reference):
-            taus = [compose_word(system, w).translation for w in combo]
+        for t_conj, (combo, t_g) in zip(conjugated, reference):
+            taus = [compose_word(*parts, w)[0] for w in combo]
             assert t_g == sum(lam**l * tau for l, tau in enumerate(taus))
-            assert f_conj.ratio == lam**k
-            assert f_conj.translation == t_g + offset * (1 - lam**k)
+            assert t_conj == t_g + offset * (1 - lam**k)
 
 
 def test_gamma_fixed_point_maps_to_fixed_point():
@@ -101,14 +101,16 @@ def test_gamma_fixed_point_maps_to_fixed_point():
     lam_k = subsystem_ratio(a, 4) ** 2
     reference = _off_position_translations(a, 4, 2)
     assert report.checked == len(conjugated) == len(reference) == 32
-    for f_conj, (_, t_g) in zip(conjugated, reference):
+    for t_conj, (_, t_g) in zip(conjugated, reference):
         g_fix = t_g / (1 - lam_k)
-        assert f_conj(g_fix + offset) == g_fix + offset
+        assert lam_k * (g_fix + offset) + t_conj == g_fix + offset
 
 
 def test_gamma_requires_k_at_least_two():
     with pytest.raises(ParameterError):
         gamma_conjugate(Fraction(3, 4), 2, 1)
+    with pytest.raises(ParameterError, match=f"k <= {SPLIT_CAP}"):
+        gamma_conjugate(Fraction(3, 4), 2, SPLIT_CAP + 1)
 
 
 # --- convolution ------------------------------------------------------------------
@@ -130,6 +132,8 @@ def test_convolution_ks_small_over_five_seeds():
 def test_convolution_requires_k_at_least_two():
     with pytest.raises(ParameterError):
         convolution_check(0.75, 2, 1, 100, seed=0)
+    with pytest.raises(ParameterError, match=f"k <= {SPLIT_CAP}"):
+        convolution_check(0.75, 2, SPLIT_CAP + 1, 100, seed=0)
 
 
 def test_subsystem_sampling_reproducible_and_supported():
@@ -147,7 +151,7 @@ def test_block_coding_matches_direct_split_sum():
     sub = build_subsystem(a, 1)
     lam = float(sub.ratio)
     rng = np.random.default_rng(0)
-    xs = _sample_block_coding(sub.translations(), lam, 50_000, 40, rng)
+    xs = _sample_block_coding(np.array(sub.translations), lam, 50_000, 40, rng)
     ys = sample_subsystem_measure(a, 1, 50_000, seed=1)
     assert ks_statistic(xs, ys) < 0.02
 

@@ -7,42 +7,31 @@ from hypothesis import strategies as st
 
 from graph_oracle import evaluate_T, ternary_digits
 from okamoto.errors import ParameterError
-from okamoto.systems import Similarity1D, build_system, compose_word, expand_level, fold_word
+from okamoto.systems import compose_word, expand_level, fold_word, projection_parts
+from separation_oracle import conjugate_parts
+from word_oracle import project
 
 words_st = st.lists(st.sampled_from([1, 2, 3]), min_size=0, max_size=8).map(tuple)
 
 
-def _project(system, word):
-    """Finite-word projection: the composition along the word applied to 0."""
-    return fold_word(*system.parts(), word)[0]
-
-
 def test_build_projection():
-    sys_a = build_system("projection", 0.75)
-    assert [(f.ratio, f.translation) for f in sys_a.maps] == [(0.75, 0.0), (-0.5, 0.75), (0.75, 0.25)]
+    assert projection_parts(0.75) == ((0.0, 0.75, 0.25), (0.75, -0.5, 0.75))
+    q = Fraction(1, 4)
+    assert projection_parts(3 * q) == ((0, 3 * q, q), (3 * q, -2 * q, 3 * q))
+    assert all(isinstance(v, Fraction) for v in sum(projection_parts(Fraction(2, 3)), ()))
 
 
 def test_build_conjugate():
-    sys_b = build_system("conjugate", 0.5)
-    assert [(f.ratio, f.translation) for f in sys_b.maps] == [(0.75, -1), (-0.5, 0.0), (0.75, 1)]
+    assert conjugate_parts(0.5) == ((-1, 0.0, 1), (0.75, -0.5, 0.75))
 
 
 def test_build_domain_errors():
     for bad in (0.5, 1.0, 0.1, 1.7):
         with pytest.raises(ParameterError):
-            build_system("projection", bad)
+            projection_parts(bad)
     for bad in (0.0, 1.0, -0.3):
         with pytest.raises(ParameterError):
-            build_system("conjugate", bad)
-    with pytest.raises(ParameterError):
-        build_system("something-else", 0.75)
-
-
-def test_similarity_validation():
-    with pytest.raises(ParameterError):
-        Similarity1D(0, 1)
-    with pytest.raises(ParameterError):
-        Similarity1D(1.5, 0)
+            conjugate_parts(bad)
 
 
 # --- projections -------------------------------------------------------------
@@ -50,85 +39,83 @@ def test_similarity_validation():
 
 def test_project_single_letters_conjugate():
     for b in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 5)):
-        sys_b = build_system("conjugate", b)
-        assert _project(sys_b, (1,)) == -1
-        assert _project(sys_b, (2,)) == 0
-        assert _project(sys_b, (3,)) == 1
+        phi = conjugate_parts(b)
+        assert project(*phi, (1,)) == -1
+        assert project(*phi, (2,)) == 0
+        assert project(*phi, (3,)) == 1
 
 
 def test_project_word_13():
-    sys_b = build_system("conjugate", Fraction(1, 2))
-    assert _project(sys_b, (1, 3)) == Fraction(-1, 4)
+    assert project(*conjugate_parts(Fraction(1, 2)), (1, 3)) == Fraction(-1, 4)
 
 
 def test_project_threes_geometric_sum():
     b = Fraction(1, 2)
-    sys_b = build_system("conjugate", b)
+    phi = conjugate_parts(b)
     for n in (1, 3, 6, 10):
         expected = sum(((1 + b) / 2) ** l for l in range(n))
-        assert _project(sys_b, (3,) * n) == expected
+        assert project(*phi, (3,) * n) == expected
     # tends to the right endpoint of the support interval
-    assert abs(float(_project(sys_b, (3,) * 40)) - 4.0) < 1e-4
+    assert abs(float(project(*phi, (3,) * 40)) - 4.0) < 1e-4
 
 
 @given(words_st, st.integers(1, 4))
 def test_appending_twos_never_changes_projection(word, k):
-    sys_b = build_system("conjugate", Fraction(2, 7))
-    assert _project(sys_b, word) == _project(sys_b, word + (2,) * k)
+    phi = conjugate_parts(Fraction(2, 7))
+    assert project(*phi, word) == project(*phi, word + (2,) * k)
 
 
 # --- cylinder intervals -------------------------------------------------------
 
 
-def _image_interval(system, word):
-    """Image of [0, 1] under the composed map of a nonempty word, endpoints sorted."""
-    f = compose_word(system, word)
-    return tuple(sorted((f(0), f(1))))
+def _image_interval(parts, word):
+    """Image of [0, 1] under the composed map x -> r*x + t of a nonempty word, endpoints sorted."""
+    t, r = compose_word(*parts, word)
+    return tuple(sorted((t, t + r)))
 
 
 def test_image_interval_examples():
-    sys_a = build_system("projection", 0.75)
-    assert _image_interval(sys_a, (2,)) == (0.25, 0.75)
-    assert _image_interval(sys_a, (1, 1)) == (0.0, 0.5625)
+    parts = projection_parts(0.75)
+    assert _image_interval(parts, (2,)) == (0.25, 0.75)
+    assert _image_interval(parts, (1, 1)) == (0.0, 0.5625)
 
 
 @given(words_st.filter(lambda w: len(w) >= 1), st.sampled_from([1, 2, 3]))
 def test_image_interval_nesting_and_width(word, s):
     a = Fraction(7, 10)
-    sys_a = build_system("projection", a)
-    lo, hi = _image_interval(sys_a, word)
-    lo2, hi2 = _image_interval(sys_a, word + (s,))
+    parts = projection_parts(a)
+    lo, hi = _image_interval(parts, word)
+    lo2, hi2 = _image_interval(parts, word + (s,))
     assert lo <= lo2 <= hi2 <= hi
     assert hi - lo <= a ** len(word)
 
 
 fraction_systems_st = st.sampled_from(
-    [
-        build_system("projection", Fraction(3, 4)),
-        build_system("projection", Fraction(2, 3)),
-        build_system("conjugate", Fraction(2, 5)),
-    ]
+    [projection_parts(Fraction(3, 4)), projection_parts(Fraction(2, 3)), conjugate_parts(Fraction(2, 5))]
 )
 
 
 @given(fraction_systems_st, words_st.filter(len), st.fractions(-2, 2))
-def test_compose_word_matches_projection(system, word, x):
-    f = compose_word(system, word)
-    assert f.translation == _project(system, word)
+def test_compose_word_matches_projection(parts, word, x):
+    tau, rho = parts
+    t, r = compose_word(tau, rho, word)
+    assert t == project(tau, rho, word)
     # the maps applied one by one, innermost first
     v = x
     for s in reversed(word):
-        v = system.maps[s - 1](v)
-    assert f(x) == v
+        v = rho[s - 1] * v + tau[s - 1]
+    assert r * x + t == v
     with pytest.raises(ValueError):
-        compose_word(system, ())
+        compose_word(tau, rho, ())
+    with pytest.raises(ValueError):
+        compose_word(tau, rho, (1, 4))
 
 
 @pytest.mark.parametrize("a", [Fraction(3, 4), 0.55, 0.9])
 def test_expand_level_matches_fold_word(a):
     # the level kernel and the word fold are the two copies of one recursion:
     # equal bit for bit on floats and exactly on Fractions, pruned or not
-    tau, rho = build_system("projection", a).parts()
+    tau, rho = projection_parts(a)
     for n in range(6):
         level = expand_level(tau, rho, n)
         assert level.kept is None
@@ -152,19 +139,19 @@ def test_expand_level_matches_fold_word(a):
 @pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(1, 2), Fraction(4, 7)])
 def test_projection_and_conjugate_systems_are_affinely_conjugate(b):
     a = (1 + b) / 2
-    sys_a = build_system("projection", a)
-    sys_b = build_system("conjugate", b)
+    tau_a, rho_a = projection_parts(a)
+    tau_b, rho_b = conjugate_parts(b)
     # psi carries [0,1] onto the support interval of the conjugate system
     scale = 4 / (1 - b)
     psi = lambda x: scale * (x - Fraction(1, 2))
-    fixed_a = sorted(f.fixed_point() for f in sys_a.maps)
-    fixed_b = sorted(f.fixed_point() for f in sys_b.maps)
+    fixed_a = sorted(t / (1 - r) for t, r in zip(tau_a, rho_a))
+    fixed_b = sorted(t / (1 - r) for t, r in zip(tau_b, rho_b))
     assert [psi(x) for x in fixed_a] == fixed_b
     # full conjugacy psi o S_i o psi^{-1} = phi_i, checked on sample points
     psi_inv = lambda y: y / scale + Fraction(1, 2)
-    for f_a, f_b in zip(sys_a.maps, sys_b.maps):
+    for t_a, r_a, t_b, r_b in zip(tau_a, rho_a, tau_b, rho_b):
         for y in (Fraction(-2), Fraction(0), Fraction(5, 3)):
-            assert psi(f_a(psi_inv(y))) == f_b(y)
+            assert psi(r_a * psi_inv(y) + t_a) == r_b * y + t_b
 
 
 # --- the point evaluator of the test suite, the oracle for graph rows -------------

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from okamoto import words
 from okamoto.errors import BudgetError, DepthCapError, ParameterError
-from okamoto.systems import build_system, compose_word, fold_word
+from okamoto.systems import compose_word, fold_word, projection_parts
 from okamoto.words import check_word, index_to_word, stopping_cover, subsystem_alphabet, word_to_str
 
 
 def _ratio_product(a, word):
     """Unsigned contraction of a word: the magnitude of its composed projection-system ratio."""
-    return abs(compose_word(build_system("projection", a), word).ratio)
+    return abs(compose_word(*projection_parts(a), word)[1])
 
 
 def _enumerate_words(n):
