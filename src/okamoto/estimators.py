@@ -18,9 +18,15 @@ levels, uniform or drawn from a measure, becomes float64 covers, estimates
 log N_n / (n log 3) and their quantile summary.
 
 The one measure sampled is the y-projection of the natural measure, S_a with
-weights (a, 2a-1, a)/(4a-1), so every sample is an array of reals.  Two
-probes read a sample: local-dimension slopes from closed-ball counts, and
-Monte-Carlo Fourier magnitudes with their decay fit.
+weights (a, 2a-1, a)/(4a-1), so every sample is an array of reals.  Its
+random words are drawn in blocks: the level kernel composes the 3^k maps of a
+k-symbol block and their product weights, and Walker's alias method (Vose's
+construction) picks one block map per uniform draw.  A depth that is not a
+multiple of the block length takes one shorter remainder block, so the depth
+stays the one requested, and the points advance in fixed-size chunks, so the
+memory beyond the sample itself stays bounded.  Two probes read a sample:
+local-dimension slopes from closed-ball counts, and Monte-Carlo Fourier
+magnitudes with their decay fit.
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ GRID_DEPTH_CAP = 14
 LEVEL_SET_DEPTH_CAP = 24
 SAMPLE_COUNT_CAP = 10**8
 SAMPLE_DEPTH_CAP = 60
+SAMPLE_BLOCK = 8  # symbols per alias-table draw of sample_measure: 3^8 = 6561 block maps
+SAMPLE_CHUNK = 1 << 16  # points sample_measure advances together
+LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report, each covered on its own
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
 
 
@@ -241,6 +250,8 @@ def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetSc
         raise ParameterError("level_set_scan needs a seed")
     if sample_count < 1:
         raise ParameterError(f"level_set_scan needs sample_count >= 1, got {sample_count}")
+    if sample_count > LEVEL_COUNT_CAP:
+        raise BudgetError(f"level count {sample_count} exceeds cap {LEVEL_COUNT_CAP}")
     ys = tuple(float(v) for v in np.random.default_rng(seed).random(sample_count))
     stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0
@@ -275,11 +286,69 @@ class MeasureSample:
         return len(self.points)
 
 
+def _alias_table(weights: np.ndarray) -> tuple:
+    """(prob, alias) of Walker's alias method for the given weights, by Vose's construction.
+
+    A draw takes a uniform column i of the n entries and keeps i with
+    probability prob[i], else takes alias[i]; entry i then carries total mass
+    prob[i] + sum over j with alias[j] = i, j != i, of 1 - prob[j], which is
+    n * w_i / sum(w).  The weights, exact binary fractions, are scaled to
+    integers over a common power of two, so the construction is exact and
+    each prob is rounded once, by its final division.
+    """
+    n = len(weights)
+    ratios = [w.as_integer_ratio() for w in np.asarray(weights, dtype=float).tolist()]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    full = sum(ints)  # the content of one column; entry i brings n * ints[i]
+    mass = [n * v for v in ints]
+    prob = [1.0] * n  # the columns left when one list runs dry hold exactly `full`
+    alias = list(range(n))
+    small = [i for i, v in enumerate(mass) if v < full]
+    large = [i for i, v in enumerate(mass) if v >= full]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s], alias[s] = mass[s] / full, g
+        mass[g] -= full - mass[s]
+        (small if mass[g] < full else large).append(g)
+    return np.array(prob), np.array(alias, dtype=np.intp)
+
+
+def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """size i.i.d. entry indices from an alias table: one uniform gives both the column and the coin."""
+    u = rng.random(size)
+    u *= len(prob)
+    col = u.astype(np.intp)
+    u -= col
+    return np.where(u < prob[col], col, alias[col])
+
+
+def _block_table(a: float, k: int) -> tuple:
+    """(t, r, prob, alias) of the 3^k composed maps of a k-symbol block, in lexicographic word order.
+
+    The maps and their product weights both come from the level kernel: the
+    weights are the ratios of the system with zero translations and ratios
+    natural_weights(a).
+    """
+    level = expand_level(*projection_parts(a), k)
+    prob, alias = _alias_table(expand_level((0.0, 0.0, 0.0), natural_weights(a), k).r)
+    return level.t, level.r, prob, alias
+
+
 def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample:
     """Monte-Carlo draw from the y-projection of the natural measure: S_a with weights (a, 2a-1, a)/(4a-1).
 
     Each point is the composition along an i.i.d. weight-distributed random
     word of the given depth, applied to 0.  Deterministic per seed.
+
+    The word is drawn in blocks of SAMPLE_BLOCK symbols: one alias-table draw
+    picks one of the 3^SAMPLE_BLOCK composed block maps with its product
+    weight, by one uniform and one compare, and two gathers apply it.  For
+    depth = q * SAMPLE_BLOCK + rem, the rem symbols left over come from one
+    more table of 3^rem maps, so the depth, and with it the tail a^depth, is
+    exactly the one requested.  The points advance SAMPLE_CHUNK at a time,
+    which keeps the temporaries in cache and bounds the memory beyond the
+    sample itself.  The tables are built per call.
     """
     a = float(check_a(a))
     if count < 1 or depth < 0:
@@ -288,16 +357,22 @@ def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample
         raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
     if depth > SAMPLE_DEPTH_CAP:
         raise BudgetError(f"sample depth {depth} exceeds cap {SAMPLE_DEPTH_CAP}")
-    weights = natural_weights(a)
-    cum = np.cumsum(weights)
+    blocks, rem = divmod(depth, SAMPLE_BLOCK)
+    steps = [_block_table(a, SAMPLE_BLOCK)] * blocks if blocks else []
+    if rem:
+        steps.append(_block_table(a, rem))
     rng = np.random.default_rng(seed)
-    tau, rho = (np.array(v) for v in projection_parts(a))
-    # innermost-to-outermost composition; symbol order is irrelevant for i.i.d. draws
     pts = np.zeros(count)
-    for _ in range(depth):
-        s = np.searchsorted(cum, rng.random(count), side="right")
-        pts = rho[s] * pts + tau[s]
-    return MeasureSample(system_kind="projection", parameter=a, weights=weights, points=pts, seed=seed, depth=depth)
+    for lo in range(0, count, SAMPLE_CHUNK):
+        x = pts[lo : lo + SAMPLE_CHUNK]  # a view: the chunk is composed in place
+        # each step applies its block map outermost: the steps' symbols form one i.i.d. word of the depth
+        for t, r, prob, alias in steps:
+            s = _alias_draw(prob, alias, len(x), rng)
+            x *= r[s]
+            x += t[s]
+    return MeasureSample(
+        system_kind="projection", parameter=a, weights=natural_weights(a), points=pts, seed=seed, depth=depth
+    )
 
 
 def _ball_counts(points: np.ndarray, xs: Sequence[float], radii: Sequence[float]) -> np.ndarray:

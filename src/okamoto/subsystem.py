@@ -30,7 +30,7 @@ from itertools import islice, product
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .estimators import SAMPLE_COUNT_CAP, ks_statistic, level_statistics
+from .estimators import LEVEL_COUNT_CAP, SAMPLE_COUNT_CAP, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import compose_word, fold_word, projection_parts
 from .words import Number, check_a, subsystem_alphabet, two_count
@@ -284,6 +284,8 @@ def slice_lower_bound_report(a: float, m: int, sample_count: int, depth: int, se
     Levels that land exactly on the endpoint atoms 0 or 1 (where the level set
     degenerates) are excluded and counted.
     """
+    if sample_count > LEVEL_COUNT_CAP:
+        raise BudgetError(f"level count {sample_count} exceeds cap {LEVEL_COUNT_CAP}")
     ys = sample_subsystem_measure(a, m, sample_count, seed)
     keep = (ys > 0.0) & (ys < 1.0)
     stats = level_statistics(a, ys[keep], depth)

@@ -9,6 +9,7 @@ import pytest
 from graph_oracle import evaluate_T
 from okamoto.cli import parse_number, run
 from okamoto.dimensions import okamoto_s0
+from okamoto.estimators import LEVEL_COUNT_CAP
 
 
 def _run(argv):
@@ -278,6 +279,21 @@ def test_subsystem_draw_count_above_cap_is_a_budget_error(check):
     code, out = _run(argv)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "BudgetError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["levelset-scan", "--a", "0.75", "--samples", "1000000000000", "--depth", "4", "--seed", "1"],
+    ["levelset-scan", "--a", "0.75", "--samples", str(LEVEL_COUNT_CAP + 1), "--depth", "1", "--seed", "1"],
+    ["subsystem", "--a", "0.75", "--m", "2", "--check", "slices",
+     "--samples", str(LEVEL_COUNT_CAP + 1), "--depth", "1", "--seed", "1"],
+])
+def test_level_count_above_cap_is_a_budget_error(argv):
+    # both level statistics commands cover each level on its own; the count is bounded before any draw
+    code, out = _run(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetError"
+    assert f"exceeds cap {LEVEL_COUNT_CAP}" in error["message"]
 
 
 def _reject_constant(name):

@@ -10,9 +10,13 @@ from okamoto.cli import run
 from okamoto.dimensions import natural_weights, okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
+    SAMPLE_BLOCK,
+    SAMPLE_CHUNK,
     LevelSetCover,
     MeasureSample,
+    _alias_table,
     _ball_counts,
+    _block_table,
     box_count_graph,
     box_count_series,
     fit_dimension,
@@ -25,7 +29,9 @@ from okamoto.estimators import (
     local_dimension_slopes,
     sample_measure,
 )
-from okamoto.systems import Level
+from okamoto.systems import Level, fold_word, projection_parts
+from okamoto.words import index_to_word
+from measure_oracle import sample_per_symbol
 from word_oracle import exhaustive_level_filter
 
 
@@ -254,6 +260,75 @@ def test_sample_measure_caps():
             sample_measure(0.75, count, depth, seed=0)
     with pytest.raises(ParameterError):
         sample_measure(0.4, 10, 10, seed=0)
+
+
+@pytest.mark.parametrize("a", [0.6, 0.75])
+@pytest.mark.parametrize("k", [SAMPLE_BLOCK, 3])
+def test_block_maps_are_the_word_folds(a, k):
+    # the block of SAMPLE_BLOCK symbols and a remainder block, entry i being the word at position i
+    t, r, prob, alias = _block_table(a, k)
+    assert len(t) == len(r) == len(prob) == len(alias) == 3**k
+    parts = projection_parts(a)
+    for i in range(3**k):
+        assert (t[i], r[i]) == fold_word(*parts, index_to_word(i, k))
+
+
+@pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("k", [SAMPLE_BLOCK, 1, 5])
+def test_alias_mass_is_the_block_weight(a, k):
+    # entry i is drawn from its own column with prob[i] and from every column aliased to it with the rest
+    _, _, prob, alias = _block_table(a, k)
+    weights = natural_weights(a)
+    expected = np.array([math.prod(weights[s - 1] for s in index_to_word(i, k)) for i in range(3**k)])
+    other = alias != np.arange(3**k)
+    mass = prob.copy()
+    np.add.at(mass, alias[other], 1.0 - prob[other])
+    assert np.all((0.0 <= prob) & (prob <= 1.0))
+    assert np.max(np.abs(mass - 3**k * expected)) <= 1e-12
+
+
+def test_alias_table_of_uniform_weights_is_trivial():
+    # the construction runs on exact integers, so equal weights, though 1/7 is not a binary fraction,
+    # fill every column with itself
+    prob, _ = _alias_table(np.full(7, 1 / 7))
+    assert np.all(prob == 1.0)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 7, SAMPLE_BLOCK, 41])
+def test_sample_measure_honours_the_depth(depth):
+    count = SAMPLE_CHUNK + 5  # a full chunk and a short one
+    sample = sample_measure(0.75, count, depth, seed=4)
+    assert (sample.count, sample.depth) == (count, depth)
+    assert np.all((0.0 <= sample.points) & (sample.points <= 1.0))
+    if depth == 0:
+        assert not sample.points.any()
+    if depth == 1:
+        assert set(np.unique(sample.points)) == {0.0, 0.25, 0.75}
+    if depth == 41:  # a point stays 0 only on the all-1s word, probability (3/8)^41 each
+        assert np.all(sample.points > 0.0)
+
+
+def test_blocked_sampler_matches_the_per_symbol_law():
+    # two-sample KS against the per-symbol reference, below the 5% critical value 1.36 sqrt(2/N)
+    n = 10**6
+    critical = 1.36 * math.sqrt(2.0 / n)
+    for seed in range(1, 6):
+        blocked = sample_measure(0.75, n, 20, seed=seed).points
+        reference = sample_per_symbol(0.75, n, 20, seed=1000 + seed)
+        assert ks_statistic(blocked, reference) < critical
+
+
+def test_sample_measure_second_moment():
+    # X = rho X' + tau gives E X^2 = (E tau^2 + E[rho tau]) / (1 - E rho^2), using E X = 1/2
+    a = 0.75
+    tau, rho = (np.array(v) for v in projection_parts(a))
+    p = np.array(natural_weights(a))
+    second = (p @ tau**2 + p @ (rho * tau)) / (1.0 - p @ rho**2)
+    assert round(math.sqrt(second - 0.25), 5) == 0.15076
+    n = 10**6
+    for seed in range(1, 6):
+        squares = sample_measure(a, n, 41, seed=seed).points ** 2
+        assert abs(squares.mean() - second) < 5.0 * squares.std() / math.sqrt(n)
 
 
 def test_sample_measure_depth_convergence():
