@@ -292,18 +292,17 @@ def _alias_table(weights: np.ndarray) -> tuple:
     A draw takes a uniform column i of the n entries and keeps i with
     probability prob[i], else takes alias[i]; entry i then carries total mass
     prob[i] + sum over j with alias[j] = i, j != i, of 1 - prob[j], which is
-    n * w_i / sum(w).  The weights, exact binary fractions, are scaled to
-    integers over a common power of two, so the construction is exact and
-    each prob is rounded once, by its final division.
+    n * w_i / sum(w).  The weights are rounded to integers of 49 bits relative
+    to the largest, so every sum stays below 2^63 and the construction is
+    exact: each prob is rounded once, by its final division.
     """
-    n = len(weights)
-    ratios = [w.as_integer_ratio() for w in np.asarray(weights, dtype=float).tolist()]
-    scale = max(den for _, den in ratios)
-    ints = [num * (scale // den) for num, den in ratios]
-    full = sum(ints)  # the content of one column; entry i brings n * ints[i]
-    mass = [n * v for v in ints]
-    prob = [1.0] * n  # the columns left when one list runs dry hold exactly `full`
-    alias = list(range(n))
+    w = np.asarray(weights, dtype=float)
+    n = len(w)
+    units = np.rint(w * (2.0**49 / w.max())).astype(np.int64)
+    full = int(units.sum())  # the content of one column; entry i brings n * units[i]
+    mass = (units * n).tolist()
+    prob = np.ones(n)  # the columns left when one list runs dry hold exactly `full`
+    alias = np.arange(n)
     small = [i for i, v in enumerate(mass) if v < full]
     large = [i for i, v in enumerate(mass) if v >= full]
     while small and large:
@@ -311,7 +310,7 @@ def _alias_table(weights: np.ndarray) -> tuple:
         prob[s], alias[s] = mass[s] / full, g
         mass[g] -= full - mass[s]
         (small if mass[g] < full else large).append(g)
-    return np.array(prob), np.array(alias, dtype=np.intp)
+    return prob, alias
 
 
 def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:

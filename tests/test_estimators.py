@@ -288,8 +288,7 @@ def test_alias_mass_is_the_block_weight(a, k):
 
 
 def test_alias_table_of_uniform_weights_is_trivial():
-    # the construction runs on exact integers, so equal weights, though 1/7 is not a binary fraction,
-    # fill every column with itself
+    # the construction runs on integers, so equal weights fill every column with itself exactly
     prob, _ = _alias_table(np.full(7, 1 / 7))
     assert np.all(prob == 1.0)
 
