@@ -292,9 +292,9 @@ def _alias_table(weights: np.ndarray) -> tuple:
     A draw takes a uniform column i of the n entries and keeps i with
     probability prob[i], else takes alias[i]; entry i then carries total mass
     prob[i] + sum over j with alias[j] = i, j != i, of 1 - prob[j], which is
-    n * w_i / sum(w).  The weights are rounded to integers of 49 bits relative
-    to the largest, so every sum stays below 2^63 and the construction is
-    exact: each prob is rounded once, by its final division.
+    n * w_i / sum(w).  The weights are rounded to integer units, 2^49 for the
+    largest, so every sum stays below 2^63 and the construction on the units
+    is exact: each prob is rounded once, by its final division.
     """
     w = np.asarray(weights, dtype=float)
     n = len(w)
