@@ -262,7 +262,7 @@ def _cmd_measure(cfg):
             "mean": float(pts.mean()),
             "std": float(pts.std()),
         }
-    return "csv", ["value"], [[float(v)] for v in sample.points]
+    return "csv", ["value"], ([v] for v in sample.points.tolist())
 
 
 def _cmd_fourier(cfg):

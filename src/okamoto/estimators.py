@@ -11,9 +11,9 @@ independent cross-check from below.
 Level sets are covered by branch and bound: a word is extended only while its
 closed y-interval still contains the target level.  Both the grid samples and
 the level-set covers run on the one level kernel, systems.expand_level: the
-covers on exact object arrays when a and y are rational and on float64
-otherwise, all with the same prune predicate.  The exhaustive filter oracle
-lives in the test suite.  level_statistics is the one place where a set of
+covers on exact integers over the common denominator when a and y are
+rational and on float64 otherwise, all with the same prune predicate.  The
+exhaustive filter oracle lives in the test suite.  level_statistics is the one place where a set of
 levels, uniform or drawn from a measure, becomes float64 covers, estimates
 log N_n / (n log 3) and their quantile summary.
 
@@ -184,12 +184,14 @@ class LevelSetCover:
 
 
 def _contains(y):
-    """Prune predicate: the closed y-interval between t and t + r of a word contains y."""
+    """Prune predicate: the closed y-interval between t and t + r of a word contains y, in kernel units.
 
-    def keep(t, r):
-        end = t + r
-        down = r < 0
-        return (np.where(down, end, t) <= y) & (y <= np.where(down, t, end))
+    y * unit is a Fraction, compared exactly, for rational input and y itself for floats.
+    """
+
+    def keep(t, r, unit):
+        end, down, yu = t + r, r < 0, y * unit
+        return (np.where(down, end, t) <= yu) & (yu <= np.where(down, t, end))
 
     return keep
 

@@ -61,7 +61,10 @@ class HomogeneousSystem:
 
 def build_subsystem(a: Number, m: int) -> HomogeneousSystem:
     """Compositions S_w over the subsystem alphabet; ratios checked exactly for rational a."""
-    alphabet = subsystem_alphabet(a, m)
+    return _compose_alphabet(a, m, subsystem_alphabet(a, m))
+
+
+def _compose_alphabet(a: Number, m: int, alphabet: tuple) -> HomogeneousSystem:
     parts = projection_parts(a)
     lam = subsystem_ratio(a, m)
     exact = isinstance(a, (Fraction, int))
@@ -182,7 +185,8 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     of the block translations with ratio lambda.  The first GAMMA_TUPLE_BUDGET
     block tuples, in lexicographic order, are checked.  Both candidate offsets
     are tried and the verified exponent is recorded.  Every conjugated map
-    has ratio lambda^k, so each is given by its translation.
+    has ratio lambda^k, so each is given by its translation.  The tuples
+    index only the first GAMMA_TUPLE_BUDGET words, so only those are composed.
     """
     _check_split(k, "gamma conjugation")
     a = Fraction(a)
@@ -190,7 +194,7 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     j = two_count(a, m)
     tilde = (1,) * (m - j) + (2,) * j
     parts = projection_parts(a)
-    sub = build_subsystem(a, m)
+    sub = _compose_alphabet(a, m, subsystem_alphabet(a, m)[:GAMMA_TUPLE_BUDGET])
     lam = sub.ratio
     lam_k = lam**k
     tau_tilde = compose_word(*parts, tilde)[0]

@@ -14,13 +14,15 @@ Every composed map comes from one recursion, the one-symbol extension
 t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.  It is
 written twice: `fold_word` runs it over one word (compositions), and
 `expand_level` runs it over every word of a depth at once on numpy arrays,
-with optional pruning (grid box counts, level-set covers, the graph sample).
-The depth-n anchors t are the values T(k/3^n), so the graph sample is one
-level array.
+with optional pruning (grid box counts, level-set covers, separation gaps, the
+graph sample).  Its one exact number kind is integers over the common
+denominator, int64 where proven exact; floats run on float64.  The depth-n
+anchors t are the values T(k/3^n), so the graph sample is one level array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -54,14 +56,16 @@ def fold_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
 class Level:
     """Translations t and signed ratios r of the surviving depth-n words, in lexicographic order.
 
-    kept[l] holds the positions kept among the children at depth l+1, three
-    per surviving parent; None for an unpruned expansion, whose i-th word is
-    words.index_to_word(i, n).
+    A word's map is x -> (r*x + t) / unit, unit being d^n over integers
+    (see expand_level) and 1.0 for floats.  kept[l] holds the positions kept
+    among the children at depth l+1, three per surviving parent; None for an
+    unpruned expansion, whose i-th word is words.index_to_word(i, n).
     """
 
     t: np.ndarray
     r: np.ndarray
     kept: tuple | None
+    unit: int | float = 1.0
 
     def words(self) -> tuple:
         """The surviving words of a pruned expansion of depth >= 1, recovered from the kept positions."""
@@ -79,23 +83,37 @@ class Level:
 def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = None) -> Level:
     """The one-symbol extension over all depth-n words of a three-map system at once.
 
-    Fraction or int coefficients run on object arrays in exact arithmetic,
-    floats on float64.  keep(t, r) masks the words to extend further; their
-    positions are kept to recover the words.  Unpruned, no positions are kept.
+    Rational coefficients with common denominator d run exactly on integers,
+    t' = d*t + r*tau_s and r' = r*rho_s with tau and rho scaled by d; floats
+    run on float64 with d = 1.0, which is exact.  keep(t, r, unit) masks the
+    words to extend further, unit = d^l at depth l; their positions are kept
+    to recover the words.  Unpruned, no positions are kept.
     """
-    exact = all(isinstance(v, (Fraction, int)) for v in (*tau, *rho))
-    dtype = object if exact else np.float64
+    if all(isinstance(v, (Fraction, int)) for v in (*tau, *rho)):
+        d = math.lcm(*(Fraction(v).denominator for v in (*tau, *rho)))
+        tau, rho = [int(v * d) for v in tau], [int(v * d) for v in rho]
+        # With T = max|tau|, c = max(d, max|rho|): |r| <= c^l at depth l, and
+        # |t_l| <= d|t_(l-1)| + c^(l-1) T gives |t_l| <= l T c^(l-1).  So every
+        # intermediate to depth n (d*t, r*tau, r*rho, the prune's t + r and a
+        # level y*d^l in [0, 1], the separation's 2t + r) is within
+        # (2nT + c) c^(n-1); below 2^63 int64 is exact, else Python ints.
+        c = max(d, *map(abs, rho))
+        bound = (2 * n * max(map(abs, tau)) + c) * c ** max(n - 1, 0)
+        dtype, unit = (np.int64 if bound < 2**63 else object), 1
+    else:
+        d, dtype, unit = 1.0, np.float64, 1.0
     tau, rho = np.array(tau, dtype=dtype), np.array(rho, dtype=dtype)
     t, r = np.zeros(1, dtype=dtype), np.ones(1, dtype=dtype)
     kept = None if keep is None else []
     for _ in range(n):
-        t = (t[:, None] + r[:, None] * tau).ravel()
+        t = (d * t[:, None] + r[:, None] * tau).ravel()
         r = (r[:, None] * rho).ravel()
+        unit *= d
         if keep is not None:
-            pos = np.flatnonzero(keep(t, r))
+            pos = np.flatnonzero(keep(t, r, unit))
             t, r = t[pos], r[pos]
             kept.append(pos)
-    return Level(t, r, None if kept is None else tuple(kept))
+    return Level(t, r, None if kept is None else tuple(kept), unit)
 
 
 def compose_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from okamoto.errors import DepthCapError, ParameterError
 from okamoto.separation import delta_n_detail, verify_sesc
+from okamoto.systems import expand_level, projection_parts
 from separation_oracle import conjugate_parts, delta_exhaustive
 from word_oracle import project
 
@@ -128,3 +129,15 @@ def test_pruned_matches_exhaustive_random_b(q, p):
     b = Fraction(p % (q - 1) + 1, q)
     for n in (2, 3):
         assert delta_n_detail(b, n)[0] == delta_exhaustive(b, n)[0]
+
+
+def test_delta_on_object_integers_matches_exhaustive():
+    # b = 999/1000 gives a = 1999/2000: depth 6 passes the int64 bound and runs on Python ints
+    b = Fraction(999, 1000)
+    assert expand_level(*projection_parts((1 + b) / 2), 6).t.dtype == object
+    (gap, pair), (oracle_gap, oracle_pair) = delta_n_detail(b, 6), delta_exhaustive(b, 6)
+    assert gap == oracle_gap and set(pair) == set(oracle_pair)  # the oracle orders the pair lexicographically
+    for n in (4, 5):  # int64 depths whose minimal gap several pairs attain
+        gap, (wi, wj) = delta_n_detail(b, n)
+        assert gap == delta_exhaustive(b, n)[0]
+        assert abs(project(*conjugate_parts(b), wi) - project(*conjugate_parts(b), wj)) == gap

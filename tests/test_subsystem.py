@@ -12,6 +12,7 @@ from okamoto.dimensions import okamoto_s0
 from okamoto.errors import ParameterError
 from okamoto.estimators import ks_statistic
 from okamoto.subsystem import (
+    GAMMA_TUPLE_BUDGET,
     SPLIT_CAP,
     build_subsystem,
     convolution_check,
@@ -22,6 +23,7 @@ from okamoto.subsystem import (
     subsystem_ratio,
 )
 from okamoto.systems import compose_word, projection_parts
+from okamoto.words import two_count
 
 
 def test_build_subsystem_m1():
@@ -104,6 +106,23 @@ def test_gamma_fixed_point_maps_to_fixed_point():
     for t_conj, (_, t_g) in zip(conjugated, reference):
         g_fix = t_g / (1 - lam_k)
         assert lam_k * (g_fix + offset) + t_conj == g_fix + offset
+
+
+def test_gamma_reads_only_the_checked_alphabet_prefix():
+    # m = 10 has 11 520 alphabet words, more than the GAMMA_TUPLE_BUDGET tuples
+    # checked at k = 2, which index the first 4096 words of the full build
+    a, m, k = Fraction(3, 4), 10, 2
+    sub = build_subsystem(a, m)
+    assert len(sub.alphabet) > GAMMA_TUPLE_BUDGET
+    offset, conjugated, report = gamma_conjugate(a, m, k)
+    lam = sub.ratio
+    tilde = (1,) * (m - two_count(a, m)) + (2,) * two_count(a, m)
+    expected_offset = compose_word(*projection_parts(a), tilde)[0] * lam ** (k - 1) / (1 - lam**k)
+    assert offset == report.offset == expected_offset
+    assert (report.m, report.k, report.exponent, report.exact) == (m, k, k - 1, True)
+    assert report.candidates == {k - 1: True, k: False}
+    assert report.checked == len(conjugated) == GAMMA_TUPLE_BUDGET
+    assert list(conjugated) == [t + offset * (1 - lam**k) for t in sub.translations[:GAMMA_TUPLE_BUDGET]]
 
 
 def test_gamma_requires_k_at_least_two():

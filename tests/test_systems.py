@@ -1,15 +1,17 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import evaluate_T, ternary_digits
 from okamoto.errors import ParameterError
+from okamoto.estimators import level_set_cover
 from okamoto.systems import compose_word, expand_level, fold_word, projection_parts
 from separation_oracle import conjugate_parts
-from word_oracle import project
+from word_oracle import exhaustive_level_filter, project
 
 words_st = st.lists(st.sampled_from([1, 2, 3]), min_size=0, max_size=8).map(tuple)
 
@@ -114,23 +116,69 @@ def test_compose_word_matches_projection(parts, word, x):
 @pytest.mark.parametrize("a", [Fraction(3, 4), 0.55, 0.9])
 def test_expand_level_matches_fold_word(a):
     # the level kernel and the word fold are the two copies of one recursion:
-    # equal bit for bit on floats and exactly on Fractions, pruned or not
+    # t / unit and r / unit equal the fold bit for bit on floats and exactly
+    # on Fractions, pruned or not
     tau, rho = projection_parts(a)
+    exact = isinstance(a, Fraction)
+
+    def values(level, x):
+        return [Fraction(v, level.unit) for v in x.tolist()] if exact else x.tolist()
+
     for n in range(6):
         level = expand_level(tau, rho, n)
         assert level.kept is None
-        assert level.t.dtype == (object if isinstance(a, Fraction) else float)
+        assert level.unit == (4**n if exact else 1.0)
+        assert level.t.dtype == (np.int64 if exact else float)
         folds = [fold_word(tau, rho, w) for w in product((1, 2, 3), repeat=n)]
-        assert (level.t.tolist(), level.r.tolist()) == ([t for t, _ in folds], [r for _, r in folds])
+        assert (values(level, level.t), values(level, level.r)) == ([t for t, _ in folds], [r for _, r in folds])
     for n in range(1, 6):
         # a word survives when every prefix keeps its anchor below 1/2
-        pruned = expand_level(tau, rho, n, lambda t, r: t < 0.5)
+        pruned = expand_level(tau, rho, n, lambda t, r, unit: t < 0.5 * unit)
         words = [
             w for w in product((1, 2, 3), repeat=n) if all(fold_word(tau, rho, w[:k])[0] < 0.5 for k in range(1, n + 1))
         ]
         assert 1 < len(words) < 3**n
         assert list(pruned.words()) == words
-        assert pruned.t.tolist() == [fold_word(tau, rho, w)[0] for w in words]
+        assert values(pruned, pruned.t) == [fold_word(tau, rho, w)[0] for w in words]
+        assert values(pruned, pruned.r) == [fold_word(tau, rho, w)[1] for w in words]
+
+
+def _folds_equal(tau, rho, level, n):
+    folds = [fold_word(tau, rho, w) for w in product((1, 2, 3), repeat=n)]
+    t = [Fraction(v, level.unit) for v in level.t.tolist()]
+    r = [Fraction(v, level.unit) for v in level.r.tolist()]
+    return (t, r) == ([t for t, _ in folds], [r for _, r in folds])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(3, 10**6).flatmap(lambda q: st.tuples(st.integers(q // 2 + 1, q - 1), st.just(q))),
+    st.fractions(0, 1, max_denominator=10**6),
+    st.integers(1, 6),
+)
+def test_rational_level_is_the_word_fold(pq, y, n):
+    # a = p/q in (1/2, 1) with denominators up to 10^6 reach both integer kinds of the kernel
+    a = Fraction(*pq)
+    tau, rho = projection_parts(a)
+    level = expand_level(tau, rho, n)
+    assert level.unit == a.denominator**n
+    assert _folds_equal(tau, rho, level, n)
+    assert level_set_cover(a, y, n).words == exhaustive_level_filter(a, y, n)
+
+
+@pytest.mark.parametrize("q, dtype", [(944, np.int64), (945, object)])
+def test_int64_bound_sides(q, dtype):
+    # a = (q-1)/q at depth 6 has T = q-1 and c = q, so the kernel's bound
+    # (2nT + c) c^(n-1) = (13q - 12) q^5 crosses 2^63 between q = 944 and 945
+    n = 6
+    assert ((13 * q - 12) * q**5 < 2**63) == (dtype is np.int64)
+    a = Fraction(q - 1, q)
+    tau, rho = projection_parts(a)
+    level = expand_level(tau, rho, n)
+    assert level.t.dtype == level.r.dtype == dtype
+    assert _folds_equal(tau, rho, level, n)
+    for y in (Fraction(0), Fraction(1, 3), Fraction(q - 1, q), Fraction(1)):
+        assert level_set_cover(a, y, n).words == exhaustive_level_filter(a, y, n)
 
 
 # --- conjugacy ----------------------------------------------------------------
