@@ -137,7 +137,3 @@ def test_delta_on_object_integers_matches_exhaustive():
     assert expand_level(*projection_parts((1 + b) / 2), 6).t.dtype == object
     (gap, pair), (oracle_gap, oracle_pair) = delta_n_detail(b, 6), delta_exhaustive(b, 6)
     assert gap == oracle_gap and set(pair) == set(oracle_pair)  # the oracle orders the pair lexicographically
-    for n in (4, 5):  # int64 depths whose minimal gap several pairs attain
-        gap, (wi, wj) = delta_n_detail(b, n)
-        assert gap == delta_exhaustive(b, n)[0]
-        assert abs(project(*conjugate_parts(b), wi) - project(*conjugate_parts(b), wj)) == gap
