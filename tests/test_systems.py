@@ -145,9 +145,9 @@ def test_expand_level_matches_fold_word(a):
 
 def _folds_equal(tau, rho, level, n):
     folds = [fold_word(tau, rho, w) for w in product((1, 2, 3), repeat=n)]
-    t = [Fraction(v, level.unit) for v in level.t.tolist()]
-    r = [Fraction(v, level.unit) for v in level.r.tolist()]
-    return (t, r) == ([t for t, _ in folds], [r for _, r in folds])
+    kernel_t = [Fraction(v, level.unit) for v in level.t.tolist()]
+    kernel_r = [Fraction(v, level.unit) for v in level.r.tolist()]
+    return (kernel_t, kernel_r) == ([t for t, _ in folds], [r for _, r in folds])
 
 
 @settings(max_examples=30, deadline=None)
