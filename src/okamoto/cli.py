@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -262,7 +261,9 @@ def _cmd_measure(cfg):
             "mean": float(pts.mean()),
             "std": float(pts.std()),
         }
-    return "csv", ["value"], ([v] for v in sample.points.tolist())
+    step = estimators.SAMPLE_CHUNK  # rows leave as Python floats one chunk at a time
+    chunks = (sample.points[lo : lo + step].tolist() for lo in range(0, sample.count, step))
+    return "csv", ["value"], ([v] for chunk in chunks for v in chunk)
 
 
 def _cmd_fourier(cfg):
@@ -363,16 +364,28 @@ def _encode(obj):
 
 def _render(result, indent=2) -> str:
     """The one JSON encoder: ("json", payload) gains schema_version and must be strict JSON."""
+    payload = {"schema_version": SCHEMA_VERSION, **result[1]}
+    return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False, default=_encode) + "\n"
+
+
+def _writer(result):
+    """A function writing the artifact to a stream.
+
+    JSON is encoded here, so an encoding error is reported like any other;
+    CSV rows go to the stream one by one, never held as one text.
+    """
     if result[0] == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **result[1]}
-        return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False, default=_encode) + "\n"
+        text = _render(result)
+        return lambda stream: stream.write(text)
     _, header, rows = result
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+
+    def write_csv(stream):
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+    return write_csv
 
 
 def _emit_error(kind: str, message: str) -> str:
@@ -384,8 +397,7 @@ def run(argv, stdout=None) -> int:
     parser = build_parser()
     try:
         cfg = parser.parse_args(argv)
-        result = _HANDLERS[cfg.command](cfg)
-        text = _render(result)
+        write = _writer(_HANDLERS[cfg.command](cfg))
     except UsageError as exc:
         out_stream.write(_emit_error("usage", str(exc)))
         return 2
@@ -397,10 +409,10 @@ def run(argv, stdout=None) -> int:
         return 1
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            fh.write(text)
+            write(fh)
         out_stream.write(_render(("json", {"written": cfg.out}), indent=None))
     else:
-        out_stream.write(text)
+        write(out_stream)
     return 0
 
 

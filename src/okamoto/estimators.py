@@ -186,12 +186,16 @@ class LevelSetCover:
 def _contains(y):
     """Prune predicate: the closed y-interval between t and t + r of a word contains y, in kernel units.
 
-    y * unit is a Fraction, compared exactly, for rational input and y itself for floats.
+    For integer t and the Fraction Y = y * unit, t <= Y is t <= floor(Y) and
+    Y <= t is ceil(Y) <= t, both exact on whole arrays; floor(Y) <= unit keeps
+    them inside the kernel's bound.  Floats compare with y itself (unit 1.0).
     """
 
     def keep(t, r, unit):
-        end, down, yu = t + r, r < 0, y * unit
-        return (np.where(down, end, t) <= yu) & (yu <= np.where(down, t, end))
+        yu = y * unit
+        below, above = (math.floor(yu), math.ceil(yu)) if isinstance(unit, int) else (yu, yu)
+        end, down = t + r, r < 0
+        return (np.where(down, end, t) <= below) & (above <= np.where(down, t, end))
 
     return keep
 

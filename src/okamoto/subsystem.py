@@ -16,8 +16,11 @@ forced by the block algebra; the Kolmogorov-Smirnov check below exercises it.
 The gamma conjugation carries rho's system into a subsystem of the k-fold
 iterate.  Composing k-1 blocks and then the all-1s-then-2s block yields the
 correction term S_i(0) * lambda^(k-1); because a plausible alternate reading
-puts lambda^k there, the builder tests both exponents in exact rational
-arithmetic and records the one that satisfies the identity.
+puts lambda^k there, the builder tests both exponents exactly and records the
+one that satisfies the identity.  Alphabets and the gamma check compose whole
+symbol matrices at once (systems.compose_rows), in the level kernel's number
+kind: integers over a common denominator, int64 under its proven bound and
+Python ints beyond it, or float64 for float a.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import numpy as np
 from .errors import BudgetError, ParameterError
 from .estimators import LEVEL_COUNT_CAP, SAMPLE_COUNT_CAP, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
-from .systems import compose_word, fold_word, projection_parts
-from .words import Number, check_a, subsystem_alphabet, two_count
+from .systems import compose_rows, compose_word, fold_rows, projection_parts
+from .words import Number, check_a, iter_subsystem_alphabet, subsystem_alphabet, two_count
 
 SAMPLING_TAIL = 1e-9  # the sampling depth keeps the dropped tail sum_{l >= depth} |lambda|^l below this
 GAMMA_TUPLE_BUDGET = 4096  # block tuples checked by the gamma conjugation
@@ -65,16 +68,26 @@ def build_subsystem(a: Number, m: int) -> HomogeneousSystem:
 
 
 def _compose_alphabet(a: Number, m: int, alphabet: tuple) -> HomogeneousSystem:
-    parts = projection_parts(a)
+    """Every word of the alphabet composed at once; float translations are fold_word's bit for bit."""
+    t, r, unit = compose_rows(*projection_parts(a), np.array(alphabet, dtype=np.uint8))
     lam = subsystem_ratio(a, m)
-    exact = isinstance(a, (Fraction, int))
-    translations = []
-    for w in alphabet:
-        t, r = compose_word(*parts, w)
-        if exact and r != lam:
-            raise AssertionError(f"ratio mismatch for word {w}: {r} != {lam}")
-        translations.append(t)
-    return HomogeneousSystem(a=a, m=m, alphabet=alphabet, ratio=lam, translations=tuple(translations))
+    if isinstance(a, (Fraction, int)):
+        bad = _first_mismatch(r, unit, lam)
+        if bad is not None:
+            raise AssertionError(f"ratio mismatch for word {alphabet[bad]}: {Fraction(int(r[bad]), unit)} != {lam}")
+        translations = tuple(Fraction(v, unit) for v in t.tolist())
+    else:
+        translations = tuple(t.tolist())
+    return HomogeneousSystem(a=a, m=m, alphabet=alphabet, ratio=lam, translations=translations)
+
+
+def _first_mismatch(values: np.ndarray, unit: int, target: Fraction) -> int | None:
+    """Position of the first values[i] / unit that differs from target, compared on integers, or None."""
+    scaled = target * unit
+    if scaled.denominator != 1:
+        return 0 if len(values) else None
+    bad = np.flatnonzero(values != scaled.numerator)
+    return int(bad[0]) if len(bad) else None
 
 
 def _check_split(k: int, what: str) -> None:
@@ -187,6 +200,13 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     are tried and the verified exponent is recorded.  Every conjugated map
     has ratio lambda^k, so each is given by its translation.  The tuples
     index only the first GAMMA_TUPLE_BUDGET words, so only those are composed.
+
+    Each side runs on whole arrays in the level kernel's integer kind: the
+    alphabet prefix, the block tuples folded over the prefix translations,
+    and the flat words (the tuple's blocks, then the block i) composed symbol
+    by symbol from S_a, never from the composed blocks.  The identity
+    c(1 - lambda^k) = S_i(0) lambda^e is compared by integer
+    cross-multiplication over one common unit.
     """
     _check_split(k, "gamma conjugation")
     a = Fraction(a)
@@ -194,27 +214,26 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     j = two_count(a, m)
     tilde = (1,) * (m - j) + (2,) * j
     parts = projection_parts(a)
-    sub = _compose_alphabet(a, m, subsystem_alphabet(a, m)[:GAMMA_TUPLE_BUDGET])
+    sub = _compose_alphabet(a, m, tuple(islice(iter_subsystem_alphabet(a, m), GAMMA_TUPLE_BUDGET)))
     lam = sub.ratio
     lam_k = lam**k
     tau_tilde = compose_word(*parts, tilde)[0]
-    taus = sub.translations
-    rho = (lam,) * len(taus)
+    size = len(sub.alphabet)
 
-    combos = list(islice(product(range(1, len(taus) + 1), repeat=k - 1), GAMMA_TUPLE_BUDGET))
-    g_translations = [fold_word(taus, rho, combo)[0] for combo in combos]
+    combos = np.array(list(islice(product(range(size), repeat=k - 1), GAMMA_TUPLE_BUDGET)))
+    g_t, _, g_unit = fold_rows(sub.translations, (lam,) * size, combos + 1)
+    blocks = np.array(sub.alphabet, dtype=np.uint8)[combos].reshape(len(combos), -1)
+    flat = np.hstack([blocks, np.tile(np.array(tilde, dtype=np.uint8), (len(combos), 1))])
+    flat_t, flat_r, flat_unit = compose_rows(*parts, flat)
+    # flat_t / flat_unit - g_t / g_unit, over the common unit flat_unit * g_unit
+    diff = flat_t.astype(object) * g_unit - g_t.astype(object) * flat_unit
+    ratios_hold = _first_mismatch(flat_r, flat_unit, lam_k) is None
 
     candidates = {}
     for exponent in (k - 1, k):
-        offset = tau_tilde * lam**exponent / (1 - lam_k)
-        ok = True
-        for combo, t_g in zip(combos, g_translations):
-            flat = tuple(s for idx in combo for s in sub.alphabet[idx - 1]) + tilde
-            t, r = compose_word(*parts, flat)
-            if r != lam_k or t != t_g + offset * (1 - lam_k):
-                ok = False
-                break
-        candidates[exponent] = ok
+        # offset * (1 - lambda^k) with offset = S_i(0) lambda^e / (1 - lambda^k)
+        shift = tau_tilde * lam**exponent
+        candidates[exponent] = ratios_hold and _first_mismatch(diff, flat_unit * g_unit, shift) is None
     if not any(candidates.values()):
         report = GammaReport(
             a=a, m=m, k=k, offset=Fraction(0), exponent=0, exact=False,
@@ -223,7 +242,9 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
         return Fraction(0), (), report
     exponent = k - 1 if candidates[k - 1] else k
     offset = tau_tilde * lam**exponent / (1 - lam_k)
-    conjugated = tuple(t + offset * (1 - lam_k) for t in g_translations)
+    shift = offset * (1 - lam_k)
+    scaled = g_t.astype(object) * shift.denominator + shift.numerator * g_unit
+    conjugated = tuple(Fraction(v, g_unit * shift.denominator) for v in scaled.tolist())
     report = GammaReport(
         a=a, m=m, k=k, offset=offset, exponent=exponent, exact=True,
         checked=len(combos), candidates=candidates,

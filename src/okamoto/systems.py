@@ -12,12 +12,16 @@ Fraction parameter gives Fraction output.
 
 Every composed map comes from one recursion, the one-symbol extension
 t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.  It is
-written twice: `fold_word` runs it over one word (compositions), and
-`expand_level` runs it over every word of a depth at once on numpy arrays,
-with optional pruning (grid box counts, level-set covers, separation gaps, the
-graph sample).  Its one exact number kind is integers over the common
-denominator, int64 where proven exact; floats run on float64.  The depth-n
-anchors t are the values T(k/3^n), so the graph sample is one level array.
+written twice: `fold_word` runs it along one word, or along every row of a
+symbol matrix at once (`fold_rows`: subsystem alphabets and the gamma
+conjugation check), and `expand_level` runs it over every word of a depth at
+once, with optional pruning (grid box counts, level-set covers, separation
+gaps, the graph sample).  Both array forms share one exact number kind,
+integers over the common denominator d of the coefficients,
+t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a proven bound
+allows and Python ints beyond it; floats run on float64 with d = 1.0.  The
+depth-n anchors t are the values T(k/3^n), so the graph sample is one level
+array.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .words import Number, check_a, check_word
+from .words import ALPHABET, Number, check_a, check_word
 
 
 def projection_parts(a: Number) -> tuple:
@@ -38,18 +42,56 @@ def projection_parts(a: Number) -> tuple:
     return (0 * a, a, 1 - a), (a, 1 - 2 * a, a)
 
 
-def fold_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
+def fold_word(tau: Sequence, rho: Sequence, word: Sequence, d: int | float = 1) -> tuple:
     """(t, r) of the composition of the maps x -> rho[s-1]*x + tau[s-1] along a word.
 
-    Runs the one-symbol extension left to right from the identity, in the
-    number kind of rho.  Symbols are not checked here.
+    Runs the one-symbol extension t' = d*t + r*tau_s, r' = r*rho_s left to
+    right from the identity, in the number kind of rho; d = 1 gives the map
+    itself.  Each symbol may also be a column of symbols indexing numpy
+    coefficient arrays, which folds every row of a symbol matrix at once (see
+    fold_rows).  Symbols are not checked here.
     """
     t = 0 * rho[0]
     r = 1 + t
     for s in word:
-        t = t + r * tau[s - 1]
+        t = d * t + r * tau[s - 1]
         r = r * rho[s - 1]
     return t, r
+
+
+def _number_kind(tau: Sequence, rho: Sequence, n: int) -> tuple:
+    """(d, tau, rho) of the array extension to depth n: coefficient arrays scaled by d.
+
+    Rational coefficients with common denominator d run exactly on integers;
+    floats run on float64 with d = 1.0, which is exact.
+    """
+    if all(isinstance(v, (Fraction, int)) for v in (*tau, *rho)):
+        d = math.lcm(*(Fraction(v).denominator for v in (*tau, *rho)))
+        tau, rho = [int(v * d) for v in tau], [int(v * d) for v in rho]
+        # With T = max|tau|, c = max(d, max|rho|): |r| <= c^l at depth l, and
+        # |t_l| <= d|t_(l-1)| + c^(l-1) T gives |t_l| <= l T c^(l-1).  So every
+        # intermediate to depth n (d*t, r*tau, r*rho, the prune's t + r and a
+        # level y*d^l in [0, 1], the separation's 2t + r) is within
+        # (2nT + c) c^(n-1); below 2^63 int64 is exact, else Python ints.
+        c = max(d, *map(abs, rho))
+        bound = (2 * n * max(map(abs, tau)) + c) * c ** max(n - 1, 0)
+        dtype = np.int64 if bound < 2**63 else object
+    else:
+        d, dtype = 1.0, np.float64
+    return d, np.array(tau, dtype=dtype), np.array(rho, dtype=dtype)
+
+
+def fold_rows(tau: Sequence, rho: Sequence, words) -> tuple:
+    """(t, r, unit): fold_word along every row of an (N, n) symbol matrix, n >= 1, at once.
+
+    Row i's map is x -> (r[i]*x + t[i]) / unit with unit = d^n, in the number
+    kind of expand_level: every float bit for bit as fold_word gives it, every
+    rational exactly.  Symbols are not checked here.
+    """
+    words = np.asarray(words)
+    d, tau, rho = _number_kind(tau, rho, words.shape[1])
+    t, r = fold_word(tau, rho, words.T, d)
+    return t, r, d ** words.shape[1]
 
 
 @dataclass(frozen=True)
@@ -89,31 +131,17 @@ def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = N
     words to extend further, unit = d^l at depth l; their positions are kept
     to recover the words.  Unpruned, no positions are kept.
     """
-    if all(isinstance(v, (Fraction, int)) for v in (*tau, *rho)):
-        d = math.lcm(*(Fraction(v).denominator for v in (*tau, *rho)))
-        tau, rho = [int(v * d) for v in tau], [int(v * d) for v in rho]
-        # With T = max|tau|, c = max(d, max|rho|): |r| <= c^l at depth l, and
-        # |t_l| <= d|t_(l-1)| + c^(l-1) T gives |t_l| <= l T c^(l-1).  So every
-        # intermediate to depth n (d*t, r*tau, r*rho, the prune's t + r and a
-        # level y*d^l in [0, 1], the separation's 2t + r) is within
-        # (2nT + c) c^(n-1); below 2^63 int64 is exact, else Python ints.
-        c = max(d, *map(abs, rho))
-        bound = (2 * n * max(map(abs, tau)) + c) * c ** max(n - 1, 0)
-        dtype, unit = (np.int64 if bound < 2**63 else object), 1
-    else:
-        d, dtype, unit = 1.0, np.float64, 1.0
-    tau, rho = np.array(tau, dtype=dtype), np.array(rho, dtype=dtype)
-    t, r = np.zeros(1, dtype=dtype), np.ones(1, dtype=dtype)
+    d, tau, rho = _number_kind(tau, rho, n)
+    t, r = np.zeros(1, dtype=tau.dtype), np.ones(1, dtype=tau.dtype)
     kept = None if keep is None else []
-    for _ in range(n):
+    for depth in range(1, n + 1):
         t = (d * t[:, None] + r[:, None] * tau).ravel()
         r = (r[:, None] * rho).ravel()
-        unit *= d
         if keep is not None:
-            pos = np.flatnonzero(keep(t, r, unit))
+            pos = np.flatnonzero(keep(t, r, d**depth))
             t, r = t[pos], r[pos]
             kept.append(pos)
-    return Level(t, r, None if kept is None else tuple(kept), unit)
+    return Level(t, r, None if kept is None else tuple(kept), d**n)
 
 
 def compose_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
@@ -122,3 +150,16 @@ def compose_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
     if not w:
         raise ValueError("compose_word needs a nonempty word (the identity is not a contraction)")
     return fold_word(tau, rho, w)
+
+
+def compose_rows(tau: Sequence, rho: Sequence, words) -> tuple:
+    """(t, r, unit): compose_word along every row of an (N, n) symbol matrix at once (see fold_rows).
+
+    Symbols and the word length are checked as compose_word checks them; the
+    first bad symbol in row order is the one reported.
+    """
+    words = np.asarray(words)
+    if words.shape[1] == 0:
+        raise ValueError("compose_word needs a nonempty word (the identity is not a contraction)")
+    check_word(words[~np.isin(words, ALPHABET)][:1].tolist())
+    return fold_rows(tau, rho, words)

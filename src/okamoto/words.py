@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence, Union
+from itertools import product
+from typing import Iterator, Sequence, Union
 
 from .errors import BudgetError, DepthCapError, ParameterError
 
@@ -88,24 +88,28 @@ def two_count(a: Number, m: int) -> int:
     return math.floor(m * (2 * a - 1) / (4 * a - 1))
 
 
-def subsystem_alphabet(a: Number, m: int) -> tuple:
-    """All length-m words with exactly floor(m*p) symbols equal to 2, sorted.
+def iter_subsystem_alphabet(a: Number, m: int) -> Iterator[Word]:
+    """All length-m words with exactly floor(m*p) symbols equal to 2, in lexicographic order.
 
-    The non-2 positions carry either 1 or 3, so the words are generated from
-    position subsets rather than by filtering all of Sigma_m.
+    A word is a head of m//2 symbols followed by a tail holding the twos the
+    head leaves.  Heads in lexicographic order, each followed by its tails in
+    lexicographic order, give the words in lexicographic order, so a prefix
+    of the alphabet costs only that prefix beyond the 3^(m//2) heads and
+    3^(m - m//2) tails.
     """
     check_a(a)
     if not (1 <= m <= DEPTH_CAP):
         raise DepthCapError(f"m must lie in [1, {DEPTH_CAP}], got {m}")
     j = two_count(a, m)
-    words: list[Word] = []
-    for two_positions in combinations(range(m), j):
-        twos = set(two_positions)
-        free = [i for i in range(m) if i not in twos]
-        for mask in range(2 ** len(free)):
-            w = [2] * m
-            for bit, pos in enumerate(free):
-                w[pos] = 1 if (mask >> bit) & 1 == 0 else 3
-            words.append(tuple(w))
-    words.sort()
-    return tuple(words)
+    h = m // 2
+    tails: dict = {}
+    for tail in product(ALPHABET, repeat=m - h):
+        tails.setdefault(tail.count(2), []).append(tail)
+    for head in product(ALPHABET, repeat=h):
+        for tail in tails.get(j - head.count(2), ()):
+            yield head + tail
+
+
+def subsystem_alphabet(a: Number, m: int) -> tuple:
+    """All length-m words with exactly floor(m*p) symbols equal to 2, sorted."""
+    return tuple(iter_subsystem_alphabet(a, m))

@@ -123,7 +123,11 @@ def test_level_set_half_frozen_counts():
     assert level_set_cover(0.75, 0.5, 2).count == 9
 
 
-@pytest.mark.parametrize("y", [Fraction(1, 3), Fraction(1, 2), Fraction(7, 10)])
+# 0, 1, 1/4 and 3/4 are interval ends at a = 3/4 (S_1(1) = S_3(0) = 3/4, S_2(1) = 1/4),
+# where floor and ceil of the level in kernel units coincide
+@pytest.mark.parametrize(
+    "y", [Fraction(1, 3), Fraction(1, 2), Fraction(7, 10), Fraction(0), Fraction(1), Fraction(1, 4), Fraction(3, 4)]
+)
 def test_level_set_cover_matches_exhaustive_filter(y):
     a = Fraction(3, 4)
     for n in range(1, 7):

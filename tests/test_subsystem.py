@@ -22,7 +22,7 @@ from okamoto.subsystem import (
     slice_lower_bound_report,
     subsystem_ratio,
 )
-from okamoto.systems import compose_word, projection_parts
+from okamoto.systems import compose_rows, compose_word, projection_parts
 from okamoto.words import two_count
 
 
@@ -95,6 +95,23 @@ def test_split_translation_rule():
             taus = [compose_word(*parts, w)[0] for w in combo]
             assert t_g == sum(lam**l * tau for l, tau in enumerate(taus))
             assert t_conj == t_g + offset * (1 - lam**k)
+
+
+def test_gamma_on_python_ints_matches_off_position_translations():
+    # at a = 999/1000 the flat words of m = 4, k = 2 (8 symbols over 1000^8)
+    # are past the int64 bound, so the identity is checked on Python ints
+    a, m, k = Fraction(999, 1000), 4, 2
+    parts = projection_parts(a)
+    assert compose_rows(*parts, np.ones((1, k * m), dtype=int))[0].dtype == object
+    offset, conjugated, report = gamma_conjugate(a, m, k)
+    lam = subsystem_ratio(a, m)
+    j = two_count(a, m)
+    tilde = (1,) * (m - j) + (2,) * j
+    assert offset == compose_word(*parts, tilde)[0] * lam ** (k - 1) / (1 - lam**k)
+    assert (report.exact, report.exponent, report.candidates) == (True, k - 1, {k - 1: True, k: False})
+    reference = _off_position_translations(a, m, k)
+    assert report.checked == len(conjugated) == len(reference) == 32
+    assert list(conjugated) == [t_g + offset * (1 - lam**k) for _, t_g in reference]
 
 
 def test_gamma_fixed_point_maps_to_fixed_point():

@@ -1,15 +1,16 @@
+import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import evaluate_T, ternary_digits
 from okamoto.errors import ParameterError
 from okamoto.estimators import level_set_cover
-from okamoto.systems import compose_word, expand_level, fold_word, projection_parts
+from okamoto.systems import compose_rows, compose_word, expand_level, fold_rows, fold_word, projection_parts
 from separation_oracle import conjugate_parts
 from word_oracle import exhaustive_level_filter, project
 
@@ -179,6 +180,63 @@ def test_int64_bound_sides(q, dtype):
     assert _folds_equal(tau, rho, level, n)
     for y in (Fraction(0), Fraction(1, 3), Fraction(q - 1, q), Fraction(1)):
         assert level_set_cover(a, y, n).words == exhaustive_level_filter(a, y, n)
+
+
+def _bound(a, n):
+    """The kernel's int64 bound (2nT + c) c^(n-1) for S_a at a = p/q: T = p and c = q."""
+    return (2 * n * a.numerator + a.denominator) * a.denominator ** (n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([0.75, 0.55, 0.9, Fraction(3, 4), Fraction(2, 3), Fraction(943, 944), Fraction(944, 945),
+                     Fraction(999999, 10**6)]),
+    st.integers(1, 9).flatmap(lambda n: st.lists(st.tuples(*[st.sampled_from((1, 2, 3))] * n), min_size=1, max_size=30)),
+)
+@example(Fraction(943, 944), [(1, 2, 3, 3, 2, 1), (3,) * 6, (2,) * 6])
+@example(Fraction(944, 945), [(1, 2, 3, 3, 2, 1), (3,) * 6, (2,) * 6])
+def test_compose_rows_is_the_word_fold_row_by_row(a, rows):
+    # the batched fold runs the level kernel's number kind: floats bit for bit
+    # as fold_word, rationals exactly as t / unit, on int64 below the bound
+    # (q = 944 at n = 6) and on Python ints above it (q = 945 at n = 6)
+    tau, rho = projection_parts(a)
+    n = len(rows[0])
+    t, r, unit = compose_rows(tau, rho, np.array(rows))
+    folds = [fold_word(tau, rho, w) for w in rows]
+    if isinstance(a, float):
+        assert t.dtype == r.dtype == np.float64 and unit == 1.0
+        assert [v.hex() for v in t.tolist()] == [ft.hex() for ft, _ in folds]
+        assert [v.hex() for v in r.tolist()] == [fr.hex() for _, fr in folds]
+    else:
+        assert t.dtype == r.dtype == (np.int64 if _bound(a, n) < 2**63 else object)
+        assert unit == a.denominator**n
+        assert [(Fraction(int(vt), unit), Fraction(int(vr), unit)) for vt, vr in zip(t, r)] == folds
+
+
+@pytest.mark.parametrize("a", [0.75, Fraction(3, 4), Fraction(944, 945)])
+def test_compose_rows_rejects_what_compose_word_rejects(a):
+    tau, rho = projection_parts(a)
+    for bad_row in ((1, 4, 2), (0, 1, 1), (2, 3, -1)):
+        rows = np.array([(1, 2, 3), bad_row, (5, 5, 5)])
+        with pytest.raises(ValueError) as batched:
+            compose_rows(tau, rho, rows)
+        with pytest.raises(ValueError) as single:
+            compose_word(tau, rho, bad_row)
+        assert str(batched.value) == str(single.value)
+    with pytest.raises(ValueError, match="nonempty word"):
+        compose_rows(tau, rho, np.empty((3, 0), dtype=int))
+
+
+def test_fold_rows_folds_any_number_of_maps():
+    # block folds of a homogeneous system: N maps sharing one ratio, symbols 1..N
+    taus = (Fraction(0), Fraction(1, 7), Fraction(2, 9), Fraction(5, 6), Fraction(1, 2))
+    lams = (Fraction(-3, 8),) * len(taus)
+    rows = list(product(range(1, len(taus) + 1), repeat=3))
+    t, r, unit = fold_rows(taus, lams, np.array(rows))
+    assert unit == math.lcm(7, 9, 6, 2, 8) ** 3
+    assert [(Fraction(int(vt), unit), Fraction(int(vr), unit)) for vt, vr in zip(t, r)] == [
+        fold_word(taus, lams, w) for w in rows
+    ]
 
 
 # --- conjugacy ----------------------------------------------------------------

@@ -125,13 +125,14 @@ def test_subsystem_alphabet_m4():
 @pytest.mark.parametrize("m", range(1, 13))
 def test_alphabet_size_matches_enumeration(m):
     # the alphabet is exactly the length-m words with floor(pm) symbols 2, in
-    # lexicographic order, and has the closed-form size 2^(m-j) * C(m, j)
-    a = Fraction(3, 4)
-    j = math.floor(Fraction(2 * a - 1, 4 * a - 1) * m)
-    alphabet = subsystem_alphabet(a, m)
-    assert len(alphabet) == 2 ** (m - j) * math.comb(m, j)
-    if m <= 9:
-        assert alphabet == tuple(w for w in product((1, 2, 3), repeat=m) if w.count(2) == j)
+    # lexicographic order, and has the closed-form size 2^(m-j) * C(m, j);
+    # p runs from 0 (j = 0 at a = 51/100) to about 1/3 (a = 19/20)
+    for a in (Fraction(3, 4), Fraction(51, 100), Fraction(19, 20)):
+        j = math.floor(Fraction(2 * a - 1, 4 * a - 1) * m)
+        alphabet = subsystem_alphabet(a, m)
+        assert len(alphabet) == 2 ** (m - j) * math.comb(m, j)
+        if m <= 9:
+            assert alphabet == tuple(w for w in product((1, 2, 3), repeat=m) if w.count(2) == j)
 
 
 def test_subsystem_alphabet_shared_ratio_magnitude():
