@@ -75,7 +75,7 @@ def _compose_alphabet(a: Number, m: int, alphabet: tuple) -> HomogeneousSystem:
         bad = _first_mismatch(r, unit, lam)
         if bad is not None:
             raise AssertionError(f"ratio mismatch for word {alphabet[bad]}: {Fraction(int(r[bad]), unit)} != {lam}")
-        translations = tuple(Fraction(v, unit) for v in t.tolist())
+        translations = tuple(Fraction(int(v), unit) for v in t)  # no list of all values at once
     else:
         translations = tuple(t.tolist())
     return HomogeneousSystem(a=a, m=m, alphabet=alphabet, ratio=lam, translations=translations)
