@@ -16,7 +16,7 @@ forced by the block algebra; the Kolmogorov-Smirnov check below exercises it.
 The gamma conjugation carries rho's system into a subsystem of the k-fold
 iterate.  Composing k-1 blocks and then the all-1s-then-2s block yields the
 correction term S_i(0) * lambda^(k-1); because a plausible alternate reading
-puts lambda^k there, the builder tests both exponents exactly and records the
+puts lambda^k there, gamma_conjugate tests both exponents exactly and records the
 one that satisfies the identity.  Alphabets and the gamma check compose whole
 symbol matrices at once (systems.compose_rows), in the level kernel's number
 kind: integers over a common denominator, int64 under its proven bound and
