@@ -26,6 +26,7 @@ from .words import word_to_str
 
 SCHEMA_VERSION = "1"
 _TCOUNT_CAP = 1000  # frequencies of one fourier grid
+_ROW_CHUNK = 1 << 16  # CSV rows turned into Python floats together
 
 
 class UsageError(Exception):
@@ -175,6 +176,12 @@ def _cmd_dims(cfg):
     return "json", payload
 
 
+def _array_rows(*columns):
+    """CSV rows of equal-length arrays, leaving as Python floats one chunk at a time."""
+    for lo in range(0, len(columns[0]), _ROW_CHUNK):
+        yield from zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
+
+
 def _cmd_graph(cfg):
     n = cfg.depth
     if not 0 <= n <= estimators.GRID_DEPTH_CAP:
@@ -183,7 +190,7 @@ def _cmd_graph(cfg):
     # the depth-n anchors are T(k/3^n) for k < 3^n; the endpoint T(1) = 1 closes the graph
     ys = np.append(systems.expand_level(*parts, n).t, 1.0)
     xs = np.arange(3**n + 1) / 3**n
-    return "csv", ["x", "y"], np.column_stack([xs, ys]).tolist()
+    return "csv", ["x", "y"], _array_rows(xs, ys)
 
 
 def _cmd_boxdim(cfg):
@@ -261,9 +268,7 @@ def _cmd_measure(cfg):
             "mean": float(pts.mean()),
             "std": float(pts.std()),
         }
-    step = estimators.SAMPLE_CHUNK  # rows leave as Python floats one chunk at a time
-    chunks = (sample.points[lo : lo + step].tolist() for lo in range(0, sample.count, step))
-    return "csv", ["value"], ([v] for chunk in chunks for v in chunk)
+    return "csv", ["value"], _array_rows(sample.points)
 
 
 def _cmd_fourier(cfg):
@@ -398,6 +403,9 @@ def run(argv, stdout=None) -> int:
     try:
         cfg = parser.parse_args(argv)
         write = _writer(_HANDLERS[cfg.command](cfg))
+        if cfg.out:
+            with open(cfg.out, "w") as fh:
+                write(fh)
     except UsageError as exc:
         out_stream.write(_emit_error("usage", str(exc)))
         return 2
@@ -408,8 +416,6 @@ def run(argv, stdout=None) -> int:
         out_stream.write(_emit_error(type(exc).__name__, str(exc)))
         return 1
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            write(fh)
         out_stream.write(_render(("json", {"written": cfg.out}), indent=None))
     else:
         write(out_stream)

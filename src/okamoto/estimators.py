@@ -5,8 +5,8 @@ over a depth-n column the graph spans the full y-extent of its cylinder, which
 is the product of the vertical ratio magnitudes, so grouping the 3^n words by
 their number of 2-symbols turns N_delta into an (n+1)-term sum.  The grid
 method actually samples graph points (cylinder anchors a few levels deeper)
-and counts occupied mesh cells, so it can only undercount and serves as the
-independent cross-check from below.
+and covers each column's samples greedily with height-delta boxes, so it can
+only undercount and serves as the independent cross-check from below.
 
 Level sets are covered by branch and bound: a word is extended only while its
 closed y-interval still contains the target level.  Both the grid samples and
@@ -53,6 +53,7 @@ SAMPLE_BLOCK = 8  # symbols per alias-table draw of sample_measure: 3^8 = 6561 b
 SAMPLE_CHUNK = 1 << 16  # points sample_measure advances together
 LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report, each covered on its own
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
+GRID_CHUNK_BYTES = 1 << 18  # one float64 per-row array of the grid box count, so a few stay cache-sized
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,12 @@ def _grid_sampling_levels(a: float, n: int) -> int:
     """Extra anchor levels so samples roughly resolve the per-column oscillation.
 
     A column spans about (3a)^n boxes, so matching it needs n*log(3a)/log 3
-    extra levels; the total point budget caps the depth at larger n.
+    extra levels; the total point budget caps the depth at larger n.  It
+    bounds time, not memory: the count visits all 3^(n + extra) samples but
+    holds one per row at a time.
     """
     needed = math.ceil(n * math.log(3.0 * a) / LOG3) + 1
-    budget = max(2, 15 - n)  # keeps 3^(n + extra) around 1.4e7 points
+    budget = max(2, 15 - n)  # keeps 3^(n + extra), the samples visited, around 1.4e7
     return max(2, min(needed, budget))
 
 
@@ -113,25 +116,32 @@ def _box_count_grid(a: float, n: int) -> int:
     right endpoint, all exact graph points.  Covering the sampled points of one
     column with height-delta boxes greedily needs at most ceil(extent/delta)
     boxes, so this count never exceeds the column formula.
+
+    The greedy cover takes a column's samples in ascending order, yet no
+    column is sorted: its samples are fl(t + fl(r*x)) over one shared anchor
+    set, and rounded multiplication and addition are monotone, so they rise
+    with x where r > 0 and fall where r < 0 (r is never 0 for a in (1/2, 1)).
+    The anchors are sorted once and each row walks them forwards or
+    backwards, with the compares and float operations of a per-column sort.
     """
     tau, rho = projection_parts(a)
     level = expand_level(tau, rho, n)
-    t, r = level.t, level.r
-    anchors = np.append(expand_level(tau, rho, _grid_sampling_levels(a, n)).t, 1.0)
+    anchors = np.sort(np.append(expand_level(tau, rho, _grid_sampling_levels(a, n)).t, 1.0))
     delta = 3.0**-n
     total = 0
-    chunk = max(64, (1 << 22) // len(anchors))
-    for lo in range(0, len(t), chunk):
-        ys = t[lo : lo + chunk, None] + r[lo : lo + chunk, None] * anchors[None, :]
-        ys.sort(axis=1)
-        cover_end = np.full(ys.shape[0], -np.inf)
-        counts = np.zeros(ys.shape[0], dtype=np.int64)
-        for col in range(ys.shape[1]):
-            yi = ys[:, col]
-            fresh = yi > cover_end
-            counts[fresh] += 1
-            cover_end[fresh] = yi[fresh] + delta
-        total += int(counts.sum())
+    rows = GRID_CHUNK_BYTES // 8
+    for lo in range(0, len(level.t), rows):
+        t, r = level.t[lo : lo + rows], level.r[lo : lo + rows]
+        up = r > 0
+        for tc, rc, xs in ((t[up], r[up], anchors), (t[~up], r[~up], anchors[::-1])):
+            cover_end = np.full(len(tc), -np.inf)
+            for x in xs:
+                y = rc * x
+                y += tc
+                fresh = y > cover_end
+                total += int(np.count_nonzero(fresh))
+                y += delta
+                np.copyto(cover_end, y, where=fresh)
     return total
 
 

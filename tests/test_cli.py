@@ -212,6 +212,16 @@ def test_out_file_writing(tmp_path):
     assert json.loads(target.read_text())["schema_version"] == "1"
 
 
+def test_unwritable_out_path_is_a_json_error(tmp_path):
+    target = tmp_path / "missing_dir" / "dims.json"
+    code, out = _run(["dims", "--a", "0.75", "--out", str(target)])
+    assert code == 1
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "FileNotFoundError" and str(target) in error["message"]
+    assert not target.exists()
+
+
 def test_empty_level_lists_are_json_errors():
     for argv in (
         ["levelset-scan", "--a", "0.75", "--samples", "0", "--depth", "8", "--seed", "1"],

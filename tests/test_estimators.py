@@ -10,6 +10,7 @@ from okamoto.cli import run
 from okamoto.dimensions import natural_weights, okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
+    GRID_CHUNK_BYTES,
     SAMPLE_BLOCK,
     SAMPLE_CHUNK,
     LevelSetCover,
@@ -31,6 +32,7 @@ from okamoto.estimators import (
 )
 from okamoto.systems import Level, fold_word, projection_parts
 from okamoto.words import index_to_word
+from graph_oracle import box_count_grid_sorted
 from measure_oracle import sample_per_symbol
 from word_oracle import exhaustive_level_filter
 
@@ -78,6 +80,21 @@ def test_box_count_errors():
 def test_grid_never_exceeds_column(a):
     for n in range(1, 8):
         assert box_count_graph(a, n, "grid") <= box_count_graph(a, n, "column")
+
+
+@pytest.mark.parametrize("a", [0.51, 0.55, 0.6, 2 / 3, 0.75, 0.9, 0.99])
+def test_grid_count_equals_sorted_oracle(a):
+    for n in range(1, 11):
+        assert box_count_graph(a, n, "grid") == box_count_grid_sorted(a, n)
+
+
+def test_grid_count_equals_sorted_oracle_over_many_row_chunks():
+    assert 3**12 > 4 * GRID_CHUNK_BYTES // 8
+    assert box_count_graph(0.75, 12, "grid") == box_count_grid_sorted(0.75, 12)
+
+
+def test_grid_counts_of_the_cover_workload():
+    assert [box_count_graph(0.6, n, "grid") for n in (7, 8, 9)] == [21611, 92929, 376675]
 
 
 @pytest.mark.parametrize("method", ["column", "grid"])
