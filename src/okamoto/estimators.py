@@ -53,7 +53,7 @@ SAMPLE_BLOCK = 8  # symbols per alias-table draw of sample_measure: 3^8 = 6561 b
 SAMPLE_CHUNK = 1 << 16  # points sample_measure advances together
 LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report, each covered on its own
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
-GRID_CHUNK_BYTES = 1 << 18  # one float64 per-row array of the grid box count, so a few stay cache-sized
+GRID_CHUNK_BYTES = 1 << 18  # bytes of one per-row float64 array of the grid count: its few arrays stay in cache
 
 
 @dataclass(frozen=True)
