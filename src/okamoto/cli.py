@@ -207,15 +207,17 @@ def _cmd_levelset(cfg):
     a = parse_number(cfg.a)
     y = parse_number(cfg.y)
     cover = estimators.level_set_cover(a, y, cfg.depth)
+    # each row of symbols 1-3 is the ASCII of its word less ord("0"): one S<depth> string per row
+    words = (cover.level.symbols() + ord("0")).view(f"S{cover.depth}").ravel().astype(str).tolist()
     if cfg.format == "csv":
-        return "csv", ["word"], [[word_to_str(w)] for w in cover.words]
+        return "csv", ["word"], [[w] for w in words]
     return "json", {
         "a": float(a),
         "y": float(y),
         "depth": cover.depth,
         "count": cover.count,
         "dim_estimate": cover.dim_estimate,
-        "words": [word_to_str(w) for w in cover.words],
+        "words": words,
     }
 
 

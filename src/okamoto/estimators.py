@@ -199,13 +199,17 @@ def _contains(y):
     For integer t and the Fraction Y = y * unit, t <= Y is t <= floor(Y) and
     Y <= t is ceil(Y) <= t, both exact on whole arrays; floor(Y) <= unit keeps
     them inside the kernel's bound.  Floats compare with y itself (unit 1.0).
+
+    The interval's ends are min and max of t and t + r, no sign select on r:
+    rounded addition is monotone, so fl(t + r) <= t exactly when r <= 0, and
+    min/max pick the same end as the sign of r does, bit for bit on floats.
     """
 
     def keep(t, r, unit):
         yu = y * unit
         below, above = (math.floor(yu), math.ceil(yu)) if isinstance(unit, int) else (yu, yu)
-        end, down = t + r, r < 0
-        return (np.where(down, end, t) <= below) & (above <= np.where(down, t, end))
+        end = t + r
+        return (np.minimum(t, end) <= below) & (above <= np.maximum(t, end))
 
     return keep
 

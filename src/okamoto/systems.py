@@ -16,7 +16,9 @@ written twice: `fold_word` runs it along one word, or along every row of a
 symbol matrix at once (`fold_rows`: subsystem alphabets and the gamma
 conjugation check), and `expand_level` runs it over every word of a depth at
 once, with optional pruning (grid box counts, level-set covers, separation
-gaps, the graph sample).  Both array forms share one exact number kind,
+gaps, the graph sample), one strided pass per symbol into (N, 3) arrays whose
+C order is the lexicographic order, keeping the prune's boolean masks to
+recover the surviving words.  Both array forms share one exact number kind,
 integers over the common denominator d of the coefficients,
 t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a proven bound
 allows and Python ints beyond it; floats run on float64 with d = 1.0.  The
@@ -99,9 +101,10 @@ class Level:
     """Translations t and signed ratios r of the surviving depth-n words, in lexicographic order.
 
     A word's map is x -> (r*x + t) / unit, unit being d^n over integers
-    (see expand_level) and 1.0 for floats.  kept[l] holds the positions kept
-    among the children at depth l+1, three per surviving parent; None for an
-    unpruned expansion, whose i-th word is words.index_to_word(i, n).
+    (see expand_level) and 1.0 for floats.  kept[l] is the boolean mask of
+    the children kept at depth l+1, three per surviving parent in symbol
+    order; None for an unpruned expansion, whose i-th word is
+    words.index_to_word(i, n).
     """
 
     t: np.ndarray
@@ -110,16 +113,26 @@ class Level:
     unit: int | float = 1.0
 
     def words(self) -> tuple:
-        """The surviving words of a pruned expansion of depth >= 1, recovered from the kept positions."""
+        """The surviving words of a pruned expansion of depth >= 1, as tuples: the rows of symbols()."""
+        n = len(self.kept)
+        raw = self.symbols().tobytes()  # a bytes slice iterates as Python ints
+        return tuple(tuple(raw[i : i + n]) for i in range(0, len(raw), n))
+
+    def symbols(self) -> np.ndarray:
+        """The (N, n) uint8 symbol matrix of a pruned expansion of depth >= 1, row i the word of t[i].
+
+        The kept masks turn into positions here only: the child at position p
+        among a depth's 3N children is word p // 3 of the depth above followed
+        by symbol p % 3 + 1.
+        """
         n = len(self.kept)
         symbols = np.empty((len(self.t), n), dtype=np.uint8)
         idx = np.arange(len(self.t))
         for depth in reversed(range(n)):
-            pos = self.kept[depth][idx]
+            pos = np.flatnonzero(self.kept[depth])[idx]
             symbols[:, depth] = pos % 3 + 1
             idx = pos // 3
-        raw = symbols.tobytes()  # a bytes slice iterates as Python ints
-        return tuple(tuple(raw[i : i + n]) for i in range(0, len(raw), n))
+        return symbols
 
 
 def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = None) -> Level:
@@ -127,20 +140,31 @@ def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = N
 
     Rational coefficients with common denominator d run exactly on integers,
     t' = d*t + r*tau_s and r' = r*rho_s with tau and rho scaled by d; floats
-    run on float64 with d = 1.0, which is exact.  keep(t, r, unit) masks the
-    words to extend further, unit = d^l at depth l; their positions are kept
-    to recover the words.  Unpruned, no positions are kept.
+    run on float64 with d = 1.0, which is exact, so d*t is t itself there.
+
+    Each depth fills (N, 3) arrays column by column, one strided pass per
+    symbol s: column s holds the N children ending in s.  A C-order (N, 3)
+    array ravels row by row, parent by parent and symbol by symbol, which is
+    the lexicographic order of the children.  keep(t, r, unit) masks the words
+    to extend further, unit = d^l at depth l; the masks are kept to recover
+    the words.  Unpruned, no masks are kept.
     """
     d, tau, rho = _number_kind(tau, rho, n)
     t, r = np.zeros(1, dtype=tau.dtype), np.ones(1, dtype=tau.dtype)
     kept = None if keep is None else []
     for depth in range(1, n + 1):
-        t = (d * t[:, None] + r[:, None] * tau).ravel()
-        r = (r[:, None] * rho).ravel()
+        dt = t if d == 1 else d * t
+        T = np.empty((len(t), 3), dtype=t.dtype)
+        R = np.empty_like(T)
+        for s in range(3):
+            np.multiply(r, tau[s], out=T[:, s])
+            T[:, s] += dt
+            np.multiply(r, rho[s], out=R[:, s])
+        t, r = T.ravel(), R.ravel()
         if keep is not None:
-            pos = np.flatnonzero(keep(t, r, d**depth))
-            t, r = t[pos], r[pos]
-            kept.append(pos)
+            mask = keep(t, r, d**depth)
+            t, r = t[mask], r[mask]
+            kept.append(mask)
     return Level(t, r, None if kept is None else tuple(kept), d**n)
 
 

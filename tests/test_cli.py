@@ -9,7 +9,8 @@ import pytest
 from graph_oracle import evaluate_T
 from okamoto.cli import parse_number, run
 from okamoto.dimensions import okamoto_s0
-from okamoto.estimators import LEVEL_COUNT_CAP
+from okamoto.estimators import LEVEL_COUNT_CAP, level_set_cover
+from okamoto.words import word_to_str
 
 
 def _run(argv):
@@ -123,6 +124,17 @@ def test_levelset_json():
     payload = json.loads(out)
     assert payload["count"] == 1
     assert payload["words"] == ["111111"]
+
+
+@pytest.mark.parametrize("a, y", [("3/4", "1/3"), ("2/3", "38/81"), ("0.75", "0.3"), ("0.9", "0.5")])
+def test_levelset_words_render_the_cover_words(a, y):
+    # the words are rendered from the symbol matrix; they are the cover's word tuples as text, in order
+    expected = [word_to_str(w) for w in level_set_cover(parse_number(a), parse_number(y), 9).words]
+    assert len(expected) > 1
+    code, out = _run(["levelset", "--a", a, "--y", y, "--depth", "9"])
+    assert code == 0 and json.loads(out)["words"] == expected
+    code, out = _run(["levelset", "--a", a, "--y", y, "--depth", "9", "--format", "csv"])
+    assert code == 0 and out.split() == ["word", *expected]
 
 
 def test_levelset_scan_requires_seed_and_reproduces():

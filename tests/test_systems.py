@@ -140,6 +140,11 @@ def test_expand_level_matches_fold_word(a):
         ]
         assert 1 < len(words) < 3**n
         assert list(pruned.words()) == words
+        assert pruned.symbols().dtype == np.uint8 and pruned.symbols().tolist() == [list(w) for w in words]
+        # kept[l] masks the 3 children of each word kept at depth l
+        survivors = [1] + [int(np.count_nonzero(m)) for m in pruned.kept]
+        assert all(m.dtype == bool for m in pruned.kept) and survivors[-1] == len(words)
+        assert [len(m) for m in pruned.kept] == [3 * k for k in survivors[:-1]]
         assert values(pruned, pruned.t) == [fold_word(tau, rho, w)[0] for w in words]
         assert values(pruned, pruned.r) == [fold_word(tau, rho, w)[1] for w in words]
 

@@ -1,7 +1,7 @@
-"""Word-by-word oracles: one word's projection, and the level-set cover by exhaustive filter.
+"""Word-by-word oracles: one word's projection, and the level-set cover by exhaustive and prefix filters.
 
-Both fold each word on its own, sharing no code with the level kernel that the
-package's covers run on.  The tests compare the two exactly.
+Each folds every word on its own, sharing no code with the level kernel that
+the package's covers run on.  The tests compare the two exactly.
 """
 
 from itertools import product
@@ -23,3 +23,21 @@ def exhaustive_level_filter(a, y, n):
         if min(t, t + r) <= y <= max(t, t + r):
             out.append(w)
     return tuple(out)
+
+
+def _interval_holds(tau, rho, word, y):
+    t, r = fold_word(tau, rho, word)
+    return min(t, t + r) <= y <= max(t, t + r)
+
+
+def prefix_level_filter(a, y, n):
+    """Every depth-n word each of whose prefixes has a closed y-interval containing y, in lexicographic order.
+
+    This is the branch and bound of the package's covers, one word at a time:
+    on floats a word whose own interval holds y may still drop out at a prefix.
+    """
+    parts = projection_parts(a)
+    words = [()]
+    for _ in range(n):
+        words = [w + (s,) for w in words for s in (1, 2, 3) if _interval_holds(*parts, w + (s,), y)]
+    return tuple(words)
