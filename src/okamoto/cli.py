@@ -207,7 +207,7 @@ def _cmd_levelset(cfg):
     a = parse_number(cfg.a)
     y = parse_number(cfg.y)
     cover = estimators.level_set_cover(a, y, cfg.depth)
-    # each row of symbols 1-3 is the ASCII of its word less ord("0"): one S<depth> string per row
+    # symbols 1-3 plus ord("0") are ASCII digits, so each row's bytes are its word as text
     words = (cover.level.symbols() + ord("0")).view(f"S{cover.depth}").ravel().astype(str).tolist()
     if cfg.format == "csv":
         return "csv", ["word"], [[w] for w in words]
