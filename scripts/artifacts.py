@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Write the stdout of a fixed list of okamoto commands to numbered files.
+
+    PYTHONPATH=src python scripts/artifacts.py --out DIR
+
+Each command runs through okamoto.cli.run with DIR as the working directory,
+so the artifacts of its --out commands land in DIR under relative names.
+Command i writes its stdout to DIR/NNN.out (NNN = i, three digits) and its
+exit code to line i of DIR/exit_codes.txt; DIR/commands.txt lists the
+commands in the same order.  Two source trees give byte-identical artifacts
+when `diff -r` of their two output directories is empty.
+
+The list covers every benchmark workload command at seeds 61-63, levelset
+words (JSON and CSV) at rational and float levels, graph and grid boxdim
+rows, separation gaps and witnesses, the subsystem checks at several block
+lengths, and error outputs of checks made before any work.
+"""
+
+import argparse
+import io
+import os
+import sys
+
+from okamoto.cli import run
+
+# perfbench/workloads.py commands at seeds 61, 62 and 63, without repeats
+WORKLOAD_COMMANDS = [
+    "measure --a 0.75 --samples 500000 --depth 60 --seed 1365369591",
+    "measure --a 0.75 --samples 50000 --depth 40 --format csv --seed 1385973304",
+    "fourier --a 0.75 --samples 125000 --seed 180506919",
+    "subsystem --a 0.75 --m 2 --k 3 --check convolution --samples 250000 --seed 1111379921",
+    "boxdim --a 0.6 --mode grid --min-depth 7 --max-depth 9",
+    "levelset-scan --a 0.75 --samples 250 --depth 14 --seed 1097850211",
+    "levelset-scan --a 0.9 --samples 40 --depth 12 --format csv --seed 653310603",
+    "graph --a 0.75 --depth 7",
+    "subsystem --a 0.75 --m 8 --check slices --samples 100 --depth 14 --seed 714977268",
+    "bundle --a 0.75 --seed 445630025",
+    "separation --b 2/5 --max-depth 11",
+    "separation --b 7/11 --max-depth 11",
+    "levelset --a 3/4 --y 1/3 --depth 14",
+    "levelset --a 2/3 --y 38/81 --depth 15",
+    "subsystem --a 3/4 --m 6 --k 3 --check gamma",
+    "dims --a 3/4 --q 1.5,2,4,8",
+    "boxdim --a 3/4 --mode column --min-depth 6 --max-depth 20",
+    "measure --a 0.75 --samples 500000 --depth 60 --seed 1142443323",
+    "measure --a 0.75 --samples 50000 --depth 40 --format csv --seed 2087415831",
+    "fourier --a 0.75 --samples 125000 --seed 270289991",
+    "subsystem --a 0.75 --m 2 --k 3 --check convolution --samples 250000 --seed 1230902577",
+    "levelset-scan --a 0.75 --samples 250 --depth 14 --seed 699128405",
+    "levelset-scan --a 0.9 --samples 40 --depth 12 --format csv --seed 1513382502",
+    "subsystem --a 0.75 --m 8 --check slices --samples 100 --depth 14 --seed 714109449",
+    "bundle --a 0.75 --seed 923516478",
+    "measure --a 0.75 --samples 500000 --depth 60 --seed 1228206597",
+    "measure --a 0.75 --samples 50000 --depth 40 --format csv --seed 883824225",
+    "fourier --a 0.75 --samples 125000 --seed 298280957",
+    "subsystem --a 0.75 --m 2 --k 3 --check convolution --samples 250000 --seed 885394958",
+    "levelset-scan --a 0.75 --samples 250 --depth 14 --seed 1835786862",
+    "levelset-scan --a 0.9 --samples 40 --depth 12 --format csv --seed 1274959287",
+    "subsystem --a 0.75 --m 8 --check slices --samples 100 --depth 14 --seed 1827912900",
+    "bundle --a 0.75 --seed 1363779067",
+]
+
+LEVELS = [
+    ("3/4", "1/3"), ("3/4", "0"), ("3/4", "1"), ("3/4", "1/4"), ("2/3", "38/81"), ("943/944", "1/3"),
+    ("944/945", "1/2"), ("0.75", "0.3"), ("0.75", "0"), ("0.75", "1"), ("0.9", "0.5"), ("0.6", "0.25"),
+    ("0.51", "0.49"), ("0.99", "0.01"),
+]
+
+ERRORS = [
+    "subsystem --a 0.75 --m 13 --check slices --depth 99 --seed 1",
+    "subsystem --a 0.75 --m 13 --check slices --depth -1 --seed 1",
+    "subsystem --a 0.75 --m 13 --check slices --samples -1 --seed 1",
+    "subsystem --a 0.75 --m 13 --check convolution --samples -1 --seed 1",
+    "subsystem --a 0.75 --m 13 --check convolution --samples 1000000000000 --seed 1",
+    "boxdim --a 0.75 --mode grid --min-depth 6 --max-depth 99",
+    "boxdim --a 0.75 --mode column --min-depth 6 --max-depth 99",
+    "boxdim --a 0.75 --mode grid --min-depth -1 --max-depth 99",
+    "levelset-scan --a 0.75 --samples 5 --depth 99 --seed 1",
+]
+
+
+def commands() -> list:
+    out = list(WORKLOAD_COMMANDS)
+    for a, y in LEVELS:
+        for depth in (1, 6, 11):
+            out.append(f"levelset --a {a} --y {y} --depth {depth}")
+            out.append(f"levelset --a {a} --y {y} --depth {depth} --format csv")
+    for a in ("0.51", "0.75", "0.99"):
+        out += [f"graph --a {a} --depth {n}" for n in (0, 3, 7, 10)]
+        out.append(f"boxdim --a {a} --mode grid --min-depth 0 --max-depth 11")
+        out.append(f"boxdim --a {a} --mode grid --min-depth 6 --max-depth 9 --format csv")
+    for b in ("1/3", "1/2", "2/5", "3/5", "7/11"):
+        out.append(f"separation --b {b} --max-depth 10")
+        out.append(f"separation --b {b} --max-depth 9 --format csv")
+    out += [f"separation --b {b} --max-depth 4" for b in ("1/3", "1/2", "3/5")]  # the zero-gap witnesses
+    out.append("levelset-scan --a 0.75 --samples 20 --depth 10 --seed 3")
+    out.append("subsystem --a 0.75 --m 6 --check slices --samples 20 --depth 10 --seed 3")
+    for m in (1, 6, 8, 10):
+        out.append(f"subsystem --a 0.75 --m {m} --check ratio")
+        out.append(f"subsystem --a 3/4 --m {m} --check ratio")
+        out.append(f"subsystem --a 3/4 --m {m} --k 2 --check gamma")
+        out.append(f"subsystem --a 2/3 --m {m} --k 3 --check gamma")
+        out.append(f"subsystem --a 0.75 --m {m} --k 2 --check convolution --samples 20000 --seed 5")
+        out.append(f"subsystem --a 0.6 --m {m} --check slices --samples 20 --depth 10 --seed 5")
+    out += ERRORS
+    out.append("levelset --a 3/4 --y 1/3 --depth 11 --out levelset.json")
+    out.append("levelset --a 0.75 --y 0.3 --depth 11 --format csv --out levelset.csv")
+    out.append("graph --a 0.75 --depth 6 --out graph.csv")
+    out.append("levelset-scan --a 0.75 --samples 20 --depth 10 --seed 4 --out scan.json")
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--out", required=True, help="output directory (created if missing)")
+    args = ap.parse_args()
+
+    os.makedirs(args.out, exist_ok=True)
+    os.chdir(args.out)
+    cmds = commands()
+    codes = []
+    for i, cmd in enumerate(cmds):
+        buf = io.StringIO()
+        codes.append(run(cmd.split(), stdout=buf))
+        with open(f"{i:03d}.out", "w") as fh:
+            fh.write(buf.getvalue())
+    with open("commands.txt", "w") as fh:
+        fh.write("\n".join(cmds) + "\n")
+    with open("exit_codes.txt", "w") as fh:
+        fh.write("\n".join(map(str, codes)) + "\n")
+    print(f"{len(cmds)} commands -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

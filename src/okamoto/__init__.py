@@ -41,6 +41,6 @@ from .subsystem import (
     slice_lower_bound_report,
 )
 from .systems import projection_parts
-from .words import stopping_cover, subsystem_alphabet, word_to_str
+from .words import stopping_cover, subsystem_alphabet
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import dimensions, estimators, separation, subsystem, systems
 from .errors import DepthCapError, OkamotoError, ParameterError
-from .words import word_to_str
 
 SCHEMA_VERSION = "1"
 _TCOUNT_CAP = 1000  # frequencies of one fourier grid
@@ -203,12 +202,16 @@ def _cmd_boxdim(cfg):
     return "json", _box_json(series)
 
 
+def _word_text(symbols: np.ndarray) -> list:
+    """The rows of a uint8 symbol matrix as strings: symbols 1-3 plus ord("0") are ASCII digits."""
+    return (symbols + ord("0")).view(f"S{symbols.shape[1]}").ravel().astype(str).tolist()
+
+
 def _cmd_levelset(cfg):
     a = parse_number(cfg.a)
     y = parse_number(cfg.y)
     cover = estimators.level_set_cover(a, y, cfg.depth)
-    # symbols 1-3 plus ord("0") are ASCII digits, so each row's bytes are its word as text
-    words = (cover.level.symbols() + ord("0")).view(f"S{cover.depth}").ravel().astype(str).tolist()
+    words = _word_text(cover.level.symbols())
     if cfg.format == "csv":
         return "csv", ["word"], [[w] for w in words]
     return "json", {
@@ -245,7 +248,7 @@ def _cmd_separation(cfg):
         "epsilon": report.epsilon,
         "pass": report.passed,
         "floors": report.floors,
-        "witness": None if report.witness is None else [word_to_str(w) for w in report.witness],
+        "witness": None if report.witness is None else _word_text(report.witness),
     }
 
 

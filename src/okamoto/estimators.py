@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,22 +64,28 @@ class BoxCountSeries:
     fit_residual: float
 
 
-def box_count_graph(a: Number, n: int, method: str = "column") -> int:
-    """Number of occupied mesh-size 3^-n boxes over the graph."""
+def _check_box_depth(a: Number, n: int, method: str) -> None:
+    """The depth lies in [0, the method's cap]; a depth-0 count needs no method."""
     check_a(a)
     if n < 0:
         raise DepthCapError(f"box counting capped at n >= 0, got {n}")
     if n == 0:
+        return
+    caps = {"column": COLUMN_DEPTH_CAP, "grid": GRID_DEPTH_CAP}
+    if method not in caps:
+        raise ParameterError(f"method must be 'column' or 'grid', got {method!r}")
+    if n > caps[method]:
+        raise DepthCapError(f"{method} method capped at n <= {caps[method]}")
+
+
+def box_count_graph(a: Number, n: int, method: str = "column") -> int:
+    """Number of occupied mesh-size 3^-n boxes over the graph."""
+    _check_box_depth(a, n, method)
+    if n == 0:
         return 1
     if method == "column":
-        if n > COLUMN_DEPTH_CAP:
-            raise DepthCapError(f"column method capped at n <= {COLUMN_DEPTH_CAP}")
         return _box_count_column(Fraction(a), n)
-    if method == "grid":
-        if n > GRID_DEPTH_CAP:
-            raise DepthCapError(f"grid method capped at n <= {GRID_DEPTH_CAP}")
-        return _box_count_grid(float(a), n)
-    raise ParameterError(f"method must be 'column' or 'grid', got {method!r}")
+    return _box_count_grid(float(a), n)
 
 
 def _grid_sampling_levels(a: float, n: int) -> int:
@@ -157,6 +162,9 @@ def fit_dimension(pairs: Sequence[tuple]) -> tuple:
 
 
 def box_count_series(a: Number, depths: Sequence[int], method: str = "column") -> BoxCountSeries:
+    """Counts at every depth, each depth checked before the first count: a range stops at its first bad depth."""
+    for n in depths:
+        _check_box_depth(a, n, method)
     rows = tuple((n, 3.0**-n, box_count_graph(a, n, method)) for n in depths)
     slope, residual = fit_dimension([(n, c) for n, _, c in rows])
     return BoxCountSeries(a=float(a), method=method, rows=rows, fitted_slope=slope, fit_residual=residual)
@@ -167,6 +175,8 @@ def box_count_series(a: Number, depths: Sequence[int], method: str = "column") -
 
 @dataclass(frozen=True)
 class LevelSetCover:
+    """A depth-n level-set cover; its words are the rows of level.symbols(), in lexicographic order."""
+
     a: Number
     y: Number
     depth: int
@@ -175,11 +185,6 @@ class LevelSetCover:
     @property
     def count(self) -> int:
         return len(self.level.t)
-
-    @cached_property
-    def words(self) -> tuple:
-        """The covering words in lexicographic order, recovered on first access only."""
-        return self.level.words()
 
     @property
     def dim_estimate(self) -> float:
@@ -214,6 +219,11 @@ def _contains(y):
     return keep
 
 
+def _check_cover_depth(n: int) -> None:
+    if not (1 <= n <= LEVEL_SET_DEPTH_CAP):
+        raise DepthCapError(f"depth must lie in [1, {LEVEL_SET_DEPTH_CAP}], got {n}")
+
+
 def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     """Depth-n words whose closed y-interval contains y, by branch and bound.
 
@@ -222,8 +232,7 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     check_a(a)
     if not (0 <= y <= 1):
         raise ParameterError(f"level y must lie in [0, 1], got {y}")
-    if not (1 <= n <= LEVEL_SET_DEPTH_CAP):
-        raise DepthCapError(f"depth must lie in [1, {LEVEL_SET_DEPTH_CAP}], got {n}")
+    _check_cover_depth(n)
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float(a), float(y)
     level = expand_level(*projection_parts(a), n, _contains(y))
@@ -272,6 +281,7 @@ def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetSc
         raise ParameterError(f"level_set_scan needs sample_count >= 1, got {sample_count}")
     if sample_count > LEVEL_COUNT_CAP:
         raise BudgetError(f"level count {sample_count} exceeds cap {LEVEL_COUNT_CAP}")
+    _check_cover_depth(n)
     ys = tuple(float(v) for v in np.random.default_rng(seed).random(sample_count))
     stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthCapError, ParameterError
 from .systems import expand_level, projection_parts
-from .words import index_to_word
+from .words import digit_rows
 
 PRUNED_CAP = 12
 
@@ -37,7 +37,10 @@ def _check_rational_b(b) -> Fraction:
 
 
 def delta_n_detail(b, n: int) -> tuple:
-    """(gap, witnessing word pair): the first minimal adjacent pair of the stably sorted depth-n projections."""
+    """(gap, witnessing words): the first minimal adjacent pair of the stably sorted depth-n projections.
+
+    The pair is a (2, n) uint8 symbol matrix, one word per row, in sorted order.
+    """
     b = _check_rational_b(b)
     if n < 1:
         raise ParameterError(f"depth n must be >= 1, got {n}")
@@ -49,7 +52,7 @@ def delta_n_detail(b, n: int) -> tuple:
     diffs = np.diff(values[order])
     i = int(np.argmin(diffs))
     gap = Fraction(2 * int(diffs[i]), level.unit * (1 - b))
-    return gap, (index_to_word(int(order[i]), n), index_to_word(int(order[i + 1]), n))
+    return gap, digit_rows(order[i : i + 2], n) + 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class SeparationReport:
     epsilon: float  # min_n gap_n^(1/n)
     passed: bool  # all gaps positive
     floors: tuple  # comparison column (b*eps/2)^n
-    witness: tuple | None  # word pair achieving a zero gap, if any
+    witness: np.ndarray | None  # (2, n) symbol matrix of a word pair achieving a zero gap, if any
 
     def rows(self) -> list:
         out = []

@@ -17,10 +17,11 @@ The gamma conjugation carries rho's system into a subsystem of the k-fold
 iterate.  Composing k-1 blocks and then the all-1s-then-2s block yields the
 correction term S_i(0) * lambda^(k-1); because a plausible alternate reading
 puts lambda^k there, gamma_conjugate tests both exponents exactly and records the
-one that satisfies the identity.  Alphabets and the gamma check compose whole
-symbol matrices at once (systems.compose_rows), in the level kernel's number
-kind: integers over a common denominator, int64 under its proven bound and
-Python ints beyond it, or float64 for float a.
+one that satisfies the identity.  An alphabet is the (N, m) uint8 matrix of
+its words, and the gamma check indexes it with block-tuple rows; both fold
+whole symbol matrices at once (systems.fold_rows), in the level kernel's
+number kind: integers over a common denominator, int64 under its proven bound
+and Python ints beyond it, or float64 for float a.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .estimators import LEVEL_COUNT_CAP, SAMPLE_COUNT_CAP, ks_statistic, level_statistics
+from .estimators import LEVEL_COUNT_CAP, SAMPLE_COUNT_CAP, _check_cover_depth, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
-from .systems import compose_rows, compose_word, fold_rows, projection_parts
-from .words import Number, check_a, iter_subsystem_alphabet, subsystem_alphabet, two_count
+from .systems import fold_rows, fold_word, projection_parts
+from .words import Number, check_a, digit_rows, subsystem_alphabet, two_count
 
 SAMPLING_TAIL = 1e-9  # the sampling depth keeps the dropped tail sum_{l >= depth} |lambda|^l below this
 GAMMA_TUPLE_BUDGET = 4096  # block tuples checked by the gamma conjugation
@@ -53,11 +53,11 @@ def subsystem_ratio(a: Number, m: int) -> Number:
 
 @dataclass(frozen=True)
 class HomogeneousSystem:
-    """The maps x -> ratio*x + t, one translation t per alphabet word, in alphabet order."""
+    """The maps x -> ratio*x + t, one translation t per alphabet word (a row of alphabet), in alphabet order."""
 
     a: Number
     m: int
-    alphabet: tuple
+    alphabet: np.ndarray
     ratio: Number
     translations: tuple
 
@@ -67,14 +67,14 @@ def build_subsystem(a: Number, m: int) -> HomogeneousSystem:
     return _compose_alphabet(a, m, subsystem_alphabet(a, m))
 
 
-def _compose_alphabet(a: Number, m: int, alphabet: tuple) -> HomogeneousSystem:
+def _compose_alphabet(a: Number, m: int, alphabet: np.ndarray) -> HomogeneousSystem:
     """Every word of the alphabet composed at once; float translations are fold_word's bit for bit."""
-    t, r, unit = compose_rows(*projection_parts(a), np.array(alphabet, dtype=np.uint8))
+    t, r, unit = fold_rows(*projection_parts(a), alphabet)
     lam = subsystem_ratio(a, m)
     if isinstance(a, (Fraction, int)):
         bad = _first_mismatch(r, unit, lam)
         if bad is not None:
-            raise AssertionError(f"ratio mismatch for word {alphabet[bad]}: {Fraction(int(r[bad]), unit)} != {lam}")
+            raise AssertionError(f"ratio mismatch for word {alphabet[bad].tolist()}: {Fraction(int(r[bad]), unit)} != {lam}")
         translations = tuple(Fraction(int(v), unit) for v in t)  # no list of all values at once
     else:
         translations = tuple(t.tolist())
@@ -101,6 +101,14 @@ def _check_split(k: int, what: str) -> None:
 # --- sampling and the convolution identity -----------------------------------------
 
 
+def _check_count(count: int) -> None:
+    """The draw count lies in [1, SAMPLE_COUNT_CAP]; checked before the subsystem is built."""
+    if count < 1:
+        raise ParameterError(f"sampling needs count >= 1, got {count}")
+    if count > SAMPLE_COUNT_CAP:
+        raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
+
+
 def _sampling_depth(lam: float) -> int:
     return max(4, math.ceil(math.log(SAMPLING_TAIL * (1.0 - abs(lam))) / math.log(abs(lam))))
 
@@ -114,10 +122,6 @@ def _sample_block_coding(
     skip_every: int = 0,
 ) -> np.ndarray:
     """X = sum_l lambda^(l-1) tau_l over i.i.d. uniform blocks, optionally skipping l = 0 mod k."""
-    if count < 1:
-        raise ParameterError(f"sampling needs count >= 1, got {count}")
-    if count > SAMPLE_COUNT_CAP:
-        raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
     out = np.zeros(count)
     scale = 1.0
     for l in range(1, depth + 1):
@@ -130,6 +134,7 @@ def _sample_block_coding(
 
 def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndarray:
     """Draw from the uniform-coding measure of the subsystem."""
+    _check_count(count)
     sub = build_subsystem(float(a), m)
     lam = float(sub.ratio)
     rng = np.random.default_rng(seed)
@@ -150,6 +155,7 @@ class ConvolutionReport:
 def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> ConvolutionReport:
     """KS distance between a direct draw from mu_m and the split-convolution draw."""
     _check_split(k, "convolution split")
+    _check_count(count)
     sub = build_subsystem(float(a), m)
     lam = float(sub.ratio)
     taus = np.array(sub.translations)
@@ -211,20 +217,21 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     _check_split(k, "gamma conjugation")
     a = Fraction(a)
     check_a(a)
+    sub = _compose_alphabet(a, m, subsystem_alphabet(a, m, GAMMA_TUPLE_BUDGET))
     j = two_count(a, m)
-    tilde = (1,) * (m - j) + (2,) * j
+    tilde = np.repeat(np.array([1, 2], dtype=np.uint8), (m - j, j))
     parts = projection_parts(a)
-    sub = _compose_alphabet(a, m, tuple(islice(iter_subsystem_alphabet(a, m), GAMMA_TUPLE_BUDGET)))
     lam = sub.ratio
     lam_k = lam**k
-    tau_tilde = compose_word(*parts, tilde)[0]
+    tau_tilde = fold_word(*parts, tilde)[0]
     size = len(sub.alphabet)
 
-    combos = np.array(list(islice(product(range(size), repeat=k - 1), GAMMA_TUPLE_BUDGET)))
+    # the first block tuples in lexicographic order: the base-size digit rows of 0, 1, 2, ...
+    combos = digit_rows(np.arange(min(size ** (k - 1), GAMMA_TUPLE_BUDGET)), k - 1, base=size)
     g_t, _, g_unit = fold_rows(sub.translations, (lam,) * size, combos + 1)
-    blocks = np.array(sub.alphabet, dtype=np.uint8)[combos].reshape(len(combos), -1)
-    flat = np.hstack([blocks, np.tile(np.array(tilde, dtype=np.uint8), (len(combos), 1))])
-    flat_t, flat_r, flat_unit = compose_rows(*parts, flat)
+    blocks = sub.alphabet[combos].reshape(len(combos), -1)
+    flat = np.hstack([blocks, np.tile(tilde, (len(combos), 1))])
+    flat_t, flat_r, flat_unit = fold_rows(*parts, flat)
     # flat_t / flat_unit - g_t / g_unit, over the common unit flat_unit * g_unit
     diff = flat_t.astype(object) * g_unit - g_t.astype(object) * flat_unit
     ratios_hold = _first_mismatch(flat_r, flat_unit, lam_k) is None
@@ -307,10 +314,12 @@ def slice_lower_bound_report(a: float, m: int, sample_count: int, depth: int, se
     """Level-set dimension estimates at levels drawn from the subsystem measure.
 
     Levels that land exactly on the endpoint atoms 0 or 1 (where the level set
-    degenerates) are excluded and counted.
+    degenerates) are excluded and counted.  The level count and the depth are
+    checked before the subsystem is built.
     """
     if sample_count > LEVEL_COUNT_CAP:
         raise BudgetError(f"level count {sample_count} exceeds cap {LEVEL_COUNT_CAP}")
+    _check_cover_depth(depth)
     ys = sample_subsystem_measure(a, m, sample_count, seed)
     keep = (ys > 0.0) & (ys < 1.0)
     stats = level_statistics(a, ys[keep], depth)

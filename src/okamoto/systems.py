@@ -13,17 +13,18 @@ Fraction parameter gives Fraction output.
 Every composed map comes from one recursion, the one-symbol extension
 t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.  It is
 written twice: `fold_word` runs it along one word, or along every row of a
-symbol matrix at once (`fold_rows`: subsystem alphabets and the gamma
+uint8 symbol matrix at once (`fold_rows`: subsystem alphabets and the gamma
 conjugation check), and `expand_level` runs it over every word of a depth at
 once, with optional pruning (grid box counts, level-set covers, separation
 gaps, the graph sample), one strided pass per symbol into (N, 3) arrays whose
 C order is the lexicographic order, keeping the prune's boolean masks to
-recover the surviving words.  Both array forms share one exact number kind,
-integers over the common denominator d of the coefficients,
-t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a proven bound
-allows and Python ints beyond it; floats run on float64 with d = 1.0.  The
-depth-n anchors t are the values T(k/3^n), so the graph sample is one level
-array.
+recover the surviving words as a symbol matrix.  Symbols are not checked:
+every word folded is one the package built.  Both array forms share one
+exact number kind, integers over the common denominator d of the
+coefficients, t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a
+proven bound allows and Python ints beyond it; floats run on float64 with
+d = 1.0.  The depth-n anchors t are the values T(k/3^n), so the graph sample
+is one level array.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .words import ALPHABET, Number, check_a, check_word
+from .words import Number, check_a
 
 
 def projection_parts(a: Number) -> tuple:
@@ -51,7 +52,7 @@ def fold_word(tau: Sequence, rho: Sequence, word: Sequence, d: int | float = 1) 
     right from the identity, in the number kind of rho; d = 1 gives the map
     itself.  Each symbol may also be a column of symbols indexing numpy
     coefficient arrays, which folds every row of a symbol matrix at once (see
-    fold_rows).  Symbols are not checked here.
+    fold_rows).
     """
     t = 0 * rho[0]
     r = 1 + t
@@ -88,7 +89,7 @@ def fold_rows(tau: Sequence, rho: Sequence, words) -> tuple:
 
     Row i's map is x -> (r[i]*x + t[i]) / unit with unit = d^n, in the number
     kind of expand_level: every float bit for bit as fold_word gives it, every
-    rational exactly.  Symbols are not checked here.
+    rational exactly.
     """
     words = np.asarray(words)
     d, tau, rho = _number_kind(tau, rho, words.shape[1])
@@ -103,20 +104,14 @@ class Level:
     A word's map is x -> (r*x + t) / unit, unit being d^n over integers
     (see expand_level) and 1.0 for floats.  kept[l] is the boolean mask of
     the children kept at depth l+1, three per surviving parent in symbol
-    order; None for an unpruned expansion, whose i-th word is
-    words.index_to_word(i, n).
+    order; None for an unpruned expansion, whose i-th word is row i of
+    words.digit_rows(arange(3^n), n) + 1.
     """
 
     t: np.ndarray
     r: np.ndarray
     kept: tuple | None
     unit: int | float = 1.0
-
-    def words(self) -> tuple:
-        """The surviving words of a pruned expansion of depth >= 1, as tuples: the rows of symbols()."""
-        n = len(self.kept)
-        raw = self.symbols().tobytes()  # a bytes slice iterates as Python ints
-        return tuple(tuple(raw[i : i + n]) for i in range(0, len(raw), n))
 
     def symbols(self) -> np.ndarray:
         """The (N, n) uint8 symbol matrix of a pruned expansion of depth >= 1, row i the word of t[i].
@@ -167,23 +162,3 @@ def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = N
             kept.append(mask)
     return Level(t, r, None if kept is None else tuple(kept), d**n)
 
-
-def compose_word(tau: Sequence, rho: Sequence, word: Sequence[int]) -> tuple:
-    """(t, r) of the composed map S_{i_1} o ... o S_{i_n}, x -> r*x + t (word nonempty)."""
-    w = check_word(word)
-    if not w:
-        raise ValueError("compose_word needs a nonempty word (the identity is not a contraction)")
-    return fold_word(tau, rho, w)
-
-
-def compose_rows(tau: Sequence, rho: Sequence, words) -> tuple:
-    """(t, r, unit): compose_word along every row of an (N, n) symbol matrix at once (see fold_rows).
-
-    Symbols and the word length are checked as compose_word checks them; the
-    first bad symbol in row order is the one reported.
-    """
-    words = np.asarray(words)
-    if words.shape[1] == 0:
-        raise ValueError("compose_word needs a nonempty word (the identity is not a contraction)")
-    check_word(words[~np.isin(words, ALPHABET)][:1].tolist())
-    return fold_rows(tau, rho, words)

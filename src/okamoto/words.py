@@ -1,37 +1,29 @@
-"""Words over the alphabet {1,2,3}: stopping-time covers and subsystem alphabets.
+"""Words over the alphabet {1,2,3}: digit rows, stopping-time covers and subsystem alphabets.
 
-A word is a plain tuple of symbols.  Symbol s corresponds to ternary digit
-s-1, so the x-cylinder of a length-n word is a closed interval of width 3^-n
-and lexicographic word order is left-to-right order on [0,1].
+A set of length-n words is an (N, n) uint8 symbol matrix, one word per row,
+rows in lexicographic order.  Symbol s corresponds to ternary digit s-1, so
+the x-cylinder of a length-n word is a closed interval of width 3^-n and
+lexicographic word order is left-to-right order on [0,1].  Stopping covers
+are the one exception: their words stop at different depths, so each is a
+tuple of symbols.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
-from typing import Iterator, Sequence, Union
+from typing import Union
+
+import numpy as np
 
 from .errors import BudgetError, DepthCapError, ParameterError
 
-Word = tuple  # tuple of ints drawn from {1,2,3}
+Word = tuple  # a stopping-cover word: tuple of ints drawn from {1,2,3}
 Number = Union[int, float, Fraction]
 
 ALPHABET = (1, 2, 3)
 DEPTH_CAP = 16  # longest subsystem block
 STOPPING_COVER_BUDGET = 10**7  # stopping-cover size
-
-
-def check_word(word: Sequence[int]) -> Word:
-    w = tuple(word)
-    for s in w:
-        if s not in (1, 2, 3):
-            raise ValueError(f"word symbols must be 1, 2 or 3, got {s!r}")
-    return w
-
-
-def word_to_str(word: Sequence[int]) -> str:
-    return "".join(str(s) for s in word)
 
 
 def check_a(a: Number) -> Number:
@@ -40,13 +32,18 @@ def check_a(a: Number) -> Number:
     return a
 
 
-def index_to_word(idx: int, n: int) -> Word:
-    """The word at position idx of the lexicographic enumeration of all length-n words."""
-    digits = []
-    for _ in range(n):
-        digits.append(idx % 3 + 1)
-        idx //= 3
-    return tuple(reversed(digits))
+def digit_rows(idx, n: int, base: int = 3) -> np.ndarray:
+    """Row i holds the n base-`base` digits of idx[i], most significant first.
+
+    The rows of arange(base^n) are all length-n digit strings in lexicographic
+    order; adding 1 to base-3 digits gives words.  Each column is one divmod
+    of the indices, so no power of the base is formed.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    rows = np.empty((len(idx), n), dtype=np.min_scalar_type(base - 1))
+    for col in reversed(range(n)):
+        idx, rows[:, col] = np.divmod(idx, base)
+    return rows
 
 
 def stopping_cover(a: Number, r: Number) -> tuple:
@@ -88,28 +85,28 @@ def two_count(a: Number, m: int) -> int:
     return math.floor(m * (2 * a - 1) / (4 * a - 1))
 
 
-def iter_subsystem_alphabet(a: Number, m: int) -> Iterator[Word]:
-    """All length-m words with exactly floor(m*p) symbols equal to 2, in lexicographic order.
+def subsystem_alphabet(a: Number, m: int, limit: int | None = None) -> np.ndarray:
+    """The (N, m) matrix of all length-m words with exactly floor(m*p) symbols 2, in lexicographic order.
 
     A word is a head of m//2 symbols followed by a tail holding the twos the
     head leaves.  Heads in lexicographic order, each followed by its tails in
-    lexicographic order, give the words in lexicographic order, so a prefix
-    of the alphabet costs only that prefix beyond the 3^(m//2) heads and
+    lexicographic order, give the words in lexicographic order.  With a limit,
+    only the first `limit` words are built, beyond the 3^(m//2) heads and
     3^(m - m//2) tails.
     """
     check_a(a)
     if not (1 <= m <= DEPTH_CAP):
         raise DepthCapError(f"m must lie in [1, {DEPTH_CAP}], got {m}")
-    j = two_count(a, m)
     h = m // 2
-    tails: dict = {}
-    for tail in product(ALPHABET, repeat=m - h):
-        tails.setdefault(tail.count(2), []).append(tail)
-    for head in product(ALPHABET, repeat=h):
-        for tail in tails.get(j - head.count(2), ()):
-            yield head + tail
-
-
-def subsystem_alphabet(a: Number, m: int) -> tuple:
-    """All length-m words with exactly floor(m*p) symbols equal to 2, sorted."""
-    return tuple(iter_subsystem_alphabet(a, m))
+    heads, tails = (digit_rows(np.arange(3**n), n) + 1 for n in (h, m - h))
+    need = two_count(a, m) - np.count_nonzero(heads == 2, axis=1)  # twos each head leaves to its tails
+    tail_twos = np.count_nonzero(tails == 2, axis=1)
+    by_twos = np.argsort(tail_twos, kind="stable")  # tails grouped by their twos, each group in order
+    grouped = tail_twos[by_twos]
+    starts = np.searchsorted(grouped, need)
+    sizes = np.searchsorted(grouped, need, side="right") - starts
+    ends = np.cumsum(sizes)
+    k = np.arange(ends[-1] if limit is None else min(limit, ends[-1]))
+    head = np.searchsorted(ends, k, side="right")  # word k is tail k - (ends - sizes)[head] of its head's group
+    tail = by_twos[starts[head] + k - (ends - sizes)[head]]
+    return np.hstack([heads[head], tails[tail]])

@@ -1,16 +1,19 @@
+import argparse
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from graph_oracle import evaluate_T
-from okamoto.cli import parse_number, run
+from okamoto import systems
+from okamoto.cli import build_parser, parse_number, run
 from okamoto.dimensions import okamoto_s0
 from okamoto.estimators import LEVEL_COUNT_CAP, level_set_cover
-from okamoto.words import word_to_str
+from word_oracle import word_tuples
 
 
 def _run(argv):
@@ -111,6 +114,9 @@ def test_separation_json_and_csv():
     code, out = _run(["separation", "--b", "2/5", "--max-depth", "4", "--format", "csv"])
     assert out.splitlines()[0] == "n,gap,gap_root,floor"
     assert len(out.splitlines()) == 5
+    # the witness rows render through the same byte view as levelset words
+    code, out = _run(["separation", "--b", "1/2", "--max-depth", "4"])
+    assert json.loads(out)["witness"] == ["132", "221"]
 
 
 def test_separation_rejects_decimal_b():
@@ -129,7 +135,8 @@ def test_levelset_json():
 @pytest.mark.parametrize("a, y", [("3/4", "1/3"), ("2/3", "38/81"), ("0.75", "0.3"), ("0.9", "0.5")])
 def test_levelset_words_render_the_cover_words(a, y):
     # the words are rendered from the symbol matrix; they are the cover's word tuples as text, in order
-    expected = [word_to_str(w) for w in level_set_cover(parse_number(a), parse_number(y), 9).words]
+    cover = level_set_cover(parse_number(a), parse_number(y), 9)
+    expected = ["".join(map(str, w)) for w in word_tuples(cover.level.symbols())]
     assert len(expected) > 1
     code, out = _run(["levelset", "--a", a, "--y", y, "--depth", "9"])
     assert code == 0 and json.loads(out)["words"] == expected
@@ -339,3 +346,85 @@ def test_json_artifacts_are_strict(argv):
     _, out = _run(argv)
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload["schema_version"] == "1"
+
+
+# --- every integer option is bounded before any work ----------------------------------
+
+# valid values of each command's other required options
+_WALK_BASE = {
+    "dims": ["--a", "0.75"],
+    "graph": ["--a", "0.75"],
+    "boxdim": ["--a", "0.75"],
+    "levelset": ["--a", "0.75", "--y", "0.3"],
+    "levelset-scan": ["--a", "0.75", "--seed", "1"],
+    "separation": ["--b", "1/2"],
+    "lq": ["--a", "0.75", "--q", "2"],
+    "measure": ["--a", "0.75", "--seed", "1"],
+    "fourier": ["--a", "0.75", "--seed", "1"],
+    "subsystem": ["--a", "3/4", "--m", "2", "--seed", "1"],
+    "bundle": ["--a", "0.75", "--seed", "1"],
+}
+_WALK_VALUES = (10**12, -1)
+_UNREAD = "not read by this check, so any value is accepted"
+# (command, choice, option) -> (values, reason) left out of the walk
+_WALK_EXEMPT = {
+    ("subsystem", "ratio", "--k"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "ratio", "--samples"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "ratio", "--depth"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "gamma", "--samples"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "gamma", "--depth"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "convolution", "--depth"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "slices", "--k"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "entropy", "--samples"): (_WALK_VALUES, _UNREAD),
+    ("subsystem", "entropy", "--depth"): (_WALK_VALUES, _UNREAD),
+    # --m and --k enter the entropy check only through closed forms of O(1) cost (lgamma and logs)
+    ("subsystem", "entropy", "--m"): ((10**12,), "closed form of O(1) cost"),
+    ("subsystem", "entropy", "--k"): ((10**12,), "closed form of O(1) cost"),
+}
+
+
+def _walk_cases():
+    """(argv, option, key) per command, per value of its choice option (--mode, --check) and per integer option."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(_WALK_BASE)
+    for name, sub in commands.items():
+        choice = next((a for a in sub._actions if a.choices and a.dest != "format"), None)
+        for value in choice.choices if choice else (None,):
+            fixed = _WALK_BASE[name] + ([choice.option_strings[0], value] if choice else [])
+            for action in sub._actions:
+                if action.type is int and action.dest != "seed":
+                    option = action.option_strings[0]
+                    yield [name, *fixed], option, (name, value, option)
+
+
+_WALK_CASES = list(_walk_cases())
+
+
+def test_walk_exemptions_name_walked_options():
+    assert set(_WALK_EXEMPT) <= {key for _, _, key in _WALK_CASES}
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """expand_level and fold_rows raise in every okamoto namespace: no level kernel, fold or sampler draw runs."""
+    for attr in ("expand_level", "fold_rows"):
+        original = getattr(systems, attr)
+
+        def refuse(*args, _attr=attr, **kwargs):
+            raise AssertionError(f"{_attr} ran before the input was checked")
+
+        for name, module in list(sys.modules.items()):
+            if (name == "okamoto" or name.startswith("okamoto.")) and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv + [option, str(value)], id=":".join(v for v in key if v) + f"={value}")
+    for argv, option, key in _WALK_CASES
+    for value in _WALK_VALUES
+    if value not in _WALK_EXEMPT.get(key, ((),))[0]
+])
+def test_every_integer_option_is_bounded_before_any_work(no_kernel, argv):
+    code, out = _run(argv)
+    assert code in (1, 2)
+    assert set(json.loads(out)) == {"error", "schema_version"}

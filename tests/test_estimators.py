@@ -2,6 +2,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -33,10 +34,9 @@ from okamoto.estimators import (
     sample_measure,
 )
 from okamoto.systems import Level, fold_word, projection_parts
-from okamoto.words import index_to_word
 from graph_oracle import box_count_grid_sorted
 from measure_oracle import sample_per_symbol
-from word_oracle import exhaustive_level_filter, prefix_level_filter
+from word_oracle import exhaustive_level_filter, prefix_level_filter, word_tuples
 
 
 def test_box_count_column_depth1():
@@ -129,8 +129,8 @@ def test_fit_dimension_needs_three_rows():
 
 def test_level_set_zero_and_one():
     for n in (1, 2, 4, 8, 12):
-        assert level_set_cover(Fraction(3, 4), Fraction(0), n).words == ((1,) * n,)
-        assert level_set_cover(Fraction(3, 4), Fraction(1), n).words == ((3,) * n,)
+        assert word_tuples(level_set_cover(Fraction(3, 4), Fraction(0), n).level.symbols()) == ((1,) * n,)
+        assert word_tuples(level_set_cover(Fraction(3, 4), Fraction(1), n).level.symbols()) == ((3,) * n,)
 
 
 def test_level_set_half_frozen_counts():
@@ -150,7 +150,7 @@ def test_level_set_half_frozen_counts():
 def test_level_set_cover_matches_exhaustive_filter(y):
     a = Fraction(3, 4)
     for n in range(1, 7):
-        assert level_set_cover(a, y, n).words == exhaustive_level_filter(a, y, n)
+        assert word_tuples(level_set_cover(a, y, n).level.symbols()) == exhaustive_level_filter(a, y, n)
 
 
 def test_level_set_float_count_matches_exact():
@@ -158,7 +158,7 @@ def test_level_set_float_count_matches_exact():
     for y in (Fraction(1, 3), Fraction(2, 7), Fraction(7, 10)):
         for n in (3, 6, 9):
             cover = level_set_cover(0.75, float(y), n)
-            assert cover.count == level_set_cover(a, y, n).count == len(cover.words)
+            assert cover.count == level_set_cover(a, y, n).count == len(cover.level.symbols())
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,7 +170,7 @@ def test_float_cover_is_the_prefix_filter(a, y, n):
     # the float kernel's min/max predicate keeps the words whose every prefix's
     # fl(t + r) interval holds y, word for word, also at the ends 0, 1, 1 - a and a
     for level in (y, 0.0, 1.0, 1 - a, a):
-        assert level_set_cover(a, level, n).words == prefix_level_filter(a, level, n)
+        assert word_tuples(level_set_cover(a, level, n).level.symbols()) == prefix_level_filter(a, level, n)
 
 
 @pytest.mark.parametrize("a", [Fraction(943, 944), Fraction(944, 945)])  # int64 and Python ints, see test_int64_bound_sides
@@ -178,7 +178,7 @@ def test_float_cover_is_the_prefix_filter(a, y, n):
 @given(y=st.fractions(0, 1, max_denominator=10**6))
 def test_integer_cover_is_the_prefix_filter(a, y):
     for level in (y, Fraction(0), Fraction(1), 1 - a, a):
-        assert level_set_cover(a, level, 6).words == prefix_level_filter(a, level, 6)
+        assert word_tuples(level_set_cover(a, level, 6).level.symbols()) == prefix_level_filter(a, level, 6)
 
 
 def test_float_cover_totals_of_the_cover_workload():
@@ -322,8 +322,8 @@ def test_block_maps_are_the_word_folds(a, k):
     t, r, prob, alias = _block_table(a, k)
     assert len(t) == len(r) == len(prob) == len(alias) == 3**k
     parts = projection_parts(a)
-    for i in range(3**k):
-        assert (t[i], r[i]) == fold_word(*parts, index_to_word(i, k))
+    for i, word in enumerate(product((1, 2, 3), repeat=k)):
+        assert (t[i], r[i]) == fold_word(*parts, word)
 
 
 @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
@@ -332,7 +332,7 @@ def test_alias_mass_is_the_block_weight(a, k):
     # entry i is drawn from its own column with prob[i] and from every column aliased to it with the rest
     _, _, prob, alias = _block_table(a, k)
     weights = natural_weights(a)
-    expected = np.array([math.prod(weights[s - 1] for s in index_to_word(i, k)) for i in range(3**k)])
+    expected = np.array([math.prod(weights[s - 1] for s in word) for word in product((1, 2, 3), repeat=k)])
     other = alias != np.arange(3**k)
     mass = prob.copy()
     np.add.at(mass, alias[other], 1.0 - prob[other])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from okamoto.errors import DepthCapError, ParameterError
 from okamoto.separation import delta_n_detail, verify_sesc
 from okamoto.systems import expand_level, projection_parts
 from separation_oracle import conjugate_parts, delta_exhaustive
-from word_oracle import project
+from word_oracle import project, word_tuples
 
 
 # --- minimal gaps ---------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_verify_sesc_detects_coincidence_at_half():
     assert not report.passed
     assert report.epsilon == 0.0
     assert report.witness is not None
-    wi, wj = report.witness
+    wi, wj = word_tuples(report.witness)
     assert wi != wj
     half = conjugate_parts(Fraction(1, 2))
     assert project(*half, wi) == project(*half, wj)
@@ -119,7 +120,9 @@ def test_verify_sesc_detects_coincidence_at_half():
 def test_delta_witness_words_realize_gap():
     b = Fraction(3, 5)
     phi = conjugate_parts(b)
-    for gap, (wi, wj) in (delta_n_detail(b, 4), delta_exhaustive(b, 4)):
+    gap, pair = delta_n_detail(b, 4)
+    assert pair.shape == (2, 4) and pair.dtype == np.uint8
+    for gap, (wi, wj) in ((gap, word_tuples(pair)), delta_exhaustive(b, 4)):
         assert abs(project(*phi, wi) - project(*phi, wj)) == gap
 
 
@@ -136,4 +139,4 @@ def test_delta_on_object_integers_matches_exhaustive():
     b = Fraction(999, 1000)
     assert expand_level(*projection_parts((1 + b) / 2), 6).t.dtype == object
     (gap, pair), (oracle_gap, oracle_pair) = delta_n_detail(b, 6), delta_exhaustive(b, 6)
-    assert gap == oracle_gap and set(pair) == set(oracle_pair)  # the oracle orders the pair lexicographically
+    assert gap == oracle_gap and set(word_tuples(pair)) == set(oracle_pair)  # the oracle orders the pair lexicographically

@@ -22,13 +22,14 @@ from okamoto.subsystem import (
     slice_lower_bound_report,
     subsystem_ratio,
 )
-from okamoto.systems import compose_rows, compose_word, projection_parts
+from okamoto.systems import fold_rows, fold_word, projection_parts
 from okamoto.words import two_count
+from word_oracle import word_tuples
 
 
 def test_build_subsystem_m1():
     sub = build_subsystem(0.75, 1)
-    assert sub.alphabet == ((1,), (3,))
+    assert sub.alphabet.dtype == np.uint8 and word_tuples(sub.alphabet) == ((1,), (3,))
     assert sub.ratio == 0.75
     assert sub.translations == (0.0, 0.25)
 
@@ -38,8 +39,8 @@ def test_build_subsystem_m4_exact():
     sub = build_subsystem(a, 4)
     assert len(sub.translations) == 32
     assert sub.ratio == Fraction(3, 4) ** 3 * Fraction(-1, 2)
-    for w, t in zip(sub.alphabet, sub.translations):
-        assert compose_word(*projection_parts(a), w) == (t, sub.ratio)
+    for w, t in zip(word_tuples(sub.alphabet), sub.translations):
+        assert fold_word(*projection_parts(a), w) == (t, sub.ratio)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -47,8 +48,8 @@ def test_ratio_uniform_exact(m):
     a = Fraction(3, 4)
     sub = build_subsystem(a, m)
     parts = projection_parts(a)
-    for w in sub.alphabet[:: max(1, len(sub.alphabet) // 8)]:
-        assert compose_word(*parts, w)[1] == sub.ratio
+    for w in word_tuples(sub.alphabet[:: max(1, len(sub.alphabet) // 8)]):
+        assert fold_word(*parts, w)[1] == sub.ratio
     assert sub.ratio == subsystem_ratio(a, m)
 
 
@@ -74,11 +75,11 @@ def test_gamma_exponent_disambiguation():
 
 
 def _off_position_translations(a, m, k):
-    """[(block tuple, t_g)] in lexicographic order, t_g from compose_word of the concatenated blocks."""
+    """[(block tuple, t_g)] in lexicographic order, t_g from fold_word of the concatenated blocks."""
     parts = projection_parts(a)
     return [
-        (combo, compose_word(*parts, tuple(s for w in combo for s in w))[0])
-        for combo in product(build_subsystem(a, m).alphabet, repeat=k - 1)
+        (combo, fold_word(*parts, tuple(s for w in combo for s in w))[0])
+        for combo in product(word_tuples(build_subsystem(a, m).alphabet), repeat=k - 1)
     ]
 
 
@@ -92,7 +93,7 @@ def test_split_translation_rule():
         reference = _off_position_translations(a, m, k)
         assert len(conjugated) == len(reference)
         for t_conj, (combo, t_g) in zip(conjugated, reference):
-            taus = [compose_word(*parts, w)[0] for w in combo]
+            taus = [fold_word(*parts, w)[0] for w in combo]
             assert t_g == sum(lam**l * tau for l, tau in enumerate(taus))
             assert t_conj == t_g + offset * (1 - lam**k)
 
@@ -102,12 +103,12 @@ def test_gamma_on_python_ints_matches_off_position_translations():
     # are past the int64 bound, so the identity is checked on Python ints
     a, m, k = Fraction(999, 1000), 4, 2
     parts = projection_parts(a)
-    assert compose_rows(*parts, np.ones((1, k * m), dtype=int))[0].dtype == object
+    assert fold_rows(*parts, np.ones((1, k * m), dtype=np.uint8))[0].dtype == object
     offset, conjugated, report = gamma_conjugate(a, m, k)
     lam = subsystem_ratio(a, m)
     j = two_count(a, m)
     tilde = (1,) * (m - j) + (2,) * j
-    assert offset == compose_word(*parts, tilde)[0] * lam ** (k - 1) / (1 - lam**k)
+    assert offset == fold_word(*parts, tilde)[0] * lam ** (k - 1) / (1 - lam**k)
     assert (report.exact, report.exponent, report.candidates) == (True, k - 1, {k - 1: True, k: False})
     reference = _off_position_translations(a, m, k)
     assert report.checked == len(conjugated) == len(reference) == 32
@@ -134,7 +135,7 @@ def test_gamma_reads_only_the_checked_alphabet_prefix():
     offset, conjugated, report = gamma_conjugate(a, m, k)
     lam = sub.ratio
     tilde = (1,) * (m - two_count(a, m)) + (2,) * two_count(a, m)
-    expected_offset = compose_word(*projection_parts(a), tilde)[0] * lam ** (k - 1) / (1 - lam**k)
+    expected_offset = fold_word(*projection_parts(a), tilde)[0] * lam ** (k - 1) / (1 - lam**k)
     assert offset == report.offset == expected_offset
     assert (report.m, report.k, report.exponent, report.exact) == (m, k, k - 1, True)
     assert report.candidates == {k - 1: True, k: False}

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from graph_oracle import evaluate_T, ternary_digits
 from okamoto.errors import ParameterError
 from okamoto.estimators import level_set_cover
-from okamoto.systems import compose_rows, compose_word, expand_level, fold_rows, fold_word, projection_parts
+from okamoto.systems import expand_level, fold_rows, fold_word, projection_parts
 from separation_oracle import conjugate_parts
-from word_oracle import exhaustive_level_filter, project
+from word_oracle import exhaustive_level_filter, project, word_tuples
 
 words_st = st.lists(st.sampled_from([1, 2, 3]), min_size=0, max_size=8).map(tuple)
 
@@ -73,7 +73,7 @@ def test_appending_twos_never_changes_projection(word, k):
 
 def _image_interval(parts, word):
     """Image of [0, 1] under the composed map x -> r*x + t of a nonempty word, endpoints sorted."""
-    t, r = compose_word(*parts, word)
+    t, r = fold_word(*parts, word)
     return tuple(sorted((t, t + r)))
 
 
@@ -100,18 +100,16 @@ fraction_systems_st = st.sampled_from(
 
 @given(fraction_systems_st, words_st.filter(len), st.fractions(-2, 2))
 def test_compose_word_matches_projection(parts, word, x):
+    # fold_word composes the maps along a word, as a tuple or as a uint8 symbol row
     tau, rho = parts
-    t, r = compose_word(tau, rho, word)
+    t, r = fold_word(tau, rho, word)
     assert t == project(tau, rho, word)
+    assert (t, r) == fold_word(tau, rho, np.array(word, dtype=np.uint8))
     # the maps applied one by one, innermost first
     v = x
     for s in reversed(word):
         v = rho[s - 1] * v + tau[s - 1]
     assert r * x + t == v
-    with pytest.raises(ValueError):
-        compose_word(tau, rho, ())
-    with pytest.raises(ValueError):
-        compose_word(tau, rho, (1, 4))
 
 
 @pytest.mark.parametrize("a", [Fraction(3, 4), 0.55, 0.9])
@@ -139,8 +137,7 @@ def test_expand_level_matches_fold_word(a):
             w for w in product((1, 2, 3), repeat=n) if all(fold_word(tau, rho, w[:k])[0] < 0.5 for k in range(1, n + 1))
         ]
         assert 1 < len(words) < 3**n
-        assert list(pruned.words()) == words
-        assert pruned.symbols().dtype == np.uint8 and pruned.symbols().tolist() == [list(w) for w in words]
+        assert pruned.symbols().dtype == np.uint8 and word_tuples(pruned.symbols()) == tuple(words)
         # kept[l] masks the 3 children of each word kept at depth l
         survivors = [1] + [int(np.count_nonzero(m)) for m in pruned.kept]
         assert all(m.dtype == bool for m in pruned.kept) and survivors[-1] == len(words)
@@ -169,7 +166,7 @@ def test_rational_level_is_the_word_fold(pq, y, n):
     level = expand_level(tau, rho, n)
     assert level.unit == a.denominator**n
     assert _folds_equal(tau, rho, level, n)
-    assert level_set_cover(a, y, n).words == exhaustive_level_filter(a, y, n)
+    assert word_tuples(level_set_cover(a, y, n).level.symbols()) == exhaustive_level_filter(a, y, n)
 
 
 @pytest.mark.parametrize("q, dtype", [(944, np.int64), (945, object)])
@@ -184,7 +181,7 @@ def test_int64_bound_sides(q, dtype):
     assert level.t.dtype == level.r.dtype == dtype
     assert _folds_equal(tau, rho, level, n)
     for y in (Fraction(0), Fraction(1, 3), Fraction(q - 1, q), Fraction(1)):
-        assert level_set_cover(a, y, n).words == exhaustive_level_filter(a, y, n)
+        assert word_tuples(level_set_cover(a, y, n).level.symbols()) == exhaustive_level_filter(a, y, n)
 
 
 def _bound(a, n):
@@ -206,7 +203,7 @@ def test_compose_rows_is_the_word_fold_row_by_row(a, rows):
     # (q = 944 at n = 6) and on Python ints above it (q = 945 at n = 6)
     tau, rho = projection_parts(a)
     n = len(rows[0])
-    t, r, unit = compose_rows(tau, rho, np.array(rows))
+    t, r, unit = fold_rows(tau, rho, np.array(rows, dtype=np.uint8))
     folds = [fold_word(tau, rho, w) for w in rows]
     if isinstance(a, float):
         assert t.dtype == r.dtype == np.float64 and unit == 1.0
@@ -216,20 +213,6 @@ def test_compose_rows_is_the_word_fold_row_by_row(a, rows):
         assert t.dtype == r.dtype == (np.int64 if _bound(a, n) < 2**63 else object)
         assert unit == a.denominator**n
         assert [(Fraction(int(vt), unit), Fraction(int(vr), unit)) for vt, vr in zip(t, r)] == folds
-
-
-@pytest.mark.parametrize("a", [0.75, Fraction(3, 4), Fraction(944, 945)])
-def test_compose_rows_rejects_what_compose_word_rejects(a):
-    tau, rho = projection_parts(a)
-    for bad_row in ((1, 4, 2), (0, 1, 1), (2, 3, -1)):
-        rows = np.array([(1, 2, 3), bad_row, (5, 5, 5)])
-        with pytest.raises(ValueError) as batched:
-            compose_rows(tau, rho, rows)
-        with pytest.raises(ValueError) as single:
-            compose_word(tau, rho, bad_row)
-        assert str(batched.value) == str(single.value)
-    with pytest.raises(ValueError, match="nonempty word"):
-        compose_rows(tau, rho, np.empty((3, 0), dtype=int))
 
 
 def test_fold_rows_folds_any_number_of_maps():

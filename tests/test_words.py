@@ -1,25 +1,29 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okamoto import words
 from okamoto.errors import BudgetError, DepthCapError, ParameterError
-from okamoto.systems import compose_word, fold_word, projection_parts
-from okamoto.words import check_word, index_to_word, stopping_cover, subsystem_alphabet, word_to_str
+from okamoto.systems import fold_word, projection_parts
+from okamoto.words import digit_rows, stopping_cover, subsystem_alphabet, two_count
+from word_oracle import word_tuples
 
 
 def _ratio_product(a, word):
     """Unsigned contraction of a word: the magnitude of its composed projection-system ratio."""
-    return abs(compose_word(*projection_parts(a), word)[1])
+    return abs(fold_word(*projection_parts(a), word)[1])
 
 
 def _enumerate_words(n):
-    """All length-n words in the lexicographic enumeration that index_to_word indexes."""
-    return [index_to_word(i, n) for i in range(3**n)]
+    """All length-n words, the rows of the digit rows of 0 .. 3^n - 1 plus 1."""
+    symbols = digit_rows(np.arange(3**n), n) + 1
+    assert symbols.dtype == np.uint8 and symbols.shape == (3**n, n)
+    return list(word_tuples(symbols))
 
 
 def test_enumerate_words_small():
@@ -44,12 +48,14 @@ def test_enumerate_words_depth_cap():
         subsystem_alphabet(0.75, 17)
 
 
-def test_word_string_round_trip():
-    for w in ((1, 2, 3), (3, 1, 2), ()):
-        assert check_word(int(c) for c in word_to_str(w)) == w
-    assert word_to_str((3, 1, 2)) == "312"
-    with pytest.raises(ValueError):
-        check_word((1, 4, 0))
+@pytest.mark.parametrize("base, n", [(2, 5), (5, 3), (300, 2), (4096, 3), (70000, 2)])
+def test_digit_rows_are_the_lexicographic_tuples(base, n):
+    # the block tuples of the gamma check: digits of a base as wide as the alphabet prefix
+    idx = np.arange(min(base**n, 5000))
+    rows = digit_rows(idx, n, base)
+    assert rows.shape == (len(idx), n) and np.iinfo(rows.dtype).max >= base - 1
+    assert rows.tolist() == [list(t) for t in islice(product(range(base), repeat=n), len(idx))]
+    assert digit_rows(np.array([base**n - 1]), n, base).tolist() == [[base - 1] * n]
 
 
 # --- stopping covers -------------------------------------------------------
@@ -113,13 +119,19 @@ def test_stopping_cover_exact_rational_window():
 
 
 def test_subsystem_alphabet_m1():
-    assert subsystem_alphabet(0.75, 1) == ((1,), (3,))
+    assert word_tuples(subsystem_alphabet(0.75, 1)) == ((1,), (3,))
 
 
 def test_subsystem_alphabet_m4():
     words = subsystem_alphabet(0.75, 4)
-    assert len(words) == 32
-    assert all(w.count(2) == 1 for w in words)
+    assert words.shape == (32, 4) and words.dtype == np.uint8
+    assert all(w.count(2) == 1 for w in word_tuples(words))
+
+
+def _alphabet_oracle(a, m):
+    """The words of product((1, 2, 3), repeat=m) with exactly two_count(a, m) twos, in order."""
+    j = two_count(a, m)
+    return tuple(w for w in product((1, 2, 3), repeat=m) if w.count(2) == j)
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -127,18 +139,29 @@ def test_alphabet_size_matches_enumeration(m):
     # the alphabet is exactly the length-m words with floor(pm) symbols 2, in
     # lexicographic order, and has the closed-form size 2^(m-j) * C(m, j);
     # p runs from 0 (j = 0 at a = 51/100) to about 1/3 (a = 19/20)
-    for a in (Fraction(3, 4), Fraction(51, 100), Fraction(19, 20)):
-        j = math.floor(Fraction(2 * a - 1, 4 * a - 1) * m)
+    for a in (Fraction(3, 4), Fraction(51, 100), Fraction(19, 20), 0.75, 0.51, 0.6, 0.95):
+        j = two_count(a, m)
+        assert isinstance(a, float) or j == math.floor(Fraction(2 * a - 1, 4 * a - 1) * m)
         alphabet = subsystem_alphabet(a, m)
-        assert len(alphabet) == 2 ** (m - j) * math.comb(m, j)
-        if m <= 9:
-            assert alphabet == tuple(w for w in product((1, 2, 3), repeat=m) if w.count(2) == j)
+        assert alphabet.dtype == np.uint8 and alphabet.shape == (2 ** (m - j) * math.comb(m, j), m)
+        if m <= 10:
+            assert word_tuples(alphabet) == _alphabet_oracle(a, m)
+
+
+@pytest.mark.parametrize("a", [Fraction(3, 4), 0.55, 0.9])
+def test_alphabet_prefix_is_the_first_rows(a):
+    # the row limit builds only a prefix, which gamma_conjugate checks
+    for m in range(1, 11):
+        full = subsystem_alphabet(a, m)
+        for limit in (1, 7, len(full) - 1, len(full), len(full) + 5, 4096):
+            prefix = subsystem_alphabet(a, m, limit)
+            assert prefix.dtype == np.uint8 and np.array_equal(prefix, full[:limit])
 
 
 def test_subsystem_alphabet_shared_ratio_magnitude():
     a = Fraction(3, 4)
     for m in (1, 2, 3, 4, 5, 6):
-        words = subsystem_alphabet(a, m)
+        words = word_tuples(subsystem_alphabet(a, m))
         j = words[0].count(2)
         expected = a ** (m - j) * (2 * a - 1) ** j
         for w in words:

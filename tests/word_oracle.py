@@ -1,12 +1,19 @@
 """Word-by-word oracles: one word's projection, and the level-set cover by exhaustive and prefix filters.
 
 Each folds every word on its own, sharing no code with the level kernel that
-the package's covers run on.  The tests compare the two exactly.
+the package's covers run on.  The oracles give words as tuples; word_tuples
+turns the package's uint8 symbol matrices into the same tuples, so the tests
+compare the two exactly.
 """
 
 from itertools import product
 
-from okamoto.systems import compose_word, fold_word, projection_parts
+from okamoto.systems import fold_word, projection_parts
+
+
+def word_tuples(symbols):
+    """The rows of a symbol matrix as a tuple of word tuples, in row order."""
+    return tuple(map(tuple, symbols.tolist()))
 
 
 def project(tau, rho, word):
@@ -19,7 +26,7 @@ def exhaustive_level_filter(a, y, n):
     parts = projection_parts(a)
     out = []
     for w in product((1, 2, 3), repeat=n):
-        t, r = compose_word(*parts, w)
+        t, r = fold_word(*parts, w)
         if min(t, t + r) <= y <= max(t, t + r):
             out.append(w)
     return tuple(out)
