@@ -74,7 +74,7 @@ def _compose_alphabet(a: Number, m: int, alphabet: np.ndarray) -> HomogeneousSys
     if isinstance(a, (Fraction, int)):
         bad = _first_mismatch(r, unit, lam)
         if bad is not None:
-            raise AssertionError(f"ratio mismatch for word {alphabet[bad].tolist()}: {Fraction(int(r[bad]), unit)} != {lam}")
+            raise AssertionError(f"ratio mismatch for word {alphabet[bad]}: {Fraction(int(r[bad]), unit)} != {lam}")
         translations = tuple(Fraction(int(v), unit) for v in t)  # no list of all values at once
     else:
         translations = tuple(t.tolist())

@@ -20,7 +20,7 @@ def _ratio_product(a, word):
 
 
 def _enumerate_words(n):
-    """All length-n words, the rows of the digit rows of 0 .. 3^n - 1 plus 1."""
+    """All length-n words: the base-3 digit rows of 0 .. 3^n - 1, plus 1."""
     symbols = digit_rows(np.arange(3**n), n) + 1
     assert symbols.dtype == np.uint8 and symbols.shape == (3**n, n)
     return list(word_tuples(symbols))
