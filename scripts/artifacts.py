@@ -6,14 +6,16 @@
 Each command runs through okamoto.cli.run with DIR as the working directory,
 so the artifacts of its --out commands land in DIR under relative names.
 Command i writes its stdout to DIR/NNN.out (NNN = i, three digits) and its
-exit code to line i of DIR/exit_codes.txt; DIR/commands.txt lists the
-commands in the same order.  Two source trees give byte-identical artifacts
+exit code to line i of DIR/exit_codes.txt ("escaped" when an exception
+escapes cli.run, whose message then is the output); DIR/commands.txt lists
+the commands in the same order.  Two source trees give byte-identical artifacts
 when `diff -r` of their two output directories is empty.
 
 The list covers every benchmark workload command at seeds 61-63, levelset
 words (JSON and CSV) at rational and float levels, graph and grid boxdim
 rows, separation gaps and witnesses, the subsystem checks at several block
-lengths, and error outputs of checks made before any work.
+lengths (the ratio check up to m = 13, gamma on int64 and on Python ints),
+and error outputs of checks made before any work.
 """
 
 import argparse
@@ -76,6 +78,13 @@ ERRORS = [
     "boxdim --a 0.75 --mode column --min-depth 6 --max-depth 99",
     "boxdim --a 0.75 --mode grid --min-depth -1 --max-depth 99",
     "levelset-scan --a 0.75 --samples 5 --depth 99 --seed 1",
+    "subsystem --a inf --m 2 --k 2 --check gamma",
+    "subsystem --a nan --m 2 --k 2 --check gamma",
+    "lq --a 0.75 --q nan",
+    "lq --a 0.75 --q nan --format csv",
+    "lq --a 0.75 --q inf --format csv",
+    "dims --a 0.75 --q nan --format csv",
+    "lq --a 0.75 --q ,",
 ]
 
 
@@ -102,6 +111,8 @@ def commands() -> list:
         out.append(f"subsystem --a 2/3 --m {m} --k 3 --check gamma")
         out.append(f"subsystem --a 0.75 --m {m} --k 2 --check convolution --samples 20000 --seed 5")
         out.append(f"subsystem --a 0.6 --m {m} --check slices --samples 20 --depth 10 --seed 5")
+    out.append("subsystem --a 3/4 --m 13 --check ratio")
+    out.append("subsystem --a 999/1000 --m 4 --k 2 --check gamma")  # gamma past the int64 bound
     out += ERRORS
     out.append("levelset --a 3/4 --y 1/3 --depth 11 --out levelset.json")
     out.append("levelset --a 0.75 --y 0.3 --depth 11 --format csv --out levelset.csv")
@@ -121,7 +132,11 @@ def main() -> int:
     codes = []
     for i, cmd in enumerate(cmds):
         buf = io.StringIO()
-        codes.append(run(cmd.split(), stdout=buf))
+        try:
+            codes.append(run(cmd.split(), stdout=buf))
+        except Exception as exc:  # an error that escapes cli.run is an output too
+            buf.write(f"escaped cli.run: {type(exc).__name__}: {exc}\n")
+            codes.append("escaped")
         with open(f"{i:03d}.out", "w") as fh:
             fh.write(buf.getvalue())
     with open("commands.txt", "w") as fh:

@@ -57,9 +57,12 @@ def parse_number(text: str):
 
 def _q_list(text: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad q list {text!r}; expected comma-separated numbers") from exc
+    if not values:
+        raise UsageError(f"empty q list {text!r}")
+    return values
 
 
 def build_parser() -> _Parser:
@@ -228,7 +231,7 @@ def _cmd_levelset_scan(cfg):
     a = parse_number(cfg.a)
     scan = estimators.level_set_scan(float(a), cfg.samples, cfg.depth, seed=cfg.seed)
     if cfg.format == "csv":
-        return "csv", ["y", "estimate"], [[y, e] for y, e in zip(scan.ys, scan.estimates)]
+        return "csv", ["y", "estimate"], _array_rows(scan.ys, scan.estimates)
     return "json", _scan_json(scan)
 
 
@@ -341,8 +344,8 @@ def _cmd_bundle(cfg):
         "assouad": {
             "theoretical_slice_bound": dims_report.level_set_bound,
             "bound": dimensions.assouad_bound(af, dims_report.level_set_bound),
-            "empirical_slice_sup": max(scan.estimates),
-            "bound_from_scan": dimensions.assouad_bound(af, max(scan.estimates)),
+            "empirical_slice_sup": float(scan.estimates.max()),
+            "bound_from_scan": dimensions.assouad_bound(af, float(scan.estimates.max())),
         },
         "subsystem_entropy": entropy,
     }

@@ -61,8 +61,8 @@ def natural_weights(a: Number) -> tuple:
 def tau_q(a: Number, q: float) -> float:
     """Multifractal exponent: unique tau with (1/3)^((s0-1)q) (2 a^(q-tau) + b^(q-tau)) = 1."""
     check_a(a)
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise ParameterError(f"q must be finite and >= 1, got {q}")
     if q == 1:
         return 0.0
     af = float(a)

@@ -265,8 +265,8 @@ class LevelSetScan:
     seed: int
     tolerance: float
     s0_minus_1: float
-    ys: tuple
-    estimates: tuple
+    ys: np.ndarray
+    estimates: np.ndarray
     quantiles: dict
     frac_above: float
     median_gap: float
@@ -282,7 +282,7 @@ def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetSc
     if sample_count > LEVEL_COUNT_CAP:
         raise BudgetError(f"level count {sample_count} exceeds cap {LEVEL_COUNT_CAP}")
     _check_cover_depth(n)
-    ys = tuple(float(v) for v in np.random.default_rng(seed).random(sample_count))
+    ys = np.random.default_rng(seed).random(sample_count)
     stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0
     return LevelSetScan(
@@ -292,7 +292,7 @@ def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetSc
         tolerance=SCAN_TOLERANCE,
         s0_minus_1=bound,
         ys=ys,
-        estimates=tuple(float(e) for e in stats.estimates),
+        estimates=stats.estimates,
         quantiles=stats.quantiles,
         frac_above=float(np.mean(stats.estimates > bound + SCAN_TOLERANCE)),
         median_gap=stats.median - bound,

@@ -21,7 +21,8 @@ one that satisfies the identity.  An alphabet is the (N, m) uint8 matrix of
 its words, and the gamma check indexes it with block-tuple rows; both fold
 whole symbol matrices at once (systems.fold_rows), in the level kernel's
 number kind: integers over a common denominator, int64 under its proven bound
-and Python ints beyond it, or float64 for float a.
+and Python ints beyond it, or float64 for float a; a subsystem's translations
+stay fold_rows' numerators over its unit, one array entry per word.
 """
 
 from __future__ import annotations
@@ -53,32 +54,24 @@ def subsystem_ratio(a: Number, m: int) -> Number:
 
 @dataclass(frozen=True)
 class HomogeneousSystem:
-    """The maps x -> ratio*x + t, one translation t per alphabet word (a row of alphabet), in alphabet order."""
+    """Word i, row i of alphabet, maps x -> ratio*x + translations[i]/unit (fold_rows' t and unit)."""
 
-    a: Number
-    m: int
     alphabet: np.ndarray
     ratio: Number
-    translations: tuple
+    translations: np.ndarray
+    unit: Number
 
 
-def build_subsystem(a: Number, m: int) -> HomogeneousSystem:
-    """Compositions S_w over the subsystem alphabet; ratios checked exactly for rational a."""
-    return _compose_alphabet(a, m, subsystem_alphabet(a, m))
-
-
-def _compose_alphabet(a: Number, m: int, alphabet: np.ndarray) -> HomogeneousSystem:
-    """Every word of the alphabet composed at once; float translations are fold_word's bit for bit."""
+def build_subsystem(a: Number, m: int, limit: int | None = None) -> HomogeneousSystem:
+    """Compositions S_w over the alphabet, or its first `limit` words; ratios checked exactly for rational a."""
+    alphabet = subsystem_alphabet(a, m, limit)
     t, r, unit = fold_rows(*projection_parts(a), alphabet)
     lam = subsystem_ratio(a, m)
     if isinstance(a, (Fraction, int)):
         bad = _first_mismatch(r, unit, lam)
         if bad is not None:
             raise AssertionError(f"ratio mismatch for word {alphabet[bad]}: {Fraction(int(r[bad]), unit)} != {lam}")
-        translations = tuple(Fraction(int(v), unit) for v in t)  # no list of all values at once
-    else:
-        translations = tuple(t.tolist())
-    return HomogeneousSystem(a=a, m=m, alphabet=alphabet, ratio=lam, translations=translations)
+    return HomogeneousSystem(alphabet=alphabet, ratio=lam, translations=t, unit=unit)
 
 
 def _first_mismatch(values: np.ndarray, unit: int, target: Fraction) -> int | None:
@@ -138,7 +131,7 @@ def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndar
     sub = build_subsystem(float(a), m)
     lam = float(sub.ratio)
     rng = np.random.default_rng(seed)
-    return _sample_block_coding(np.array(sub.translations), lam, count, _sampling_depth(lam), rng)
+    return _sample_block_coding(sub.translations, lam, count, _sampling_depth(lam), rng)
 
 
 @dataclass(frozen=True)
@@ -158,15 +151,14 @@ def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> Convol
     _check_count(count)
     sub = build_subsystem(float(a), m)
     lam = float(sub.ratio)
-    taus = np.array(sub.translations)
     depth = _sampling_depth(lam)
     depth += (-depth) % k  # whole superblocks
     streams = np.random.SeedSequence(seed).spawn(3)
     rng_x, rng_y, rng_z = (np.random.default_rng(s) for s in streams)
-    direct = _sample_block_coding(taus, lam, count, depth, rng_x)
-    off = _sample_block_coding(taus, lam, count, depth, rng_y, skip_every=k)
+    direct = _sample_block_coding(sub.translations, lam, count, depth, rng_x)
+    off = _sample_block_coding(sub.translations, lam, count, depth, rng_y, skip_every=k)
     lam_k = lam**k
-    kth = _sample_block_coding(taus, lam_k, count, depth // k, rng_z)
+    kth = _sample_block_coding(sub.translations, lam_k, count, depth // k, rng_z)
     combined = off + lam ** (k - 1) * kth
     return ConvolutionReport(
         a=float(a),
@@ -208,16 +200,15 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     index only the first GAMMA_TUPLE_BUDGET words, so only those are composed.
 
     Each side runs on whole arrays in the level kernel's integer kind: the
-    alphabet prefix, the block tuples folded over the prefix translations,
+    alphabet prefix, the block tuples folded over the prefix's numerators,
     and the flat words (the tuple's blocks, then the block i) composed symbol
     by symbol from S_a, never from the composed blocks.  The identity
     c(1 - lambda^k) = S_i(0) lambda^e is compared by integer
     cross-multiplication over one common unit.
     """
     _check_split(k, "gamma conjugation")
-    a = Fraction(a)
-    check_a(a)
-    sub = _compose_alphabet(a, m, subsystem_alphabet(a, m, GAMMA_TUPLE_BUDGET))
+    a = Fraction(check_a(a))
+    sub = build_subsystem(a, m, GAMMA_TUPLE_BUDGET)
     j = two_count(a, m)
     tilde = np.repeat(np.array([1, 2], dtype=np.uint8), (m - j, j))
     parts = projection_parts(a)
@@ -228,7 +219,9 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
 
     # the first block tuples in lexicographic order: the base-size digit rows of 0, 1, 2, ...
     combos = digit_rows(np.arange(min(size ** (k - 1), GAMMA_TUPLE_BUDGET)), k - 1, base=size)
-    g_t, _, g_unit = fold_rows(sub.translations, (lam,) * size, combos + 1)
+    # over the prefix's integer numerators, so g_t is over g_unit * sub.unit
+    g_t, _, g_unit = fold_rows(sub.translations.tolist(), (lam,) * size, combos + 1)
+    g_unit *= sub.unit
     blocks = sub.alphabet[combos].reshape(len(combos), -1)
     flat = np.hstack([blocks, np.tile(tilde, (len(combos), 1))])
     flat_t, flat_r, flat_unit = fold_rows(*parts, flat)

@@ -251,6 +251,13 @@ def test_empty_level_lists_are_json_errors():
         assert json.loads(out)["error"]["type"] == "ParameterError"
 
 
+def test_empty_q_lists_are_usage_errors():
+    for argv in (["lq", "--a", "0.75", "--q", ","], ["dims", "--a", "0.75", "--q", " , "]):
+        code, out = _run(argv)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "usage"
+
+
 def test_slices_with_every_level_excluded_are_a_json_error(monkeypatch):
     from okamoto import subsystem
 
@@ -383,16 +390,27 @@ _WALK_EXEMPT = {
 }
 
 
-def _walk_cases():
-    """(argv, option, key) per command, per value of its choice option (--mode, --check) and per integer option."""
-    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(commands) == set(_WALK_BASE)
-    for name, sub in commands.items():
+_COMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _is_integer_option(action) -> bool:
+    return action.type is int and action.dest != "seed"
+
+
+def _is_number_option(action) -> bool:
+    """--a, --y, --b, --q, --tmin and --tmax: every option that is not an integer, a choice, --out or --help."""
+    return action.type is not int and not action.choices and action.dest not in ("help", "out")
+
+
+def _walk_cases(walked=_is_integer_option):
+    """(argv, option, key) per command, per value of its choice option (--mode, --check) and per walked option."""
+    assert set(_COMMANDS) == set(_WALK_BASE)
+    for name, sub in _COMMANDS.items():
         choice = next((a for a in sub._actions if a.choices and a.dest != "format"), None)
         for value in choice.choices if choice else (None,):
             fixed = _WALK_BASE[name] + ([choice.option_strings[0], value] if choice else [])
             for action in sub._actions:
-                if action.type is int and action.dest != "seed":
+                if walked(action):
                     option = action.option_strings[0]
                     yield [name, *fixed], option, (name, value, option)
 
@@ -425,6 +443,32 @@ def no_kernel(monkeypatch):
     if value not in _WALK_EXEMPT.get(key, ((),))[0]
 ])
 def test_every_integer_option_is_bounded_before_any_work(no_kernel, argv):
+    code, out = _run(argv)
+    assert code in (1, 2)
+    assert set(json.loads(out)) == {"error", "schema_version"}
+
+
+# --- every number option rejects nan and inf before any work ------------------------
+
+
+def _number_walk_params():
+    """Each number option at nan and inf, per --check and --mode, in each --format the command takes."""
+    for argv, option, (name, choice, _) in _walk_cases(_is_number_option):
+        formats = next((a.choices for a in _COMMANDS[name]._actions if a.dest == "format"), (None,))
+        for form in formats:
+            for value in ("nan", "inf"):
+                fixed = argv + (["--format", form] if form else [])
+                key = ":".join(v for v in (name, choice, form, option) if v)
+                yield pytest.param(fixed + [option, value], id=f"{key}={value}")
+
+
+def test_number_walk_covers_the_number_options():
+    walked = {option for _, option, _ in _walk_cases(_is_number_option)}
+    assert walked == {"--a", "--y", "--b", "--q", "--tmin", "--tmax"}
+
+
+@pytest.mark.parametrize("argv", list(_number_walk_params()))
+def test_every_number_option_rejects_nan_and_inf_before_any_work(no_kernel, argv):
     code, out = _run(argv)
     assert code in (1, 2)
     assert set(json.loads(out)) == {"error", "schema_version"}

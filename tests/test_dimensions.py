@@ -180,8 +180,9 @@ def test_lq_dimension_is_one():
 def test_lq_dimension_domain():
     with pytest.raises(ParameterError):
         lq_dimension(0.75, 1.0)
-    with pytest.raises(ParameterError):
-        tau_q(0.75, 0.5)
+    for q in (0.5, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            tau_q(0.75, q)
 
 
 # --- Assouad bound ---------------------------------------------------------------

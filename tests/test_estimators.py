@@ -221,8 +221,8 @@ def test_level_set_scan_forced_levels_and_reproducibility():
     assert forced.estimates[0] == 0.0  # y=0 is the singleton level set
     s1 = level_set_scan(0.75, 50, 10, seed=11)
     s2 = level_set_scan(0.75, 50, 10, seed=11)
-    assert s1.ys == s2.ys and s1.estimates == s2.estimates
-    assert s1.estimates == tuple(level_statistics(0.75, s1.ys, 10).estimates.tolist())
+    assert np.array_equal(s1.ys, s2.ys) and np.array_equal(s1.estimates, s2.estimates)
+    assert np.array_equal(s1.estimates, level_statistics(0.75, s1.ys, 10).estimates)
     with pytest.raises(TypeError):
         level_set_scan(0.75, 50, 10)  # the seed is required
     with pytest.raises(ParameterError):

@@ -31,16 +31,19 @@ def test_build_subsystem_m1():
     sub = build_subsystem(0.75, 1)
     assert sub.alphabet.dtype == np.uint8 and word_tuples(sub.alphabet) == ((1,), (3,))
     assert sub.ratio == 0.75
-    assert sub.translations == (0.0, 0.25)
+    assert sub.translations.dtype == np.float64 and sub.translations.tolist() == [0.0, 0.25] and sub.unit == 1.0
 
 
 def test_build_subsystem_m4_exact():
     a = Fraction(3, 4)
     sub = build_subsystem(a, 4)
-    assert len(sub.translations) == 32
+    assert len(sub.translations) == 32 and sub.translations.dtype == np.int64 and sub.unit == 4**4
     assert sub.ratio == Fraction(3, 4) ** 3 * Fraction(-1, 2)
-    for w, t in zip(word_tuples(sub.alphabet), sub.translations):
-        assert fold_word(*projection_parts(a), w) == (t, sub.ratio)
+    for w, t in zip(word_tuples(sub.alphabet), sub.translations.tolist()):
+        assert fold_word(*projection_parts(a), w) == (Fraction(t, sub.unit), sub.ratio)
+    prefix = build_subsystem(a, 4, 5)  # the row limit keeps the first words and their translations
+    assert np.array_equal(prefix.alphabet, sub.alphabet[:5])
+    assert np.array_equal(prefix.translations, sub.translations[:5])
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -140,7 +143,8 @@ def test_gamma_reads_only_the_checked_alphabet_prefix():
     assert (report.m, report.k, report.exponent, report.exact) == (m, k, k - 1, True)
     assert report.candidates == {k - 1: True, k: False}
     assert report.checked == len(conjugated) == GAMMA_TUPLE_BUDGET
-    assert list(conjugated) == [t + offset * (1 - lam**k) for t in sub.translations[:GAMMA_TUPLE_BUDGET]]
+    prefix = sub.translations[:GAMMA_TUPLE_BUDGET].tolist()
+    assert list(conjugated) == [Fraction(t, sub.unit) + offset * (1 - lam**k) for t in prefix]
 
 
 def test_gamma_requires_k_at_least_two():
@@ -188,7 +192,7 @@ def test_block_coding_matches_direct_split_sum():
     sub = build_subsystem(a, 1)
     lam = float(sub.ratio)
     rng = np.random.default_rng(0)
-    xs = _sample_block_coding(np.array(sub.translations), lam, 50_000, 40, rng)
+    xs = _sample_block_coding(sub.translations, lam, 50_000, 40, rng)
     ys = sample_subsystem_measure(a, 1, 50_000, seed=1)
     assert ks_statistic(xs, ys) < 0.02
 
