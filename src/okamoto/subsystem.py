@@ -187,7 +187,7 @@ class GammaReport:
 
 
 def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
-    """(gamma offset, conjugated translations, report): exact verification of the conjugation identity.
+    """(gamma offset, conjugated system, report): exact verification of the conjugation identity.
 
     gamma(x) = x + c turns every off-positions map g into lambda^k x + t_g +
     c(1 - lambda^k); the claim is that this equals the composition
@@ -195,9 +195,11 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     off-positions translation t_g = sum_l lambda^(l-1) tau_{j_l} is the fold
     of the block translations with ratio lambda.  The first GAMMA_TUPLE_BUDGET
     block tuples, in lexicographic order, are checked.  Both candidate offsets
-    are tried and the verified exponent is recorded.  Every conjugated map
-    has ratio lambda^k, so each is given by its translation.  The tuples
-    index only the first GAMMA_TUPLE_BUDGET words, so only those are composed.
+    are tried and the verified exponent is recorded.  Once the identity
+    holds, the conjugated maps are the compositions of the flat words, so the
+    conjugated system is their HomogeneousSystem (ratio lambda^k), in tuple
+    order; it is None when no exponent holds.  The tuples index only the
+    first GAMMA_TUPLE_BUDGET words, so only those are composed.
 
     Each side runs on whole arrays in the level kernel's integer kind: the
     alphabet prefix, the block tuples folded over the prefix's numerators,
@@ -239,12 +241,10 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
             a=a, m=m, k=k, offset=Fraction(0), exponent=0, exact=False,
             checked=len(combos), candidates=candidates,
         )
-        return Fraction(0), (), report
+        return Fraction(0), None, report
     exponent = k - 1 if candidates[k - 1] else k
     offset = tau_tilde * lam**exponent / (1 - lam_k)
-    shift = offset * (1 - lam_k)
-    scaled = g_t.astype(object) * shift.denominator + shift.numerator * g_unit
-    conjugated = tuple(Fraction(v, g_unit * shift.denominator) for v in scaled.tolist())
+    conjugated = HomogeneousSystem(alphabet=flat, ratio=lam_k, translations=flat_t, unit=flat_unit)
     report = GammaReport(
         a=a, m=m, k=k, offset=offset, exponent=exponent, exact=True,
         checked=len(combos), candidates=candidates,

@@ -27,6 +27,11 @@ from okamoto.words import two_count
 from word_oracle import word_tuples
 
 
+def _exact(sub):
+    """The translations of a rational subsystem as Fractions, in row order."""
+    return [Fraction(t, sub.unit) for t in sub.translations.tolist()]
+
+
 def test_build_subsystem_m1():
     sub = build_subsystem(0.75, 1)
     assert sub.alphabet.dtype == np.uint8 and word_tuples(sub.alphabet) == ((1,), (3,))
@@ -39,8 +44,8 @@ def test_build_subsystem_m4_exact():
     sub = build_subsystem(a, 4)
     assert len(sub.translations) == 32 and sub.translations.dtype == np.int64 and sub.unit == 4**4
     assert sub.ratio == Fraction(3, 4) ** 3 * Fraction(-1, 2)
-    for w, t in zip(word_tuples(sub.alphabet), sub.translations.tolist()):
-        assert fold_word(*projection_parts(a), w) == (Fraction(t, sub.unit), sub.ratio)
+    for w, t in zip(word_tuples(sub.alphabet), _exact(sub)):
+        assert fold_word(*projection_parts(a), w) == (t, sub.ratio)
     prefix = build_subsystem(a, 4, 5)  # the row limit keeps the first words and their translations
     assert np.array_equal(prefix.alphabet, sub.alphabet[:5])
     assert np.array_equal(prefix.translations, sub.translations[:5])
@@ -63,8 +68,8 @@ def test_ratio_uniform_exact(m):
 def test_gamma_identity_exact(m, k):
     offset, conjugated, report = gamma_conjugate(Fraction(3, 4), m, k)
     assert report.exact
-    assert report.checked == len(conjugated) > 0
-    assert all(isinstance(t, Fraction) for t in conjugated)
+    assert report.checked == len(conjugated.translations) == len(conjugated.alphabet) > 0
+    assert conjugated.ratio == subsystem_ratio(Fraction(3, 4), m) ** k and isinstance(conjugated.unit, int)
 
 
 def test_gamma_exponent_disambiguation():
@@ -87,15 +92,18 @@ def _off_position_translations(a, m, k):
 
 
 def test_split_translation_rule():
-    # t_g = sum_l lambda^(l-1) tau_l over the k-1 blocks, and gamma's maps are x -> lambda^k x + t_g + c(1 - lambda^k)
+    # t_g = sum_l lambda^(l-1) tau_l over the k-1 blocks, and gamma's maps are x -> lambda^k x + t_g + c(1 - lambda^k),
+    # the compositions of the flat words: the tuple's blocks, then the all-1s-then-2s block
     a = Fraction(3, 4)
     parts = projection_parts(a)
     for m, k in ((1, 3), (2, 3), (4, 2)):
         offset, conjugated, _ = gamma_conjugate(a, m, k)
         lam = subsystem_ratio(a, m)
+        tilde = (1,) * (m - two_count(a, m)) + (2,) * two_count(a, m)
         reference = _off_position_translations(a, m, k)
-        assert len(conjugated) == len(reference)
-        for t_conj, (combo, t_g) in zip(conjugated, reference):
+        assert word_tuples(conjugated.alphabet) == tuple(sum(combo, ()) + tilde for combo, _ in reference)
+        assert len(_exact(conjugated)) == len(reference)
+        for t_conj, (combo, t_g) in zip(_exact(conjugated), reference):
             taus = [fold_word(*parts, w)[0] for w in combo]
             assert t_g == sum(lam**l * tau for l, tau in enumerate(taus))
             assert t_conj == t_g + offset * (1 - lam**k)
@@ -114,8 +122,8 @@ def test_gamma_on_python_ints_matches_off_position_translations():
     assert offset == fold_word(*parts, tilde)[0] * lam ** (k - 1) / (1 - lam**k)
     assert (report.exact, report.exponent, report.candidates) == (True, k - 1, {k - 1: True, k: False})
     reference = _off_position_translations(a, m, k)
-    assert report.checked == len(conjugated) == len(reference) == 32
-    assert list(conjugated) == [t_g + offset * (1 - lam**k) for _, t_g in reference]
+    assert report.checked == len(conjugated.translations) == len(reference) == 32
+    assert _exact(conjugated) == [t_g + offset * (1 - lam**k) for _, t_g in reference]
 
 
 def test_gamma_fixed_point_maps_to_fixed_point():
@@ -123,8 +131,8 @@ def test_gamma_fixed_point_maps_to_fixed_point():
     offset, conjugated, report = gamma_conjugate(a, 4, 2)
     lam_k = subsystem_ratio(a, 4) ** 2
     reference = _off_position_translations(a, 4, 2)
-    assert report.checked == len(conjugated) == len(reference) == 32
-    for t_conj, (_, t_g) in zip(conjugated, reference):
+    assert report.checked == len(conjugated.translations) == len(reference) == 32
+    for t_conj, (_, t_g) in zip(_exact(conjugated), reference):
         g_fix = t_g / (1 - lam_k)
         assert lam_k * (g_fix + offset) + t_conj == g_fix + offset
 
@@ -142,9 +150,8 @@ def test_gamma_reads_only_the_checked_alphabet_prefix():
     assert offset == report.offset == expected_offset
     assert (report.m, report.k, report.exponent, report.exact) == (m, k, k - 1, True)
     assert report.candidates == {k - 1: True, k: False}
-    assert report.checked == len(conjugated) == GAMMA_TUPLE_BUDGET
-    prefix = sub.translations[:GAMMA_TUPLE_BUDGET].tolist()
-    assert list(conjugated) == [Fraction(t, sub.unit) + offset * (1 - lam**k) for t in prefix]
+    assert report.checked == len(conjugated.translations) == GAMMA_TUPLE_BUDGET
+    assert _exact(conjugated) == [t + offset * (1 - lam**k) for t in _exact(sub)[:GAMMA_TUPLE_BUDGET]]
 
 
 def test_gamma_requires_k_at_least_two():
