@@ -15,7 +15,8 @@ The list covers every benchmark workload command at seeds 61-63, levelset
 words (JSON and CSV) at rational and float levels, graph and grid boxdim
 rows, separation gaps and witnesses, the subsystem checks at several block
 lengths (the ratio check up to m = 13, gamma on int64 and on Python ints),
-and error outputs of checks made before any work.
+and error outputs of checks made before any work, among them the float
+paths at rationals whose floats round to 1/2 and to 1.
 """
 
 import argparse
@@ -85,6 +86,17 @@ ERRORS = [
     "lq --a 0.75 --q inf --format csv",
     "dims --a 0.75 --q nan --format csv",
     "lq --a 0.75 --q ,",
+    "dims --a 0.75 --q 2 --format csv",
+    "measure --a 0.75 --samples 0 --seed 1",
+    "measure --a 0.75 --samples -1 --seed 1",
+    "measure --a 0.75 --samples 10 --depth -1 --seed 1",
+    "levelset-scan --a 0.75 --samples 0 --seed 1",
+    "levelset-scan --a 0.75 --samples -1 --seed 1",
+    "subsystem --a 0.75 --m 13 --check convolution --samples 0 --seed 1",
+    "subsystem --a 0.75 --m 13 --check slices --samples 0 --seed 1",
+    # rationals in (1/2, 1) whose floats round to 1/2 and to 1: float paths reject them
+    f"dims --a {10**400}/{2 * 10**400 - 1}",
+    f"measure --a {10**400 - 1}/{10**400} --samples 10 --seed 1",
 ]
 
 

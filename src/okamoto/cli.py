@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Numbers given as "p/q" are parsed into exact rationals and routed to the
-exact-arithmetic paths; decimals stay floats.  This module is the only place
+The parser parses each number once: "p/q" is an exact rational for the exact
+paths, a decimal a float.  A float-only path converts a at one gate,
+words.float_a; `dims --q` is JSON only.  This module is the only place
 the artifact format is defined: every JSON artifact is strict JSON (never NaN
 or Infinity) with schema_version "1", report dataclasses render by their
 fields and rationals as "p/q"; every CSV has a header row.  Runs are
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import dimensions, estimators, separation, subsystem, systems
 from .errors import DepthCapError, OkamotoError, ParameterError
+from .words import float_a
 
 SCHEMA_VERSION = "1"
 _TCOUNT_CAP = 1000  # frequencies of one fourier grid
@@ -77,46 +79,46 @@ def build_parser() -> _Parser:
         return p
 
     p = add("dims", help="closed-form dimension report")
-    p.add_argument("--a", required=True)
-    p.add_argument("--q", default=None, help="comma-separated q values for tau/L^q columns")
+    p.add_argument("--a", required=True, type=parse_number)
+    p.add_argument("--q", default=None, type=_q_list, help="comma-separated q values for tau/L^q rows (JSON only)")
 
     p = add("graph", help="CSV of the graph points (k/3^depth, T(k/3^depth))", formats=False)
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--depth", type=int, default=6)
 
     p = add("boxdim", help="box-count series and slope fit")
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--min-depth", type=int, default=6)
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--mode", choices=("column", "grid"), default="column")
 
     p = add("levelset", help="cover of one level set")
-    p.add_argument("--a", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
+    p.add_argument("--y", required=True, type=parse_number)
     p.add_argument("--depth", type=int, default=10)
 
     p = add("levelset-scan", help="level-set dimension statistics over random levels")
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--seed", type=int, required=True)
 
     p = add("separation", help="exact minimal-gap separation certificate")
-    p.add_argument("--b", required=True, help="rational p/q (exact arithmetic)")
+    p.add_argument("--b", required=True, type=parse_number, help="rational p/q (exact arithmetic)")
     p.add_argument("--max-depth", type=int, default=8)
 
     p = add("lq", help="tau(q) and L^q dimension")
-    p.add_argument("--a", required=True)
-    p.add_argument("--q", required=True, help="comma-separated q values")
+    p.add_argument("--a", required=True, type=parse_number)
+    p.add_argument("--q", required=True, type=_q_list, help="comma-separated q values")
 
     p = add("measure", help="sample the projected natural measure")
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--depth", type=int, default=40)
     p.add_argument("--seed", type=int, required=True)
 
     p = add("fourier", help="Fourier transform magnitudes of the projected measure")
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tmin", type=float, default=10.0)
@@ -124,7 +126,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tcount", type=int, default=30)
 
     p = add("subsystem", help="homogeneous-subsystem checks", formats=False)
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--check", choices=("ratio", "gamma", "convolution", "entropy", "slices"), required=True)
@@ -133,7 +135,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
 
     p = add("bundle", help="composite desk-scale report for one parameter", formats=False)
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--seed", type=int, required=True)
 
     return parser
@@ -142,11 +144,8 @@ def build_parser() -> _Parser:
 # --- handlers: each returns ("json", payload) or ("csv", header, rows) ----------
 
 
-def _lq_rows(a, text: str) -> list:
-    return [
-        {"q": q, "tau": dimensions.tau_q(a, q), "dim": dimensions.lq_dimension(a, q)}
-        for q in _q_list(text)
-    ]
+def _lq_rows(a, qs: list) -> list:
+    return [{"q": q, "tau": dimensions.tau_q(a, q), "dim": dimensions.lq_dimension(a, q)} for q in qs]
 
 
 def _box_json(series) -> dict:
@@ -165,16 +164,17 @@ def _gamma_json(report) -> dict:
 
 
 def _cmd_dims(cfg):
-    a = parse_number(cfg.a)
-    report = dimensions.dim_report(a)
-    payload = {**vars(report), "assouad_bound": dimensions.assouad_bound(float(a), report.level_set_bound)}
-    if cfg.q:
-        payload["lq"] = _lq_rows(a, cfg.q)
+    if cfg.q and cfg.format == "csv":
+        raise UsageError("dims --q is JSON only; lq --q --format csv writes the q rows as CSV")
+    report = dimensions.dim_report(cfg.a)
     if cfg.format == "csv":
         header = ["a", "b", "s0", "p1", "p2", "p3", "entropy", "chi1", "chi2", "fenghu_dim", "level_set_bound"]
         row = [report.a, report.b, report.s0, *report.weights, report.entropy,
                report.chi1, report.chi2, report.fenghu_dim, report.level_set_bound]
         return "csv", header, [row]
+    payload = {**vars(report), "assouad_bound": dimensions.assouad_bound(report.a, report.level_set_bound)}
+    if cfg.q:
+        payload["lq"] = _lq_rows(cfg.a, cfg.q)
     return "json", payload
 
 
@@ -188,7 +188,7 @@ def _cmd_graph(cfg):
     n = cfg.depth
     if not 0 <= n <= estimators.GRID_DEPTH_CAP:
         raise DepthCapError(f"graph depth must lie in [0, {estimators.GRID_DEPTH_CAP}], got {n}")
-    parts = systems.projection_parts(float(parse_number(cfg.a)))
+    parts = systems.projection_parts(float_a(cfg.a))
     # the depth-n anchors are T(k/3^n) for k < 3^n; the endpoint T(1) = 1 closes the graph
     ys = np.append(systems.expand_level(*parts, n).t, 1.0)
     xs = np.arange(3**n + 1) / 3**n
@@ -196,10 +196,9 @@ def _cmd_graph(cfg):
 
 
 def _cmd_boxdim(cfg):
-    a = parse_number(cfg.a)
     if cfg.min_depth > cfg.max_depth:
         raise UsageError("min-depth must not exceed max-depth")
-    series = estimators.box_count_series(a, range(cfg.min_depth, cfg.max_depth + 1), cfg.mode)
+    series = estimators.box_count_series(cfg.a, range(cfg.min_depth, cfg.max_depth + 1), cfg.mode)
     if cfg.format == "csv":
         return "csv", ["n", "delta", "count"], [[n, d, c] for n, d, c in series.rows]
     return "json", _box_json(series)
@@ -211,15 +210,13 @@ def _word_text(symbols: np.ndarray) -> list:
 
 
 def _cmd_levelset(cfg):
-    a = parse_number(cfg.a)
-    y = parse_number(cfg.y)
-    cover = estimators.level_set_cover(a, y, cfg.depth)
+    cover = estimators.level_set_cover(cfg.a, cfg.y, cfg.depth)
     words = _word_text(cover.level.symbols())
     if cfg.format == "csv":
         return "csv", ["word"], [[w] for w in words]
     return "json", {
-        "a": float(a),
-        "y": float(y),
+        "a": float(cfg.a),
+        "y": float(cfg.y),
         "depth": cover.depth,
         "count": cover.count,
         "dim_estimate": cover.dim_estimate,
@@ -228,18 +225,16 @@ def _cmd_levelset(cfg):
 
 
 def _cmd_levelset_scan(cfg):
-    a = parse_number(cfg.a)
-    scan = estimators.level_set_scan(float(a), cfg.samples, cfg.depth, seed=cfg.seed)
+    scan = estimators.level_set_scan(cfg.a, cfg.samples, cfg.depth, seed=cfg.seed)
     if cfg.format == "csv":
         return "csv", ["y", "estimate"], _array_rows(scan.ys, scan.estimates)
     return "json", _scan_json(scan)
 
 
 def _cmd_separation(cfg):
-    b = parse_number(cfg.b)
-    if not isinstance(b, Fraction):
+    if not isinstance(cfg.b, Fraction):
         raise UsageError("separation needs an exact rational --b, e.g. 1/2")
-    report = separation.verify_sesc(b, n_max=cfg.max_depth)
+    report = separation.verify_sesc(cfg.b, n_max=cfg.max_depth)
     if cfg.format == "csv":
         rows = [[r["n"], float(r["gap"]), r["gap_root"], r["floor"]] for r in report.rows()]
         return "csv", ["n", "gap", "gap_root", "floor"], rows
@@ -256,20 +251,18 @@ def _cmd_separation(cfg):
 
 
 def _cmd_lq(cfg):
-    a = parse_number(cfg.a)
-    values = _lq_rows(a, cfg.q)
+    values = _lq_rows(cfg.a, cfg.q)
     if cfg.format == "csv":
         return "csv", ["q", "tau", "dim"], [[v["q"], v["tau"], v["dim"]] for v in values]
-    return "json", {"a": float(a), "values": values}
+    return "json", {"a": float(cfg.a), "values": values}
 
 
 def _cmd_measure(cfg):
-    a = parse_number(cfg.a)
-    sample = estimators.sample_measure(float(a), cfg.samples, cfg.depth, cfg.seed)
+    sample = estimators.sample_measure(cfg.a, cfg.samples, cfg.depth, cfg.seed)
     if cfg.format == "json":
         pts = sample.points
         return "json", {
-            "a": float(a),
+            "a": sample.parameter,
             "count": sample.count,
             "depth": sample.depth,
             "seed": sample.seed,
@@ -280,19 +273,18 @@ def _cmd_measure(cfg):
 
 
 def _cmd_fourier(cfg):
-    a = parse_number(cfg.a)
     if not (0 < cfg.tmin < math.inf and 0 < cfg.tmax < math.inf):
         raise ParameterError(f"--tmin and --tmax must be finite and positive, got {cfg.tmin} and {cfg.tmax}")
     if not 1 <= cfg.tcount <= _TCOUNT_CAP:
         raise ParameterError(f"--tcount must lie in [1, {_TCOUNT_CAP}], got {cfg.tcount}")
-    sample = estimators.sample_measure(float(a), cfg.samples, 50, cfg.seed)
+    sample = estimators.sample_measure(cfg.a, cfg.samples, 50, cfg.seed)
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
     if cfg.format == "csv":
         return "csv", ["t", "magnitude"], [[float(t), float(m)] for t, m in zip(ts, mags)]
     slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
     return "json", {
-        "a": float(a),
+        "a": sample.parameter,
         "samples": cfg.samples,
         "seed": cfg.seed,
         "t": [float(t) for t in ts],
@@ -304,34 +296,32 @@ def _cmd_fourier(cfg):
 
 
 def _cmd_subsystem(cfg):
-    a = parse_number(cfg.a)
     check = cfg.check
     if check in ("convolution", "slices") and cfg.seed is None:
         raise UsageError(f"--seed is required for check {check!r}")
     if check == "ratio":
-        sub = subsystem.build_subsystem(a, cfg.m)
+        sub = subsystem.build_subsystem(cfg.a, cfg.m)
         payload = {
-            "a": float(a),
+            "a": float(cfg.a),
             "m": cfg.m,
             "alphabet_size": len(sub.alphabet),
             "ratio": float(sub.ratio),
-            "exact_ratio_check": isinstance(a, (Fraction, int)),
+            "exact_ratio_check": isinstance(cfg.a, (Fraction, int)),
         }
     elif check == "gamma":
-        _, _, report = subsystem.gamma_conjugate(a, cfg.m, cfg.k)
+        _, _, report = subsystem.gamma_conjugate(cfg.a, cfg.m, cfg.k)
         payload = _gamma_json(report)
     elif check == "convolution":
-        payload = vars(subsystem.convolution_check(float(a), cfg.m, cfg.k, cfg.samples, cfg.seed))
+        payload = vars(subsystem.convolution_check(cfg.a, cfg.m, cfg.k, cfg.samples, cfg.seed))
     elif check == "entropy":
-        payload = vars(subsystem.entropy_ratio(float(a), cfg.m, cfg.k))
+        payload = vars(subsystem.entropy_ratio(cfg.a, cfg.m, cfg.k))
     else:
-        payload = vars(subsystem.slice_lower_bound_report(float(a), cfg.m, cfg.samples, cfg.depth, cfg.seed))
+        payload = vars(subsystem.slice_lower_bound_report(cfg.a, cfg.m, cfg.samples, cfg.depth, cfg.seed))
     return "json", {**payload, "check": check}
 
 
 def _cmd_bundle(cfg):
-    a = parse_number(cfg.a)
-    af = float(a)
+    af = float_a(cfg.a)
     dims_report = dimensions.dim_report(af)
     box = estimators.box_count_series(af, range(6, 13), "column")
     scan = estimators.level_set_scan(af, 100, 12, seed=cfg.seed)

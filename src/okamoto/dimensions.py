@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import ParameterError
-from .words import Number, check_a
+from .words import Number, check_a, float_a
 
 LOG3 = math.log(3.0)
 BISECT_ITERS = 200
@@ -44,8 +44,7 @@ def _bisect(f, lo: float, hi: float) -> float:
 
 def okamoto_s0(a: Number) -> float:
     """Box/affinity dimension of the graph: 1 + log(4a-1)/log 3."""
-    check_a(a)
-    return 1.0 + math.log(4.0 * float(a) - 1.0) / LOG3
+    return 1.0 + math.log(4.0 * float_a(a) - 1.0) / LOG3
 
 
 def natural_weights(a: Number) -> tuple:
@@ -60,12 +59,11 @@ def natural_weights(a: Number) -> tuple:
 
 def tau_q(a: Number, q: float) -> float:
     """Multifractal exponent: unique tau with (1/3)^((s0-1)q) (2 a^(q-tau) + b^(q-tau)) = 1."""
-    check_a(a)
+    af = float_a(a)
     if not 1 <= q < math.inf:
         raise ParameterError(f"q must be finite and >= 1, got {q}")
     if q == 1:
         return 0.0
-    af = float(a)
     b = 2.0 * af - 1.0
     s0 = okamoto_s0(af)
     lead = 3.0 ** (-(s0 - 1.0) * q)
@@ -94,7 +92,6 @@ def lq_dimension(a: Number, q: float) -> float:
 
 def assouad_bound(a: Number, slice_sup_estimate: float) -> float:
     """max{dim of the graph, 1 + sup over slices}; the slice bound s0-1 returns s0."""
-    check_a(a)
     if slice_sup_estimate < 0:
         raise ParameterError(f"slice estimate must be >= 0, got {slice_sup_estimate}")
     return max(okamoto_s0(a), 1.0 + slice_sup_estimate)
@@ -114,8 +111,7 @@ class DimReport:
 
 
 def dim_report(a: Number) -> DimReport:
-    check_a(a)
-    af = float(a)
+    af = float_a(a)
     p = natural_weights(af)
     h = -sum(x * math.log(x) for x in p)
     chi1 = -sum(x * math.log(r) for x, r in zip(p, (af, 2.0 * af - 1.0, af)))

@@ -18,10 +18,10 @@ levels, uniform or drawn from a measure, becomes float64 covers, estimates
 log N_n / (n log 3) and their quantile summary.
 
 The one measure sampled is the y-projection of the natural measure, S_a with
-weights (a, 2a-1, a)/(4a-1), so every sample is an array of reals.  Its
-random words are drawn in blocks: the level kernel composes the 3^k maps of a
-k-symbol block and their product weights, and Walker's alias method (Vose's
-construction) picks one block map per uniform draw.  A depth that is not a
+weights (a, 2a-1, a)/(4a-1) = |rho_s|/(4a-1), so every sample is an array of
+reals.  Its random words are drawn in blocks: the level kernel composes the
+3^k maps of a k-symbol block, whose |r| are their weights up to scale, and
+Walker's alias method (Vose's construction) picks one map per uniform draw.  A depth that is not a
 multiple of the block length takes one shorter remainder block, so the depth
 stays the one requested, and the points advance in fixed-size chunks, so the
 memory beyond the sample itself stays bounded.  Two probes read a sample:
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from .dimensions import LOG3, natural_weights, okamoto_s0
 from .systems import Level, expand_level, projection_parts
-from .words import Number, check_a
+from .words import Number, check_a, float_a
 
 COLUMN_DEPTH_CAP = 20
 GRID_DEPTH_CAP = 14
@@ -85,7 +85,7 @@ def box_count_graph(a: Number, n: int, method: str = "column") -> int:
         return 1
     if method == "column":
         return _box_count_column(Fraction(a), n)
-    return _box_count_grid(float(a), n)
+    return _box_count_grid(float_a(a), n)
 
 
 def _grid_sampling_levels(a: float, n: int) -> int:
@@ -234,7 +234,7 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
         raise ParameterError(f"level y must lie in [0, 1], got {y}")
     _check_cover_depth(n)
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
-        a, y = float(a), float(y)
+        a, y = float_a(a), float(y)
     level = expand_level(*projection_parts(a), n, _contains(y))
     return LevelSetCover(a=a, y=y, depth=n, level=level)
 
@@ -248,9 +248,10 @@ class LevelStatistics:
 
 def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
     """Depth-n cover-count dimension estimates at the given levels, on float64, and their summary."""
+    a = float_a(a)
     if len(ys) == 0:
         raise ParameterError("level statistics need at least one level")
-    est = np.array([level_set_cover(float(a), float(y), n).dim_estimate for y in ys])
+    est = np.array([level_set_cover(a, y, n).dim_estimate for y in ys])
     return LevelStatistics(
         estimates=est,
         quantiles={f"q{int(100 * q)}": float(np.quantile(est, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)},
@@ -272,21 +273,26 @@ class LevelSetScan:
     median_gap: float
 
 
+def _check_levels(count: int, n: int) -> None:
+    """The level count lies in [1, LEVEL_COUNT_CAP] and the cover depth in [1, LEVEL_SET_DEPTH_CAP]."""
+    if count < 1:
+        raise ParameterError(f"level statistics need a level count >= 1, got {count}")
+    if count > LEVEL_COUNT_CAP:
+        raise BudgetError(f"level count {count} exceeds cap {LEVEL_COUNT_CAP}")
+    _check_cover_depth(n)
+
+
 def level_set_scan(a: float, sample_count: int, n: int, seed: int) -> LevelSetScan:
     """Distribution of cover-count dimension estimates over uniformly drawn levels."""
-    check_a(a)
+    a = float_a(a)
     if seed is None:
         raise ParameterError("level_set_scan needs a seed")
-    if sample_count < 1:
-        raise ParameterError(f"level_set_scan needs sample_count >= 1, got {sample_count}")
-    if sample_count > LEVEL_COUNT_CAP:
-        raise BudgetError(f"level count {sample_count} exceeds cap {LEVEL_COUNT_CAP}")
-    _check_cover_depth(n)
+    _check_levels(sample_count, n)
     ys = np.random.default_rng(seed).random(sample_count)
     stats = level_statistics(a, ys, n)
     bound = okamoto_s0(a) - 1.0
     return LevelSetScan(
-        a=float(a),
+        a=a,
         depth=n,
         seed=seed,
         tolerance=SCAN_TOLERANCE,
@@ -355,13 +361,21 @@ def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.G
 def _block_table(a: float, k: int) -> tuple:
     """(t, r, prob, alias) of the 3^k composed maps of a k-symbol block, in lexicographic word order.
 
-    The maps and their product weights both come from the level kernel: the
-    weights are the ratios of the system with zero translations and ratios
-    natural_weights(a).
+    The natural weights are |rho_s|/(4a-1), so a word's product weight is
+    |r|/(4a-1)^k: the alias table, which takes weights up to scale, is built
+    on the maps' own |r|.
     """
     level = expand_level(*projection_parts(a), k)
-    prob, alias = _alias_table(expand_level((0.0, 0.0, 0.0), natural_weights(a), k).r)
+    prob, alias = _alias_table(np.abs(level.r))
     return level.t, level.r, prob, alias
+
+
+def _check_count(count: int) -> None:
+    """The draw count lies in [1, SAMPLE_COUNT_CAP]."""
+    if count < 1:
+        raise ParameterError(f"sampling needs count >= 1, got {count}")
+    if count > SAMPLE_COUNT_CAP:
+        raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
 
 
 def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample:
@@ -379,11 +393,10 @@ def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample
     which keeps the temporaries in cache and bounds the memory beyond the
     sample itself.  The tables are built per call.
     """
-    a = float(check_a(a))
-    if count < 1 or depth < 0:
-        raise ParameterError(f"sampling needs count >= 1 and depth >= 0, got count {count}, depth {depth}")
-    if count > SAMPLE_COUNT_CAP:
-        raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
+    a = float_a(a)
+    _check_count(count)
+    if depth < 0:
+        raise ParameterError(f"sampling needs depth >= 0, got {depth}")
     if depth > SAMPLE_DEPTH_CAP:
         raise BudgetError(f"sample depth {depth} exceeds cap {SAMPLE_DEPTH_CAP}")
     blocks, rem = divmod(depth, SAMPLE_BLOCK)

@@ -33,11 +33,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError, ParameterError
-from .estimators import LEVEL_COUNT_CAP, SAMPLE_COUNT_CAP, _check_cover_depth, ks_statistic, level_statistics
+from .errors import ParameterError
+from .estimators import _check_count, _check_levels, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import fold_rows, fold_word, projection_parts
-from .words import Number, check_a, digit_rows, subsystem_alphabet, two_count
+from .words import Number, check_a, digit_rows, float_a, subsystem_alphabet, two_count
 
 SAMPLING_TAIL = 1e-9  # the sampling depth keeps the dropped tail sum_{l >= depth} |lambda|^l below this
 GAMMA_TUPLE_BUDGET = 4096  # block tuples checked by the gamma conjugation
@@ -94,14 +94,6 @@ def _check_split(k: int, what: str) -> None:
 # --- sampling and the convolution identity -----------------------------------------
 
 
-def _check_count(count: int) -> None:
-    """The draw count lies in [1, SAMPLE_COUNT_CAP]; checked before the subsystem is built."""
-    if count < 1:
-        raise ParameterError(f"sampling needs count >= 1, got {count}")
-    if count > SAMPLE_COUNT_CAP:
-        raise BudgetError(f"sample count {count} exceeds cap {SAMPLE_COUNT_CAP}")
-
-
 def _sampling_depth(lam: float) -> int:
     return max(4, math.ceil(math.log(SAMPLING_TAIL * (1.0 - abs(lam))) / math.log(abs(lam))))
 
@@ -126,9 +118,10 @@ def _sample_block_coding(
 
 
 def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndarray:
-    """Draw from the uniform-coding measure of the subsystem."""
+    """Draw from the uniform-coding measure of the subsystem, a and the count checked before it is built."""
+    a = float_a(a)
     _check_count(count)
-    sub = build_subsystem(float(a), m)
+    sub = build_subsystem(a, m)
     lam = float(sub.ratio)
     rng = np.random.default_rng(seed)
     return _sample_block_coding(sub.translations, lam, count, _sampling_depth(lam), rng)
@@ -147,9 +140,10 @@ class ConvolutionReport:
 
 def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> ConvolutionReport:
     """KS distance between a direct draw from mu_m and the split-convolution draw."""
+    a = float_a(a)
     _check_split(k, "convolution split")
     _check_count(count)
-    sub = build_subsystem(float(a), m)
+    sub = build_subsystem(a, m)
     lam = float(sub.ratio)
     depth = _sampling_depth(lam)
     depth += (-depth) % k  # whole superblocks
@@ -161,7 +155,7 @@ def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> Convol
     kth = _sample_block_coding(sub.translations, lam_k, count, depth // k, rng_z)
     combined = off + lam ** (k - 1) * kth
     return ConvolutionReport(
-        a=float(a),
+        a=a,
         m=m,
         k=k,
         count=count,
@@ -267,10 +261,9 @@ class EntropyRatioReport:
 
 def entropy_ratio(a: float, m: int, k: int) -> EntropyRatioReport:
     """(k-1) log|alphabet| / (-k log|lambda|) and its closed-form large-(m,k) limit."""
-    check_a(a)
+    af = float_a(a)
     if m < 1 or k < 1:
         raise ParameterError(f"m and k must be >= 1, got {m}, {k}")
-    af = float(a)
     p = (2.0 * af - 1.0) / (4.0 * af - 1.0)
     j = two_count(af, m)
     log_alphabet = (m - j) * math.log(2.0) + (
@@ -307,18 +300,17 @@ def slice_lower_bound_report(a: float, m: int, sample_count: int, depth: int, se
     """Level-set dimension estimates at levels drawn from the subsystem measure.
 
     Levels that land exactly on the endpoint atoms 0 or 1 (where the level set
-    degenerates) are excluded and counted.  The level count and the depth are
-    checked before the subsystem is built.
+    degenerates) are excluded and counted.  a, the level count and the depth
+    are checked before the subsystem is built.
     """
-    if sample_count > LEVEL_COUNT_CAP:
-        raise BudgetError(f"level count {sample_count} exceeds cap {LEVEL_COUNT_CAP}")
-    _check_cover_depth(depth)
+    a = float_a(a)
+    _check_levels(sample_count, depth)
     ys = sample_subsystem_measure(a, m, sample_count, seed)
     keep = (ys > 0.0) & (ys < 1.0)
     stats = level_statistics(a, ys[keep], depth)
     bound = okamoto_s0(a) - 1.0
     return SliceBoundReport(
-        a=float(a),
+        a=a,
         m=m,
         depth=depth,
         seed=seed,

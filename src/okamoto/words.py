@@ -32,6 +32,14 @@ def check_a(a: Number) -> Number:
     return a
 
 
+def float_a(a: Number) -> float:
+    """check_a, then float(a) for the float-only paths: a rational whose float leaves (1/2, 1) is rejected."""
+    af = float(check_a(a))
+    if not (0.5 < af < 1.0):
+        raise ParameterError(f"parameter a = {a} rounds to the float {af}, outside (1/2, 1); exact paths take it")
+    return af
+
+
 def digit_rows(idx, n: int, base: int = 3) -> np.ndarray:
     """Row i holds the n base-`base` digits of idx[i], most significant first.
 

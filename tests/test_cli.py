@@ -51,6 +51,16 @@ def test_dims_with_q_and_csv():
     assert out.splitlines()[0].startswith("a,b,s0")
 
 
+def test_dims_q_rows_are_json_only(monkeypatch):
+    from okamoto import dimensions
+
+    monkeypatch.setattr(dimensions, "dim_report", lambda a: pytest.fail("dims ran before its options were checked"))
+    code, out = _run(["dims", "--a", "0.75", "--q", "2", "--format", "csv"])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "usage" and "lq" in error["message"]
+
+
 def test_dims_domain_error_exit_code():
     code, out = _run(["dims", "--a", "0.4"])
     assert code == 1
@@ -446,6 +456,41 @@ def test_every_integer_option_is_bounded_before_any_work(no_kernel, argv):
     code, out = _run(argv)
     assert code in (1, 2)
     assert set(json.loads(out)) == {"error", "schema_version"}
+
+
+# --- a rational a whose float leaves (1/2, 1): float paths reject it, exact paths run it ---
+
+_ROUNDING_A = {"half": f"{10**400}/{2 * 10**400 - 1}", "one": f"{10**400 - 1}/{10**400}"}
+_EXACT_ROUTES = {("boxdim", "column"), ("subsystem", "ratio"), ("subsystem", "gamma")}
+
+
+def _float_route_params():
+    """Each command with --a, per --check and --mode, that runs on floats; levelset at its float --y."""
+    for argv, _, (name, choice, _) in _walk_cases(lambda action: action.dest == "a"):
+        if (name, choice) not in _EXACT_ROUTES:
+            for rounds_to, a in _ROUNDING_A.items():
+                yield pytest.param(argv + ["--a", a], a, id=":".join(v for v in (name, choice, rounds_to) if v))
+
+
+@pytest.mark.parametrize("argv, a", list(_float_route_params()))
+def test_float_paths_reject_a_rational_whose_float_leaves_the_domain(no_kernel, argv, a):
+    code, out = _run(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParameterError" and a in error["message"]
+
+
+@pytest.mark.parametrize("rounds_to", sorted(_ROUNDING_A))
+@pytest.mark.parametrize("argv", [
+    ["levelset", "--y", "1/3", "--depth", "4"],
+    ["boxdim", "--mode", "column", "--min-depth", "1", "--max-depth", "6"],
+    ["subsystem", "--m", "4", "--check", "ratio"],
+    ["subsystem", "--m", "4", "--k", "2", "--check", "gamma"],
+])
+def test_exact_paths_run_a_rational_whose_float_leaves_the_domain(argv, rounds_to):
+    code, out = _run(argv + ["--a", _ROUNDING_A[rounds_to]])
+    assert code == 0
+    assert "error" not in json.loads(out)
 
 
 # --- every number option rejects nan and inf before any work ------------------------

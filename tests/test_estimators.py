@@ -33,7 +33,7 @@ from okamoto.estimators import (
     local_dimension_slopes,
     sample_measure,
 )
-from okamoto.systems import Level, fold_word, projection_parts
+from okamoto.systems import Level, expand_level, fold_word, projection_parts
 from graph_oracle import box_count_grid_sorted
 from measure_oracle import sample_per_symbol
 from word_oracle import exhaustive_level_filter, prefix_level_filter, word_tuples
@@ -338,6 +338,19 @@ def test_alias_mass_is_the_block_weight(a, k):
     np.add.at(mass, alias[other], 1.0 - prob[other])
     assert np.all((0.0 <= prob) & (prob <= 1.0))
     assert np.max(np.abs(mass - 3**k * expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
+def test_block_table_weights_are_the_weight_level(a):
+    # oracle: the table on the ratios of the system with zero translations and ratios natural_weights(a)
+    for k in range(1, SAMPLE_BLOCK + 1):
+        _, _, prob, alias = _block_table(a, k)
+        oracle_prob, oracle_alias = _alias_table(expand_level((0.0, 0.0, 0.0), natural_weights(a), k).r)
+        assert np.array_equal(alias, oracle_alias)
+        if a == 0.9:  # the two float products round apart, so a rounded integer unit can differ by one
+            assert np.max(np.abs(prob - oracle_prob)) <= 1e-12
+        else:
+            assert np.array_equal(prob, oracle_prob)
 
 
 def test_alias_table_of_uniform_weights_is_trivial():
