@@ -26,42 +26,14 @@ import sys
 
 from okamoto.cli import run
 
-# perfbench/workloads.py commands at seeds 61, 62 and 63, without repeats
-WORKLOAD_COMMANDS = [
-    "measure --a 0.75 --samples 500000 --depth 60 --seed 1365369591",
-    "measure --a 0.75 --samples 50000 --depth 40 --format csv --seed 1385973304",
-    "fourier --a 0.75 --samples 125000 --seed 180506919",
-    "subsystem --a 0.75 --m 2 --k 3 --check convolution --samples 250000 --seed 1111379921",
-    "boxdim --a 0.6 --mode grid --min-depth 7 --max-depth 9",
-    "levelset-scan --a 0.75 --samples 250 --depth 14 --seed 1097850211",
-    "levelset-scan --a 0.9 --samples 40 --depth 12 --format csv --seed 653310603",
-    "graph --a 0.75 --depth 7",
-    "subsystem --a 0.75 --m 8 --check slices --samples 100 --depth 14 --seed 714977268",
-    "bundle --a 0.75 --seed 445630025",
-    "separation --b 2/5 --max-depth 11",
-    "separation --b 7/11 --max-depth 11",
-    "levelset --a 3/4 --y 1/3 --depth 14",
-    "levelset --a 2/3 --y 38/81 --depth 15",
-    "subsystem --a 3/4 --m 6 --k 3 --check gamma",
-    "dims --a 3/4 --q 1.5,2,4,8",
-    "boxdim --a 3/4 --mode column --min-depth 6 --max-depth 20",
-    "measure --a 0.75 --samples 500000 --depth 60 --seed 1142443323",
-    "measure --a 0.75 --samples 50000 --depth 40 --format csv --seed 2087415831",
-    "fourier --a 0.75 --samples 125000 --seed 270289991",
-    "subsystem --a 0.75 --m 2 --k 3 --check convolution --samples 250000 --seed 1230902577",
-    "levelset-scan --a 0.75 --samples 250 --depth 14 --seed 699128405",
-    "levelset-scan --a 0.9 --samples 40 --depth 12 --format csv --seed 1513382502",
-    "subsystem --a 0.75 --m 8 --check slices --samples 100 --depth 14 --seed 714109449",
-    "bundle --a 0.75 --seed 923516478",
-    "measure --a 0.75 --samples 500000 --depth 60 --seed 1228206597",
-    "measure --a 0.75 --samples 50000 --depth 40 --format csv --seed 883824225",
-    "fourier --a 0.75 --samples 125000 --seed 298280957",
-    "subsystem --a 0.75 --m 2 --k 3 --check convolution --samples 250000 --seed 885394958",
-    "levelset-scan --a 0.75 --samples 250 --depth 14 --seed 1835786862",
-    "levelset-scan --a 0.9 --samples 40 --depth 12 --format csv --seed 1274959287",
-    "subsystem --a 0.75 --m 8 --check slices --samples 100 --depth 14 --seed 1827912900",
-    "bundle --a 0.75 --seed 1363779067",
-]
+# the repository root, for perfbench
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from perfbench.workloads import WORKLOADS, commands as workload_commands  # noqa: E402
+
+# the benchmark's workload commands at seeds 61, 62 and 63, without repeats
+WORKLOAD_COMMANDS = list(dict.fromkeys(
+    cmd for seed in (61, 62, 63) for workload in WORKLOADS for _, cmd in workload_commands(workload, seed)
+))
 
 LEVELS = [
     ("3/4", "1/3"), ("3/4", "0"), ("3/4", "1"), ("3/4", "1/4"), ("2/3", "38/81"), ("943/944", "1/3"),
@@ -99,6 +71,14 @@ ERRORS = [
     f"measure --a {10**400 - 1}/{10**400} --samples 10 --seed 1",
 ]
 
+# more checks made before any work: a decimal --b, too few boxdim depths, exact results too long to print
+LATE_ERRORS = [
+    "separation --b 0.5",
+    "boxdim --a 0.75 --mode grid --min-depth 13 --max-depth 14",
+    f"subsystem --a {10**400 - 1}/{10**400} --m 4 --k 3 --check gamma",
+    f"separation --b 1/{10**1000} --max-depth 6",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -130,6 +110,7 @@ def commands() -> list:
     out.append("levelset --a 0.75 --y 0.3 --depth 11 --format csv --out levelset.csv")
     out.append("graph --a 0.75 --depth 6 --out graph.csv")
     out.append("levelset-scan --a 0.75 --samples 20 --depth 10 --seed 4 --out scan.json")
+    out += LATE_ERRORS  # after the rest, so earlier outputs keep their numbers
     return out
 
 

@@ -232,8 +232,6 @@ def _cmd_levelset_scan(cfg):
 
 
 def _cmd_separation(cfg):
-    if not isinstance(cfg.b, Fraction):
-        raise UsageError("separation needs an exact rational --b, e.g. 1/2")
     report = separation.verify_sesc(cfg.b, n_max=cfg.max_depth)
     if cfg.format == "csv":
         rows = [[r["n"], float(r["gap"]), r["gap_root"], r["floor"]] for r in report.rows()]

@@ -150,10 +150,14 @@ def _box_count_grid(a: float, n: int) -> int:
     return total
 
 
+def _check_fit_rows(count: int) -> None:
+    if count < 3:
+        raise ParameterError(f"dimension fit needs >= 3 rows, got {count}")
+
+
 def fit_dimension(pairs: Sequence[tuple]) -> tuple:
     """OLS slope of log N against n log 3 over (n, count) pairs, plus the largest absolute residual."""
-    if len(pairs) < 3:
-        raise ParameterError(f"dimension fit needs >= 3 rows, got {len(pairs)}")
+    _check_fit_rows(len(pairs))
     xs = np.array([n * LOG3 for n, _ in pairs])
     ys = np.array([math.log(c) for _, c in pairs])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -162,9 +166,10 @@ def fit_dimension(pairs: Sequence[tuple]) -> tuple:
 
 
 def box_count_series(a: Number, depths: Sequence[int], method: str = "column") -> BoxCountSeries:
-    """Counts at every depth, each depth checked before the first count: a range stops at its first bad depth."""
+    """Counts at every depth, each depth and then the row count checked before the first count."""
     for n in depths:
         _check_box_depth(a, n, method)
+    _check_fit_rows(len(depths))
     rows = tuple((n, 3.0**-n, box_count_graph(a, n, method)) for n in depths)
     slope, residual = fit_dimension([(n, c) for n, _, c in rows])
     return BoxCountSeries(a=float(a), method=method, rows=rows, fitted_slope=slope, fit_residual=residual)

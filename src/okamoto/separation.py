@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DepthCapError, ParameterError
 from .systems import expand_level, projection_parts
-from .words import digit_rows
+from .words import check_printable, digit_rows
 
 PRUNED_CAP = 12
 
@@ -74,10 +74,20 @@ class SeparationReport:
 
 
 def verify_sesc(b, n_max: int = 8) -> SeparationReport:
-    """Empirical separation certificate: exact gaps for n = 1..n_max."""
+    """Empirical separation certificate: exact gaps for n = 1..n_max.
+
+    With b = p/q in lowest terms, the ratios (1+b)/2 and -b of Phi_b are
+    fractions over 2q and its translations are -1, 0 and 1, so phi_w(0) is a
+    fraction over (2q)^(n-1) and so is every depth-n gap.  The words u2 and
+    u1 lie |r_u| <= 1 apart, so every minimal gap is at most 1: its
+    numerator and denominator are at most (2q)^(n-1).  A b and n_max whose
+    bound (2q)^(n_max-1) has more digits than Python prints are refused
+    before any gap is computed.
+    """
     b = _check_rational_b(b)
     if not (1 <= n_max <= PRUNED_CAP):
         raise DepthCapError(f"n_max must lie in [1, {PRUNED_CAP}], got {n_max}")
+    check_printable((2 * b.denominator) ** (n_max - 1), f"separation to depth {n_max}")
     depths = tuple(range(1, n_max + 1))
     gaps = []
     witness = None

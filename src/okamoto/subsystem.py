@@ -5,13 +5,13 @@ floor(m*p) symbols 2, p = (2a-1)/(4a-1).  Every composed map then shares the
 signed ratio lambda = a^(m-floor(pm)) * (1-2a)^floor(pm), which makes the
 subsystem homogeneous and its uniform coding measure a convolution:
 
-    splitting block positions at multiples of k,
-    mu_m  =  law(rho)  *  (lambda^(k-1) . law(eta)),
+    grouping block positions by their residue mod k,
+    mu_m  =  law(sum_{j<k} lambda^j eta_j)  =  law(rho) * (lambda^(k-1) . law(eta)),
 
-where rho codes the k-1 off positions per superblock (ratio lambda^k,
-translation sum_{l<k} lambda^(l-1) S_j(0)) and eta codes the k-th positions
-(ratio lambda^k, translation S_j(0)).  The lambda^(k-1) scaling of eta is
-forced by the block algebra; the Kolmogorov-Smirnov check below exercises it.
+with i.i.d. copies eta_j of eta (translations S_j(0), ratio lambda^k); rho,
+the first k-1 terms, codes the k-1 off positions per superblock.  The
+lambda^(k-1) scale of the last copy is forced by the block algebra; the
+Kolmogorov-Smirnov check below exercises it.
 
 The gamma conjugation carries rho's system into a subsystem of the k-fold
 iterate.  Composing k-1 blocks and then the all-1s-then-2s block yields the
@@ -37,7 +37,9 @@ from .errors import ParameterError
 from .estimators import _check_count, _check_levels, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import fold_rows, fold_word, projection_parts
-from .words import Number, check_a, digit_rows, float_a, subsystem_alphabet, two_count
+from .words import (
+    Number, check_a, check_block_length, check_printable, digit_rows, float_a, subsystem_alphabet, two_count,
+)
 
 SAMPLING_TAIL = 1e-9  # the sampling depth keeps the dropped tail sum_{l >= depth} |lambda|^l below this
 GAMMA_TUPLE_BUDGET = 4096  # block tuples checked by the gamma conjugation
@@ -99,20 +101,14 @@ def _sampling_depth(lam: float) -> int:
 
 
 def _sample_block_coding(
-    translations: np.ndarray,
-    lam: float,
-    count: int,
-    depth: int,
-    rng: np.random.Generator,
-    skip_every: int = 0,
+    translations: np.ndarray, lam: float, count: int, depth: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """X = sum_l lambda^(l-1) tau_l over i.i.d. uniform blocks, optionally skipping l = 0 mod k."""
+    """X = sum_l lambda^(l-1) tau_l over i.i.d. uniform blocks, l = 1..depth."""
     out = np.zeros(count)
     scale = 1.0
-    for l in range(1, depth + 1):
-        if not (skip_every and l % skip_every == 0):
-            idx = rng.integers(0, len(translations), count)
-            out += scale * translations[idx]
+    for _ in range(depth):
+        idx = rng.integers(0, len(translations), count)
+        out += scale * translations[idx]
         scale *= lam
     return out
 
@@ -134,12 +130,12 @@ class ConvolutionReport:
     k: int
     count: int
     depth: int
-    scale_exponent: int  # the eta component enters scaled by lambda^(k-1)
+    scale_exponent: int  # the last copy of eta enters scaled by lambda^(k-1)
     ks: float
 
 
 def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> ConvolutionReport:
-    """KS distance between a direct draw from mu_m and the split-convolution draw."""
+    """KS distance between a direct draw from mu_m and sum_{j<k} lambda^j eta_j over k copies of eta."""
     a = float_a(a)
     _check_split(k, "convolution split")
     _check_count(count)
@@ -147,13 +143,13 @@ def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> Convol
     lam = float(sub.ratio)
     depth = _sampling_depth(lam)
     depth += (-depth) % k  # whole superblocks
-    streams = np.random.SeedSequence(seed).spawn(3)
-    rng_x, rng_y, rng_z = (np.random.default_rng(s) for s in streams)
-    direct = _sample_block_coding(sub.translations, lam, count, depth, rng_x)
-    off = _sample_block_coding(sub.translations, lam, count, depth, rng_y, skip_every=k)
-    lam_k = lam**k
-    kth = _sample_block_coding(sub.translations, lam_k, count, depth // k, rng_z)
-    combined = off + lam ** (k - 1) * kth
+    rng_direct, *rng_copies = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k + 1))
+    direct = _sample_block_coding(sub.translations, lam, count, depth, rng_direct)
+    # sum_{j<k} lambda^j eta_j by Horner's rule, from the last copy down
+    combined = np.zeros(count)
+    for rng in reversed(rng_copies):
+        combined *= lam
+        combined += _sample_block_coding(sub.translations, lam**k, count, depth // k, rng)
     return ConvolutionReport(
         a=a,
         m=m,
@@ -204,13 +200,17 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
     """
     _check_split(k, "gamma conjugation")
     a = Fraction(check_a(a))
-    sub = build_subsystem(a, m, GAMMA_TUPLE_BUDGET)
+    check_block_length(m)
     j = two_count(a, m)
     tilde = np.repeat(np.array([1, 2], dtype=np.uint8), (m - j, j))
     parts = projection_parts(a)
-    lam = sub.ratio
+    lam = subsystem_ratio(a, m)
     lam_k = lam**k
     tau_tilde = fold_word(*parts, tilde)[0]
+    offsets = {e: tau_tilde * lam**e / (1 - lam_k) for e in (k - 1, k)}
+    # the block algebra gives e = k - 1, the offset the report prints: refuse it before the build if too long
+    check_printable(offsets[k - 1], "the gamma offset")
+    sub = build_subsystem(a, m, GAMMA_TUPLE_BUDGET)
     size = len(sub.alphabet)
 
     # the first block tuples in lexicographic order: the base-size digit rows of 0, 1, 2, ...
@@ -237,7 +237,7 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
         )
         return Fraction(0), None, report
     exponent = k - 1 if candidates[k - 1] else k
-    offset = tau_tilde * lam**exponent / (1 - lam_k)
+    offset = offsets[exponent]
     conjugated = HomogeneousSystem(alphabet=flat, ratio=lam_k, translations=flat_t, unit=flat_unit)
     report = GammaReport(
         a=a, m=m, k=k, offset=offset, exponent=exponent, exact=True,

@@ -11,6 +11,7 @@ tuple of symbols.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -38,6 +39,23 @@ def float_a(a: Number) -> float:
     if not (0.5 < af < 1.0):
         raise ParameterError(f"parameter a = {a} rounds to the float {af}, outside (1/2, 1); exact paths take it")
     return af
+
+
+def check_block_length(m: int) -> None:
+    if not (1 <= m <= DEPTH_CAP):
+        raise DepthCapError(f"m must lie in [1, {DEPTH_CAP}], got {m}")
+
+
+def check_printable(value: Fraction | int, what: str) -> None:
+    """BudgetError unless the numerator and denominator of value convert to text.
+
+    Python refuses to turn an integer of more than sys.get_int_max_str_digits()
+    digits into text (0: no limit); the limit is read, never set.  An int bound
+    on the numerators and denominators of results checks them all at once.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise BudgetError(f"{what} would print an integer of more than {limit} digits, Python's int-to-text limit")
 
 
 def digit_rows(idx, n: int, base: int = 3) -> np.ndarray:
@@ -103,8 +121,7 @@ def subsystem_alphabet(a: Number, m: int, limit: int | None = None) -> np.ndarra
     3^(m - m//2) tails.
     """
     check_a(a)
-    if not (1 <= m <= DEPTH_CAP):
-        raise DepthCapError(f"m must lie in [1, {DEPTH_CAP}], got {m}")
+    check_block_length(m)
     h = m // 2
     heads, tails = (digit_rows(np.arange(3**n), n) + 1 for n in (h, m - h))
     need = two_count(a, m) - np.count_nonzero(heads == 2, axis=1)  # twos each head leaves to its tails

@@ -131,8 +131,10 @@ def test_separation_json_and_csv():
 
 def test_separation_rejects_decimal_b():
     code, out = _run(["separation", "--b", "0.5"])
-    assert code == 2
-    assert "rational" in json.loads(out)["error"]["message"]
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParameterError"
+    assert "rational" in error["message"]
 
 
 def test_levelset_json():
@@ -517,3 +519,25 @@ def test_every_number_option_rejects_nan_and_inf_before_any_work(no_kernel, argv
     code, out = _run(argv)
     assert code in (1, 2)
     assert set(json.loads(out)) == {"error", "schema_version"}
+
+
+# --- checks made before any work ------------------------------------------------------
+
+
+def test_boxdim_needs_three_depths_before_any_count(no_kernel):
+    code, out = _run(["boxdim", "--a", "0.75", "--mode", "grid", "--min-depth", "13", "--max-depth", "14"])
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "ParameterError", "message": "dimension fit needs >= 3 rows, got 2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["subsystem", "--a", f"{10**400 - 1}/{10**400}", "--m", "4", "--k", "3", "--check", "gamma"],
+    ["subsystem", "--a", f"{10**30 - 1}/{10**30}", "--m", "16", "--k", "16", "--check", "gamma"],
+    ["separation", "--b", f"1/{10**1000}", "--max-depth", "6"],
+], ids=["gamma-m4-k3", "gamma-m16-k16", "separation"])
+def test_exact_results_too_long_to_print_fail_before_any_work(no_kernel, argv):
+    code, out = _run(argv)
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetError"
+    assert f"{sys.get_int_max_str_digits()} digits" in error["message"]

@@ -95,6 +95,15 @@ def test_verify_sesc_passes_at_two_fifths():
     assert rows[0]["n"] == 1 and rows[0]["gap"] == 1
 
 
+@pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(2, 5), Fraction(7, 11), Fraction(999, 1000)])
+def test_gaps_lie_within_the_printing_bound(b):
+    # the bound verify_sesc checks against the int-to-text limit before any gap
+    report = verify_sesc(b, 9)
+    for n, gap in zip(report.depths, report.gaps):
+        assert 0 <= gap <= 1
+        assert max(gap.numerator, gap.denominator) <= (2 * b.denominator) ** (n - 1)
+
+
 def test_verify_sesc_floor_column_below_gaps():
     report = verify_sesc(Fraction(2, 5), n_max=8)
     for g, f in zip(report.gaps, report.floors):

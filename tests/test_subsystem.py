@@ -14,6 +14,8 @@ from okamoto.estimators import ks_statistic
 from okamoto.subsystem import (
     GAMMA_TUPLE_BUDGET,
     SPLIT_CAP,
+    _sample_block_coding,
+    _sampling_depth,
     build_subsystem,
     convolution_check,
     entropy_ratio,
@@ -177,6 +179,29 @@ def test_convolution_ks_small_over_five_seeds():
     assert all(d < 0.02 for d in ks)
 
 
+def _split_ks(m: int, k: int, count: int, seed: int, last_exponent: int) -> float:
+    """convolution_check's KS, the combination built term by term with lambda^last_exponent on the last copy."""
+    sub = build_subsystem(0.75, m)
+    lam = float(sub.ratio)
+    depth = _sampling_depth(lam)
+    depth += (-depth) % k
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k + 1)]
+    direct = _sample_block_coding(sub.translations, lam, count, depth, rngs[0])
+    copies = [_sample_block_coding(sub.translations, lam**k, count, depth // k, rng) for rng in rngs[1:]]
+    exponents = [*range(k - 1), last_exponent]
+    return ks_statistic(direct, sum(lam**e * eta for e, eta in zip(exponents, copies)))
+
+
+@pytest.mark.parametrize("m, k", [(1, 2), (2, 3), (4, 2)])
+def test_convolution_check_detects_the_wrong_scale(m, k):
+    # criterion 8b has power: lambda^k in place of lambda^(k-1) on the last copy is far off
+    right = [_split_ks(m, k, 100_000, seed, k - 1) for seed in range(1, 6)]
+    wrong = [_split_ks(m, k, 100_000, seed, k) for seed in range(1, 6)]
+    print(f"m={m} k={k}: KS at lambda^(k-1) at most {max(right):.4f}, at lambda^k at least {min(wrong):.4f}")
+    assert max(right) < 0.02
+    assert min(wrong) >= 0.05
+
+
 def test_convolution_requires_k_at_least_two():
     with pytest.raises(ParameterError):
         convolution_check(0.75, 2, 1, 100, seed=0)
@@ -194,8 +219,6 @@ def test_subsystem_sampling_reproducible_and_supported():
 def test_block_coding_matches_direct_split_sum():
     # X restricted to one superblock reproduces the split translation rule
     a = 0.75
-    from okamoto.subsystem import _sample_block_coding
-
     sub = build_subsystem(a, 1)
     lam = float(sub.ratio)
     rng = np.random.default_rng(0)
