@@ -15,8 +15,10 @@ The list covers every benchmark workload command at seeds 61-63, levelset
 words (JSON and CSV) at rational and float levels, graph and grid boxdim
 rows, separation gaps and witnesses, the subsystem checks at several block
 lengths (the ratio check up to m = 13, gamma on int64 and on Python ints),
-and error outputs of checks made before any work, among them the float
-paths at rationals whose floats round to 1/2 and to 1.
+error outputs of checks made before any work, among them the float
+paths at rationals whose floats round to 1/2 and to 1, and level-set scans
+and slices on both sides of the depth where level statistics stop sorting
+one whole level and cover each level on its own.
 """
 
 import argparse
@@ -79,6 +81,15 @@ LATE_ERRORS = [
     f"separation --b 1/{10**1000} --max-depth 6",
 ]
 
+# the level-statistics depth rule's edges: swept depths 1 and 12, covered depth 13
+SWEEP_EDGES = [
+    f"levelset-scan --a {a} --samples 20 --depth {n} --seed 7" for a in ("0.55", "0.95") for n in (1, 12, 13)
+]
+SWEEP_EDGES += [
+    "levelset-scan --a 0.95 --samples 20 --depth 12 --format csv --seed 8",
+    "subsystem --a 0.75 --m 6 --check slices --samples 20 --depth 12 --seed 3",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -111,6 +122,7 @@ def commands() -> list:
     out.append("graph --a 0.75 --depth 6 --out graph.csv")
     out.append("levelset-scan --a 0.75 --samples 20 --depth 10 --seed 4 --out scan.json")
     out += LATE_ERRORS  # after the rest, so earlier outputs keep their numbers
+    out += SWEEP_EDGES  # likewise after the late errors
     return out
 
 

@@ -10,12 +10,18 @@ only undercount and serves as the independent cross-check from below.
 
 Level sets are covered by branch and bound: a word is extended only while its
 closed y-interval still contains the target level.  Both the grid samples and
-the level-set covers run on the one level kernel, systems.expand_level: the
-covers on exact integers over the common denominator when a and y are
-rational and on float64 otherwise, all with the same prune predicate.  The
-exhaustive filter oracle lives in the test suite.  level_statistics is the one place where a set of
-levels, uniform or drawn from a measure, becomes float64 covers, estimates
-log N_n / (n log 3) and their quantile summary.
+the covers run on the one level kernel, systems.expand_level, on exact
+integers over the common denominator when a and y are rational and on float64
+otherwise.  level_statistics is the one place where a set of levels, uniform
+or drawn from a measure, becomes estimates log N_n / (n log 3) and their
+quantile summary.  With lo_w <= hi_w the ends of word w's interval, N_n(y) =
+#{w : lo_w <= y} - #{w : hi_w < y}, so up to depth 12 it sorts the two end
+arrays of one unpruned level (3^12 words) and counts every level by two binary
+searches.  Deeper levels keep their covers: at depth 14 a whole-level sweep
+measured no faster and peaked near 220 MB.  On rationals the sweep counts the
+cover exactly.  On floats it counts the words whose own rounded interval holds
+y, a superset of the cover, which also drops a word whose prefix's rounded
+interval misses y; they differ only within rounding of an interval end.
 
 The one measure sampled is the y-projection of the natural measure, S_a with
 weights (a, 2a-1, a)/(4a-1) = |rho_s|/(4a-1), so every sample is an array of
@@ -50,7 +56,8 @@ SAMPLE_COUNT_CAP = 10**8
 SAMPLE_DEPTH_CAP = 60
 SAMPLE_BLOCK = 8  # symbols per alias-table draw of sample_measure: 3^8 = 6561 block maps
 SAMPLE_CHUNK = 1 << 16  # points sample_measure advances together
-LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report, each covered on its own
+LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report
+LEVEL_SWEEP_DEPTH = 12  # level_statistics counts depths up to this from one sorted level of 3^12 words
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
 GRID_CHUNK_BYTES = 1 << 18  # bytes of one per-row float64 array of the grid count: its few arrays stay in cache
 
@@ -198,17 +205,27 @@ class LevelSetCover:
         T is continuous with T(0) = 0 and T(1) = 1, so every level in [0, 1] is
         hit and its cover is never empty; an empty one is a defect, not level data.
         """
-        if not self.count:
-            raise OkamotoError(f"empty depth-{self.depth} cover of level y = {self.y} at a = {self.a}")
-        return math.log(self.count) / (self.depth * LOG3)
+        return _dim_estimate(self.count, self.a, self.y, self.depth)
+
+
+def _dim_estimate(count: int, a: Number, y: Number, n: int) -> float:
+    if not count:
+        raise OkamotoError(f"empty depth-{n} cover of level y = {y} at a = {a}")
+    return math.log(count) / (n * LOG3)
+
+
+def _level_bounds(y, unit) -> tuple:
+    """(below, above) in kernel units: an end e has e <= y exactly when e <= below, y <= e when above <= e.
+
+    On integers floor and ceil of the Fraction y * unit, exact on whole arrays
+    and within the kernel's bound as floor <= unit; floats compare with y.
+    """
+    yu = y * unit
+    return (math.floor(yu), math.ceil(yu)) if isinstance(unit, int) else (yu, yu)
 
 
 def _contains(y):
     """Prune predicate: the closed y-interval between t and t + r of a word contains y, in kernel units.
-
-    For integer t and the Fraction Y = y * unit, t <= Y is t <= floor(Y) and
-    Y <= t is ceil(Y) <= t, both exact on whole arrays; floor(Y) <= unit keeps
-    them inside the kernel's bound.  Floats compare with y itself (unit 1.0).
 
     The interval's ends are min and max of t and t + r, no sign select on r:
     rounded addition is monotone, so fl(t + r) <= t exactly when r <= 0, and
@@ -216,12 +233,32 @@ def _contains(y):
     """
 
     def keep(t, r, unit):
-        yu = y * unit
-        below, above = (math.floor(yu), math.ceil(yu)) if isinstance(unit, int) else (yu, yu)
+        below, above = _level_bounds(y, unit)
         end = t + r
         return (np.minimum(t, end) <= below) & (above <= np.maximum(t, end))
 
     return keep
+
+
+def _level_counts(a: Number, ys: Sequence, n: int) -> list:
+    """N_n(y) = #{w : lo_w <= y} - #{w : hi_w < y} at the levels ys, the interval ends as _contains takes them.
+
+    Exact on rationals; on floats a superset of the cover (see the module docstring).
+    """
+    level = expand_level(*projection_parts(a), n)
+    lo, end = level.t, level.r
+    end += lo
+    hi = np.maximum(lo, end)
+    np.minimum(lo, end, out=lo)
+    lo.sort()
+    hi.sort()
+    below, above = zip(*(_level_bounds(y, level.unit) for y in ys))
+    return (np.searchsorted(lo, below, side="right") - np.searchsorted(hi, above, side="left")).tolist()
+
+
+def _check_level(y: Number) -> None:
+    if not (0 <= y <= 1):
+        raise ParameterError(f"level y must lie in [0, 1], got {y}")
 
 
 def _check_cover_depth(n: int) -> None:
@@ -235,8 +272,7 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     Exact rational interval arithmetic whenever both a and y are rational.
     """
     check_a(a)
-    if not (0 <= y <= 1):
-        raise ParameterError(f"level y must lie in [0, 1], got {y}")
+    _check_level(y)
     _check_cover_depth(n)
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float_a(a), float(y)
@@ -252,11 +288,18 @@ class LevelStatistics:
 
 
 def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
-    """Depth-n cover-count dimension estimates at the given levels, on float64, and their summary."""
+    """Depth-n cover-count dimension estimates at the given levels, on float64, and their summary.
+
+    a, every level and the depth are checked before any count.
+    """
     a = float_a(a)
     if len(ys) == 0:
         raise ParameterError("level statistics need at least one level")
-    est = np.array([level_set_cover(a, y, n).dim_estimate for y in ys])
+    for y in ys:
+        _check_level(y)
+    _check_cover_depth(n)
+    counts = _level_counts(a, ys, n) if n <= LEVEL_SWEEP_DEPTH else [level_set_cover(a, y, n).count for y in ys]
+    est = np.array([_dim_estimate(c, a, float(y), n) for c, y in zip(counts, ys)])
     return LevelStatistics(
         estimates=est,
         quantiles={f"q{int(100 * q)}": float(np.quantile(est, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)},

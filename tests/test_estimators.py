@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from okamoto import estimators
 from okamoto.cli import run
 from okamoto.dimensions import natural_weights, okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
     GRID_CHUNK_BYTES,
+    LEVEL_SWEEP_DEPTH,
     SAMPLE_BLOCK,
     SAMPLE_CHUNK,
     LevelSetCover,
@@ -21,6 +23,7 @@ from okamoto.estimators import (
     _alias_table,
     _ball_counts,
     _block_table,
+    _level_counts,
     box_count_graph,
     box_count_series,
     fit_dimension,
@@ -258,6 +261,65 @@ def test_level_statistics_match_the_covers():
     assert stats.estimates.tolist() == expected
     assert stats.median == float(np.median(expected))
     assert stats.quantiles["q50"] == stats.median
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Fraction(3, 4), Fraction(2, 3), Fraction(7, 9)]), st.integers(1, 10), st.data())
+def test_sweep_counts_equal_the_rational_covers(a, n, data):
+    # on exact integers a word's own interval holds y exactly when every prefix's does
+    special = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2), 1 - a, a])
+    ys = data.draw(st.lists(special | st.integers(0, 97).map(lambda k: Fraction(k, 97)), min_size=1, max_size=6))
+    assert _level_counts(a, ys, n) == [level_set_cover(a, y, n).count for y in ys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 1, exclude_min=True, exclude_max=True), st.integers(1, 9), st.data())
+def test_sweep_counts_hold_the_float_covers(a, n, data):
+    # levels at the rounded interval ends of depths 1..n, where rounding decides, and uniform levels
+    m = data.draw(st.integers(1, n))
+    level = expand_level(*projection_parts(a), m)
+    i = data.draw(st.integers(0, 3**m - 1))
+    ends = (level.t[i], level.t[i] + level.r[i])
+    ys = [float(e) for e in ends if 0 <= e <= 1] + [data.draw(st.floats(0, 1))]
+    counts = _level_counts(a, ys, n)
+    assert all(c >= level_set_cover(a, y, n).count for c, y in zip(counts, ys))
+    if n <= 6:  # the sweep keeps exactly the words whose own rounded interval holds y
+        assert counts == [len(exhaustive_level_filter(a, y, n)) for y in ys]
+
+
+def test_float_sweep_can_count_more_than_the_float_cover():
+    # a rounded depth-3 interval end at a = 0.9: six words' own intervals hold it,
+    # and branch and bound drops one of them at a prefix whose rounded interval misses it
+    y = 0.9000000000000001
+    assert _level_counts(0.9, [y], 3) == [6]
+    assert level_set_cover(0.9, y, 3).count == 5
+    assert len(exhaustive_level_filter(0.9, y, 3)) == 6
+
+
+@pytest.mark.parametrize("a, count", [(0.9, 40), (0.75, 100)])  # the cover workload's depth-12 batches
+def test_level_statistics_of_the_swept_depths_are_the_covers(a, count):
+    assert LEVEL_SWEEP_DEPTH == 12
+    for seed in range(1, 6):
+        ys = np.random.default_rng(seed).random(count)
+        expected = np.array([level_set_cover(a, y, 12).dim_estimate for y in ys])
+        assert np.array_equal(level_statistics(a, ys, 12).estimates, expected)
+
+
+@pytest.mark.parametrize("n", [12, 14])  # one sorted level, and per-level covers
+def test_level_statistics_check_every_level_before_any_count(monkeypatch, n):
+    def refuse(*args, **kwargs):
+        pytest.fail("a level was counted before every level was checked")
+
+    monkeypatch.setattr(estimators, "expand_level", refuse)
+    with pytest.raises(ParameterError, match=r"level y must lie in \[0, 1\], got 1.5"):
+        level_statistics(0.75, [0.2, 0.5, 1.5], n)
+    # a, then the levels, then the depth
+    with pytest.raises(ParameterError, match="parameter a"):
+        level_statistics(0.3, [1.5], 99)
+    with pytest.raises(ParameterError, match="level y"):
+        level_statistics(0.75, [0.5, 1.5], 99)
+    with pytest.raises(DepthCapError):
+        level_statistics(0.75, [0.5], 99)
 
 
 def test_level_set_scan_summary_fields():
