@@ -16,9 +16,10 @@ words (JSON and CSV) at rational and float levels, graph and grid boxdim
 rows, separation gaps and witnesses, the subsystem checks at several block
 lengths (the ratio check up to m = 13, gamma on int64 and on Python ints),
 error outputs of checks made before any work, among them the float
-paths at rationals whose floats round to 1/2 and to 1, and level-set scans
-and slices on both sides of the depth where level statistics stop sorting
-one whole level and cover each level on its own.
+paths at rationals whose floats round to 1/2 and to 1, level-set scans and
+slices on both sides of the depth where level statistics stop counting one
+whole sorted level and split each word into a prefix and that level's
+suffix, and last scans and slices at depth 24, which only the split reaches.
 """
 
 import argparse
@@ -90,6 +91,25 @@ SWEEP_EDGES += [
     "subsystem --a 0.75 --m 6 --check slices --samples 20 --depth 12 --seed 3",
 ]
 
+# depths past the sweep, split into a prefix cover and the sorted depth-12 level
+SPLIT_EDGES = [
+    f"levelset-scan --a {a} --samples 20 --depth {n} --seed 7"
+    for a, depths in (("0.55", (13, 14, 16)), ("0.75", (13, 14, 16)), ("0.95", (13, 14)))
+    for n in depths
+]
+SPLIT_EDGES += [
+    "levelset-scan --a 0.75 --samples 20 --depth 14 --format csv --seed 8",
+    "subsystem --a 0.75 --m 6 --check slices --samples 20 --depth 14 --seed 3",
+    "subsystem --a 0.75 --m 6 --check slices --samples 20 --depth 16 --seed 3",
+]
+
+# depths whose per-level covers would hold up to (4a-1)^24 words: reached only through the split
+NEW_REACH = [
+    "levelset-scan --a 0.75 --samples 20 --depth 24 --seed 7",
+    "levelset-scan --a 0.95 --samples 5 --depth 24 --seed 7",
+    "subsystem --a 0.75 --m 6 --check slices --samples 20 --depth 24 --seed 3",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -123,6 +143,8 @@ def commands() -> list:
     out.append("levelset-scan --a 0.75 --samples 20 --depth 10 --seed 4 --out scan.json")
     out += LATE_ERRORS  # after the rest, so earlier outputs keep their numbers
     out += SWEEP_EDGES  # likewise after the late errors
+    out += SPLIT_EDGES
+    out += NEW_REACH  # last: the split is the only path that reaches them
     return out
 
 

@@ -14,14 +14,20 @@ the covers run on the one level kernel, systems.expand_level, on exact
 integers over the common denominator when a and y are rational and on float64
 otherwise.  level_statistics is the one place where a set of levels, uniform
 or drawn from a measure, becomes estimates log N_n / (n log 3) and their
-quantile summary.  With lo_w <= hi_w the ends of word w's interval, N_n(y) =
-#{w : lo_w <= y} - #{w : hi_w < y}, so up to depth 12 it sorts the two end
-arrays of one unpruned level (3^12 words) and counts every level by two binary
-searches.  Deeper levels keep their covers: at depth 14 a whole-level sweep
-measured no faster and peaked near 220 MB.  On rationals the sweep counts the
-cover exactly.  On floats it counts the words whose own rounded interval holds
-y, a superset of the cover, which also drops a word whose prefix's rounded
-interval misses y; they differ only within rounding of an interval end.
+quantile summary.  With lo_w <= hi_w the ends of word w's interval, N_q(y) =
+#{w : lo_w <= y} - #{w : hi_w < y}, so it sorts the two end arrays of one
+unpruned level of depth q = min(n, 12) (3^12 words at most) and counts by two
+binary searches.  A deeper word is w = u v with a prefix u of depth p = n - q,
+and y lies in I_w exactly when z_u = S_u^-1(y) lies in I_v, so
+N_n(y) = sum over u in cover_p(y) of N_q(z_u): branch and bound finds each
+level's prefixes, at most 3^12 of them, and their z_u, clamped to [0, 1],
+are searched in the sorted level.  So a count at any depth up to 24 holds
+about 3^12 words, not the (4a-1)^n of a depth-n cover.  On rationals every
+count is the cover's exactly.  On floats the depth-q count keeps the words
+whose own rounded interval holds y, a superset of the cover, which also drops
+a word whose prefix's rounded interval misses y; a split count rounds z_u
+too and is neither a subset nor a superset of the cover.  Either differs from
+the cover only within rounding of an interval end.
 
 The one measure sampled is the y-projection of the natural measure, S_a with
 weights (a, 2a-1, a)/(4a-1) = |rho_s|/(4a-1), so every sample is an array of
@@ -57,7 +63,7 @@ SAMPLE_DEPTH_CAP = 60
 SAMPLE_BLOCK = 8  # symbols per alias-table draw of sample_measure: 3^8 = 6561 block maps
 SAMPLE_CHUNK = 1 << 16  # points sample_measure advances together
 LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report
-LEVEL_SWEEP_DEPTH = 12  # level_statistics counts depths up to this from one sorted level of 3^12 words
+LEVEL_SWEEP_DEPTH = 12  # depth of the one sorted level, 3^12 words, that level_statistics counts every depth on
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
 GRID_CHUNK_BYTES = 1 << 18  # bytes of one per-row float64 array of the grid count: its few arrays stay in cache
 
@@ -240,20 +246,63 @@ def _contains(y):
     return keep
 
 
-def _level_counts(a: Number, ys: Sequence, n: int) -> list:
-    """N_n(y) = #{w : lo_w <= y} - #{w : hi_w < y} at the levels ys, the interval ends as _contains takes them.
+def _split_bounds(y, prefix: Level, unit) -> tuple:
+    """(below, above) of z_u = S_u^-1(y) for every prefix u of a level, in the suffix level's unit.
 
-    Exact on rationals; on floats a superset of the cover (see the module docstring).
+    On integers z_u * unit = (y * d^p - t_u) * unit / r_u over the prefix unit
+    d^p, its floor and ceil taken by integer division, on int64 while the
+    products stay below 2^63 and on Python ints beyond; floats divide.  Both
+    ends are clamped to [0, unit]: a kept prefix has z_u in [0, 1] on
+    rationals, so there the clamp changes nothing, and on floats it keeps a z_u
+    rounded just outside [0, 1] on the suffix ends 0 and 1.
     """
-    level = expand_level(*projection_parts(a), n)
-    lo, end = level.t, level.r
+    t, r = prefix.t, prefix.r
+    if not isinstance(unit, int):
+        z = y - t
+        z /= r
+        np.clip(z, 0.0, 1.0, out=z)
+        return z, z
+    y = Fraction(y)
+    num, den = y.numerator, y.denominator
+    reach = num * prefix.unit + den * int(max(np.abs(t).max(initial=0), np.abs(r).max(initial=0)))
+    if reach * unit >= 2**63:  # bounds |top| and |bottom| below
+        t, r = t.astype(object), r.astype(object)
+    top = (num * prefix.unit - den * t) * unit
+    bottom = den * r
+    return np.clip(top // bottom, 0, unit), np.clip(-(-top // bottom), 0, unit)
+
+
+def _level_counts(a: Number, ys: Sequence, n: int) -> list:
+    """N_n(y) at the levels ys: N_q counted on one sorted depth-q level, q = min(n, LEVEL_SWEEP_DEPTH).
+
+    A depth-q word v has N_q's interval ends lo_v <= hi_v as _contains takes
+    them, so N_q(z) = #{v : lo_v <= z} - #{v : hi_v < z}, two binary searches
+    on the sorted ends.  A depth-n word is w = u v with a prefix u of depth
+    p = n - q, and y lies in I_w exactly when z_u = S_u^-1(y) lies in I_v, so
+    N_n(y) = sum over u in cover_p(y) of N_q(z_u): each level's prefixes come
+    from branch and bound, at most 3^p of them (p <= 12 as n <= 24) beside
+    the 3^q sorted ends, and their z_u (see _split_bounds) are searched at
+    once.  At p = 0 the prefix is the identity and z = y bit for bit, so
+    every level is searched at once.  Exact on rationals; on floats see the
+    module docstring.
+    """
+    q = min(n, LEVEL_SWEEP_DEPTH)
+    parts = projection_parts(a)
+    suffix = expand_level(*parts, q)
+    lo, end = suffix.t, suffix.r
     end += lo
     hi = np.maximum(lo, end)
     np.minimum(lo, end, out=lo)
     lo.sort()
     hi.sort()
-    below, above = zip(*(_level_bounds(y, level.unit) for y in ys))
-    return (np.searchsorted(lo, below, side="right") - np.searchsorted(hi, above, side="left")).tolist()
+
+    def count(below, above):
+        return np.searchsorted(lo, below, side="right") - np.searchsorted(hi, above, side="left")
+
+    if q == n:
+        return count(*zip(*(_level_bounds(y, suffix.unit) for y in ys))).tolist()
+    splits = (_split_bounds(y, expand_level(*parts, n - q, _contains(y)), suffix.unit) for y in ys)
+    return [int(count(*bounds).sum()) for bounds in splits]
 
 
 def _check_level(y: Number) -> None:
@@ -290,7 +339,9 @@ class LevelStatistics:
 def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
     """Depth-n cover-count dimension estimates at the given levels, on float64, and their summary.
 
-    a, every level and the depth are checked before any count.
+    a, every level and the depth are checked before any count.  Every depth
+    is counted by _level_counts: one sorted level of depth min(n, 12), under
+    a branch-and-bound prefix cover per level when n > 12.
     """
     a = float_a(a)
     if len(ys) == 0:
@@ -298,8 +349,7 @@ def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
     for y in ys:
         _check_level(y)
     _check_cover_depth(n)
-    counts = _level_counts(a, ys, n) if n <= LEVEL_SWEEP_DEPTH else [level_set_cover(a, y, n).count for y in ys]
-    est = np.array([_dim_estimate(c, a, float(y), n) for c, y in zip(counts, ys)])
+    est = np.array([_dim_estimate(c, a, float(y), n) for c, y in zip(_level_counts(a, ys, n), ys)])
     return LevelStatistics(
         estimates=est,
         quantiles={f"q{int(100 * q)}": float(np.quantile(est, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)},

@@ -36,6 +36,7 @@ from okamoto.estimators import (
     local_dimension_slopes,
     sample_measure,
 )
+from okamoto.subsystem import sample_subsystem_measure
 from okamoto.systems import Level, expand_level, fold_word, projection_parts
 from graph_oracle import box_count_grid_sorted
 from measure_oracle import sample_per_symbol
@@ -185,8 +186,9 @@ def test_integer_cover_is_the_prefix_filter(a, y):
 
 
 def test_float_cover_totals_of_the_cover_workload():
-    # word totals of the cover workload's three float-cover batches, pinned so
-    # a kernel rewrite cannot move them unnoticed; the float cover is not yet
+    # word totals of the cover workload's three float batches (the depth-14 one
+    # split, the depth-12 ones swept), pinned so a kernel rewrite cannot move
+    # them unnoticed; they equal the per-level float covers, which are not yet
     # the exact cover at the float input, and the ROADMAP item that makes it so
     # will change these totals on purpose
     for seed, a, count, n, total in ((5, 0.75, 250, 14, 4157492), (6, 0.9, 40, 12, 4239142), (7, 0.75, 100, 12, 422984)):
@@ -266,10 +268,25 @@ def test_level_statistics_match_the_covers():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([Fraction(3, 4), Fraction(2, 3), Fraction(7, 9)]), st.integers(1, 10), st.data())
 def test_sweep_counts_equal_the_rational_covers(a, n, data):
-    # on exact integers a word's own interval holds y exactly when every prefix's does
+    # on exact integers a word's own interval holds y exactly when every prefix's does;
+    # a sweep depth of 1-4 splits every depth above it into a prefix cover and the sorted suffix level
     special = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2), 1 - a, a])
     ys = data.draw(st.lists(special | st.integers(0, 97).map(lambda k: Fraction(k, 97)), min_size=1, max_size=6))
-    assert _level_counts(a, ys, n) == [level_set_cover(a, y, n).count for y in ys]
+    q = data.draw(st.integers(1, 4) | st.just(LEVEL_SWEEP_DEPTH))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "LEVEL_SWEEP_DEPTH", q)
+        assert _level_counts(a, ys, n) == [level_set_cover(a, y, n).count for y in ys]
+
+
+@pytest.mark.parametrize("a", [Fraction(943, 944), Fraction(944, 945)])  # int64 and Python-int kernels
+@settings(max_examples=15, deadline=None)
+@given(y=st.fractions(0, 1, max_denominator=10**6), q=st.integers(1, 5))
+def test_split_counts_of_large_products_equal_the_rational_covers(a, y, q):
+    # z_u * d^q overflows int64 here, whichever kernel the prefixes ran on
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "LEVEL_SWEEP_DEPTH", q)
+        ys = [y, Fraction(0), Fraction(1), 1 - a, a]
+        assert _level_counts(a, ys, 6) == [level_set_cover(a, level, 6).count for level in ys]
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,7 +322,59 @@ def test_level_statistics_of_the_swept_depths_are_the_covers(a, count):
         assert np.array_equal(level_statistics(a, ys, 12).estimates, expected)
 
 
-@pytest.mark.parametrize("n", [12, 14])  # one sorted level, and per-level covers
+@pytest.mark.parametrize("batch", ["scan", "slices"])  # the cover workload's depth-14 batches
+def test_level_statistics_of_the_split_depths_are_the_covers(batch):
+    for seed in range(1, 6):
+        if batch == "scan":
+            ys = np.random.default_rng(seed).random(250)
+        else:
+            ys = sample_subsystem_measure(0.75, 8, 100, seed)
+            ys = ys[(ys > 0.0) & (ys < 1.0)]  # as slice_lower_bound_report keeps them
+        expected = np.array([level_set_cover(0.75, y, 14).dim_estimate for y in ys])
+        assert np.array_equal(level_statistics(0.75, ys, 14).estimates, expected)
+
+
+def test_float_split_can_count_fewer_or_more_than_the_float_cover(monkeypatch):
+    # rounded depth-3 interval ends at a = 0.55, split after a depth-2 prefix: the
+    # split is neither a subset nor a superset of the float cover, here equal to the
+    # exact count at the float inputs each time, while the unsplit sweep is a superset
+    cases = ((0.27225, 3, 5), (0.2475, 3, 2))  # (y, split, float cover)
+    for y, split, cover in cases:
+        assert level_set_cover(0.55, y, 3).count == cover
+        assert level_set_cover(Fraction(0.55), Fraction(y), 3).count == split
+        assert _level_counts(0.55, [y], 3)[0] >= cover
+    monkeypatch.setattr(estimators, "LEVEL_SWEEP_DEPTH", 1)
+    assert _level_counts(0.55, [y for y, _, _ in cases], 3) == [split for _, split, _ in cases]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_float_split_clamps_z_to_the_unit_interval(monkeypatch, q):
+    # y = 0.4 = 1 - a exactly, an end of the depth-1 interval of symbol 3: a prefix's
+    # rounded z lands just outside [0, 1] and, unclamped, misses the suffix ends 0 and 1
+    monkeypatch.setattr(estimators, "LEVEL_SWEEP_DEPTH", q)
+    assert 1 - 0.6 == 0.4
+    assert _level_counts(0.6, [0.4], 6) == [level_set_cover(0.6, 0.4, 6).count]
+    assert level_set_cover(Fraction(0.6), Fraction(0.4), 6).count == 7
+
+
+@pytest.mark.parametrize("n", [5, 12, 13, 14, 16, 24])
+def test_split_builds_one_suffix_level_and_shallow_prefixes(monkeypatch, n):
+    calls = []
+
+    def spy(tau, rho, depth, keep=None):
+        calls.append((depth, keep is None))
+        return expand_level(tau, rho, depth, keep)
+
+    monkeypatch.setattr(estimators, "expand_level", spy)
+    ys = np.random.default_rng(n).random(3)
+    level_statistics(0.75, ys, n)
+    suffix = [depth for depth, whole in calls if whole]
+    prefixes = [depth for depth, whole in calls if not whole]
+    assert suffix == [min(n, LEVEL_SWEEP_DEPTH)]
+    assert prefixes == ([n - LEVEL_SWEEP_DEPTH] * len(ys) if n > LEVEL_SWEEP_DEPTH else [])
+
+
+@pytest.mark.parametrize("n", [12, 14])  # one sorted level, alone and under depth-2 prefixes
 def test_level_statistics_check_every_level_before_any_count(monkeypatch, n):
     def refuse(*args, **kwargs):
         pytest.fail("a level was counted before every level was checked")
