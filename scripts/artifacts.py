@@ -19,7 +19,8 @@ error outputs of checks made before any work, among them the float
 paths at rationals whose floats round to 1/2 and to 1, level-set scans and
 slices on both sides of the depth where level statistics stop counting one
 whole sorted level and split each word into a prefix and that level's
-suffix, and last scans and slices at depth 24, which only the split reaches.
+suffix, scans and slices at depth 24, which only the split reaches, and last
+subsystem draws whose alias tables hold more than 2^14 entries.
 """
 
 import argparse
@@ -110,6 +111,12 @@ NEW_REACH = [
     "subsystem --a 0.75 --m 6 --check slices --samples 20 --depth 24 --seed 3",
 ]
 
+# subsystem samplers whose alias tables hold more than 2^14 entries: 28 160 words at m = 11, 112 640 at m = 12
+WIDE_TABLES = [
+    "subsystem --a 0.75 --m 11 --k 2 --check convolution --samples 20000 --seed 5",
+    "subsystem --a 0.75 --m 12 --check slices --samples 20 --depth 10 --seed 5",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -144,7 +151,8 @@ def commands() -> list:
     out += LATE_ERRORS  # after the rest, so earlier outputs keep their numbers
     out += SWEEP_EDGES  # likewise after the late errors
     out += SPLIT_EDGES
-    out += NEW_REACH  # last: the split is the only path that reaches them
+    out += NEW_REACH  # the split is the only path that reaches them
+    out += WIDE_TABLES  # last
     return out
 
 

@@ -29,16 +29,19 @@ a word whose prefix's rounded interval misses y; a split count rounds z_u
 too and is neither a subset nor a superset of the cover.  Either differs from
 the cover only within rounding of an interval end.
 
-The one measure sampled is the y-projection of the natural measure, S_a with
-weights (a, 2a-1, a)/(4a-1) = |rho_s|/(4a-1), so every sample is an array of
-reals.  Its random words are drawn in blocks: the level kernel composes the
-3^k maps of a k-symbol block, whose |r| are their weights up to scale, and
-Walker's alias method (Vose's construction) picks one map per uniform draw.  A depth that is not a
-multiple of the block length takes one shorter remainder block, so the depth
-stays the one requested, and the points advance in fixed-size chunks, so the
-memory beyond the sample itself stays bounded.  Two probes read a sample:
-local-dimension slopes from closed-ball counts, and Monte-Carlo Fourier
-magnitudes with their decay fit.
+Every sample is drawn by one core, _sample_words: i.i.d. random words of N
+maps x -> rho_s x + tau_s applied to 0, map s drawn with weight
+|rho_s| / sum |rho|.  The natural weights (a, 2a-1, a)/(4a-1) of S_a are
+|rho_s|/(4a-1), so the core draws the y-projection of the natural measure;
+in a homogeneous subsystem every |rho| is |lambda|, so it draws the uniform
+coding measure.  Words come in blocks of k symbols, k the largest with
+N^k <= 3^SAMPLE_BLOCK (8 for S_a): the N^k block maps are folded at once,
+and Walker's alias method (Vose's construction) picks one per uniform draw
+with weight |r|.  A depth that is not a multiple of k takes one shorter
+remainder block, and the points advance in fixed-size chunks, so the memory
+beyond the sample stays bounded.  Two probes read a sample: local-dimension
+slopes from closed-ball counts, and Monte-Carlo Fourier magnitudes with
+their decay fit.
 """
 
 from __future__ import annotations
@@ -52,16 +55,16 @@ import numpy as np
 
 from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from .dimensions import LOG3, natural_weights, okamoto_s0
-from .systems import Level, expand_level, projection_parts
-from .words import Number, check_a, float_a
+from .systems import Level, expand_level, fold_rows, projection_parts
+from .words import Number, check_a, digit_rows, float_a
 
 COLUMN_DEPTH_CAP = 20
 GRID_DEPTH_CAP = 14
 LEVEL_SET_DEPTH_CAP = 24
 SAMPLE_COUNT_CAP = 10**8
 SAMPLE_DEPTH_CAP = 60
-SAMPLE_BLOCK = 8  # symbols per alias-table draw of sample_measure: 3^8 = 6561 block maps
-SAMPLE_CHUNK = 1 << 16  # points sample_measure advances together
+SAMPLE_BLOCK = 8  # a draw takes k symbols of N maps, k >= 1 the largest with N^k <= 3^8: 8 symbols of S_a
+SAMPLE_CHUNK = 1 << 16  # points _sample_words advances together
 LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report
 LEVEL_SWEEP_DEPTH = 12  # depth of the one sorted level, 3^12 words, that level_statistics counts every depth on
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
@@ -421,24 +424,30 @@ class MeasureSample:
 
 
 def _alias_table(weights: np.ndarray) -> tuple:
-    """(prob, alias) of Walker's alias method for the given weights, by Vose's construction.
+    """(prob, alias) of Walker's alias method for the weights' magnitudes, by Vose's construction.
 
     A draw takes a uniform column i of the n entries and keeps i with
     probability prob[i], else takes alias[i]; entry i then carries total mass
     prob[i] + sum over j with alias[j] = i, j != i, of 1 - prob[j], which is
-    n * w_i / sum(w).  The weights are rounded to integer units, 2^49 for the
-    largest, so every sum stays below 2^63 and the construction on the units
-    is exact: each prob is rounded once, by its final division.
+    n * w_i / sum(w).  The weights are rounded to integer units, 2^bits for
+    the largest with bits = min(49, 62 - bit length of n), so every sum stays
+    below 2^62 and the construction on the units is exact: each prob is
+    rounded once, by its final division.  Equal units fill every column with
+    itself, so a uniform table needs no pairing.
     """
-    w = np.asarray(weights, dtype=float)
-    n = len(w)
-    units = np.rint(w * (2.0**49 / w.max())).astype(np.int64)
-    full = int(units.sum())  # the content of one column; entry i brings n * units[i]
-    mass = (units * n).tolist()
+    n = len(weights)
+    mass = np.abs(np.asarray(weights, dtype=float))  # the weights' magnitudes, then their units, then n units
+    mass *= 2.0 ** min(49, 62 - n.bit_length()) / mass.max()
+    mass = np.rint(mass, out=mass).astype(np.int64)
+    full = int(mass.sum())  # the content of one column; entry i brings n times its units
+    mass *= n
     prob = np.ones(n)  # the columns left when one list runs dry hold exactly `full`
     alias = np.arange(n)
-    small = [i for i, v in enumerate(mass) if v < full]
-    large = [i for i, v in enumerate(mass) if v >= full]
+    small = np.flatnonzero(mass < full).tolist()
+    if not small:
+        return prob, alias
+    large = np.flatnonzero(mass >= full).tolist()
+    mass = mass.tolist()
     while small and large:
         s, g = small.pop(), large.pop()
         prob[s], alias[s] = mass[s] / full, g
@@ -456,16 +465,37 @@ def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.G
     return np.where(u < prob[col], col, alias[col])
 
 
-def _block_table(a: float, k: int) -> tuple:
-    """(t, r, prob, alias) of the 3^k composed maps of a k-symbol block, in lexicographic word order.
+def _block_table(tau: Sequence, rho: Sequence, k: int) -> tuple:
+    """(t, r, prob, alias) of the N^k maps of a k-symbol block, in lexicographic order, weighted by |r|."""
+    n = len(rho)
+    t, r, _ = fold_rows(tau, rho, digit_rows(np.arange(n**k), k, base=n) + 1)
+    return (t, r, *_alias_table(r))
 
-    The natural weights are |rho_s|/(4a-1), so a word's product weight is
-    |r|/(4a-1)^k: the alias table, which takes weights up to scale, is built
-    on the maps' own |r|.
+
+def _sample_words(tau: Sequence, rho: Sequence, count: int, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """count points of i.i.d. depth-`depth` words of the float maps x -> rho_s x + tau_s, applied to 0.
+
+    Map s has weight |rho_s| / sum |rho|.  A block of k symbols (see the
+    module docstring) is one alias-table draw and two gathers; a shorter
+    remainder block keeps the depth exact.  The points advance SAMPLE_CHUNK
+    at a time, which keeps the temporaries in cache.
     """
-    level = expand_level(*projection_parts(a), k)
-    prob, alias = _alias_table(np.abs(level.r))
-    return level.t, level.r, prob, alias
+    k = 1
+    while len(rho) ** (k + 1) <= 3**SAMPLE_BLOCK:
+        k += 1
+    blocks, rem = divmod(depth, k)
+    steps = [_block_table(tau, rho, k)] * blocks if blocks else []
+    if rem:
+        steps.append(_block_table(tau, rho, rem))
+    pts = np.zeros(count)
+    for lo in range(0, count, SAMPLE_CHUNK):
+        x = pts[lo : lo + SAMPLE_CHUNK]  # a view: the chunk is composed in place
+        # each step applies its block map outermost: the steps' symbols form one i.i.d. word of the depth
+        for t, r, prob, alias in steps:
+            s = _alias_draw(prob, alias, len(x), rng)
+            x *= r[s]
+            x += t[s]
+    return pts
 
 
 def _check_count(count: int) -> None:
@@ -480,16 +510,8 @@ def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample
     """Monte-Carlo draw from the y-projection of the natural measure: S_a with weights (a, 2a-1, a)/(4a-1).
 
     Each point is the composition along an i.i.d. weight-distributed random
-    word of the given depth, applied to 0.  Deterministic per seed.
-
-    The word is drawn in blocks of SAMPLE_BLOCK symbols: one alias-table draw
-    picks one of the 3^SAMPLE_BLOCK composed block maps with its product
-    weight, by one uniform and one compare, and two gathers apply it.  For
-    depth = q * SAMPLE_BLOCK + rem, the rem symbols left over come from one
-    more table of 3^rem maps, so the depth, and with it the tail a^depth, is
-    exactly the one requested.  The points advance SAMPLE_CHUNK at a time,
-    which keeps the temporaries in cache and bounds the memory beyond the
-    sample itself.  The tables are built per call.
+    word of the given depth, applied to 0.  Deterministic per seed.  The
+    weights are |rho_s|/(4a-1), so _sample_words draws it from S_a's maps.
     """
     a = float_a(a)
     _check_count(count)
@@ -497,19 +519,7 @@ def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample
         raise ParameterError(f"sampling needs depth >= 0, got {depth}")
     if depth > SAMPLE_DEPTH_CAP:
         raise BudgetError(f"sample depth {depth} exceeds cap {SAMPLE_DEPTH_CAP}")
-    blocks, rem = divmod(depth, SAMPLE_BLOCK)
-    steps = [_block_table(a, SAMPLE_BLOCK)] * blocks if blocks else []
-    if rem:
-        steps.append(_block_table(a, rem))
-    rng = np.random.default_rng(seed)
-    pts = np.zeros(count)
-    for lo in range(0, count, SAMPLE_CHUNK):
-        x = pts[lo : lo + SAMPLE_CHUNK]  # a view: the chunk is composed in place
-        # each step applies its block map outermost: the steps' symbols form one i.i.d. word of the depth
-        for t, r, prob, alias in steps:
-            s = _alias_draw(prob, alias, len(x), rng)
-            x *= r[s]
-            x += t[s]
+    pts = _sample_words(*projection_parts(a), count, depth, np.random.default_rng(seed))
     return MeasureSample(
         system_kind="projection", parameter=a, weights=natural_weights(a), points=pts, seed=seed, depth=depth
     )

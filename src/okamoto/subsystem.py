@@ -11,7 +11,9 @@ subsystem homogeneous and its uniform coding measure a convolution:
 with i.i.d. copies eta_j of eta (translations S_j(0), ratio lambda^k); rho,
 the first k-1 terms, codes the k-1 off positions per superblock.  The
 lambda^(k-1) scale of the last copy is forced by the block algebra; the
-Kolmogorov-Smirnov check below exercises it.
+Kolmogorov-Smirnov check below exercises it.  Every |ratio| is |lambda|, so
+estimators' one blocked sampler, which weighs map s by |rho_s|, draws the
+uniform coding measure from the translations and lambda (or lambda^k).
 
 The gamma conjugation carries rho's system into a subsystem of the k-fold
 iterate.  Composing k-1 blocks and then the all-1s-then-2s block yields the
@@ -34,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .estimators import _check_count, _check_levels, ks_statistic, level_statistics
+from .estimators import _check_count, _check_levels, _sample_words, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import fold_rows, fold_word, projection_parts
 from .words import (
@@ -100,27 +102,18 @@ def _sampling_depth(lam: float) -> int:
     return max(4, math.ceil(math.log(SAMPLING_TAIL * (1.0 - abs(lam))) / math.log(abs(lam))))
 
 
-def _sample_block_coding(
-    translations: np.ndarray, lam: float, count: int, depth: int, rng: np.random.Generator
-) -> np.ndarray:
-    """X = sum_l lambda^(l-1) tau_l over i.i.d. uniform blocks, l = 1..depth."""
-    out = np.zeros(count)
-    scale = 1.0
-    for _ in range(depth):
-        idx = rng.integers(0, len(translations), count)
-        out += scale * translations[idx]
-        scale *= lam
-    return out
+def _coding_maps(a: float, m: int) -> tuple:
+    """(translations, lambda) of the subsystem's maps; the alphabet matrix is released before any draw."""
+    sub = build_subsystem(a, m)
+    return sub.translations, float(sub.ratio)
 
 
 def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndarray:
     """Draw from the uniform-coding measure of the subsystem, a and the count checked before it is built."""
     a = float_a(a)
     _check_count(count)
-    sub = build_subsystem(a, m)
-    lam = float(sub.ratio)
-    rng = np.random.default_rng(seed)
-    return _sample_block_coding(sub.translations, lam, count, _sampling_depth(lam), rng)
+    tau, lam = _coding_maps(a, m)
+    return _sample_words(tau, np.broadcast_to(lam, tau.shape), count, _sampling_depth(lam), np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -139,17 +132,16 @@ def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> Convol
     a = float_a(a)
     _check_split(k, "convolution split")
     _check_count(count)
-    sub = build_subsystem(a, m)
-    lam = float(sub.ratio)
+    tau, lam = _coding_maps(a, m)
     depth = _sampling_depth(lam)
     depth += (-depth) % k  # whole superblocks
     rng_direct, *rng_copies = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k + 1))
-    direct = _sample_block_coding(sub.translations, lam, count, depth, rng_direct)
+    direct = _sample_words(tau, np.broadcast_to(lam, tau.shape), count, depth, rng_direct)
     # sum_{j<k} lambda^j eta_j by Horner's rule, from the last copy down
     combined = np.zeros(count)
     for rng in reversed(rng_copies):
         combined *= lam
-        combined += _sample_block_coding(sub.translations, lam**k, count, depth // k, rng)
+        combined += _sample_words(tau, np.broadcast_to(lam**k, tau.shape), count, depth // k, rng)
     return ConvolutionReport(
         a=a,
         m=m,

@@ -13,22 +13,23 @@ Fraction parameter gives Fraction output.
 Every composed map comes from one recursion, the one-symbol extension
 t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.  It is
 written twice: `fold_word` runs it along one word, or along every row of a
-uint8 symbol matrix at once (`fold_rows`: subsystem alphabets and the gamma
-conjugation check), and `expand_level` runs it over every word of a depth at
-once, with optional pruning (grid box counts, level-set covers, separation
+symbol matrix at once (`fold_rows`: subsystem alphabets, the gamma check, the
+sampler's block maps), and `expand_level` runs it over every word of a depth
+at once, with optional pruning (grid box counts, level-set covers, separation
 gaps, the graph sample), one strided pass per symbol into (N, 3) arrays whose
 C order is the lexicographic order, keeping the prune's boolean masks to
 recover the surviving words as a symbol matrix.  Symbols are not checked:
-every word folded is one the package built.  Both array forms share one
-exact number kind, integers over the common denominator d of the
-coefficients, t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a
-proven bound allows and Python ints beyond it; floats run on float64 with
-d = 1.0.  The depth-n anchors t are the values T(k/3^n), so the graph sample
-is one level array.
+every word folded is one the package built.  Both array forms share one exact
+number kind, integers over the common denominator d of the coefficients,
+t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a proven bound
+allows and Python ints beyond it; floats run on float64 with d = 1.0.  The
+depth-n anchors t are the values T(k/3^n), so the graph sample is one level
+array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,7 +69,7 @@ def _number_kind(tau: Sequence, rho: Sequence, n: int) -> tuple:
     Rational coefficients with common denominator d run exactly on integers;
     floats run on float64 with d = 1.0, which is exact.
     """
-    if all(isinstance(v, (Fraction, int)) for v in (*tau, *rho)):
+    if all(isinstance(v, (Fraction, int)) for v in itertools.chain(tau, rho)):
         d = math.lcm(*(Fraction(v).denominator for v in (*tau, *rho)))
         tau, rho = [int(v * d) for v in tau], [int(v * d) for v in rho]
         # With T = max|tau|, c = max(d, max|rho|): |r| <= c^l at depth l, and
@@ -81,7 +82,7 @@ def _number_kind(tau: Sequence, rho: Sequence, n: int) -> tuple:
         dtype = np.int64 if bound < 2**63 else object
     else:
         d, dtype = 1.0, np.float64
-    return d, np.array(tau, dtype=dtype), np.array(rho, dtype=dtype)
+    return d, np.asarray(tau, dtype=dtype), np.asarray(rho, dtype=dtype)
 
 
 def fold_rows(tau: Sequence, rho: Sequence, words) -> tuple:

@@ -103,11 +103,8 @@ def stopping_cover(a: Number, r: Number) -> tuple:
 
 
 def two_count(a: Number, m: int) -> int:
-    """floor(m*p) with p = (2a-1)/(4a-1), the expected share of symbol 2."""
-    check_a(a)
-    if isinstance(a, Fraction) or isinstance(a, int):
-        p = Fraction(2 * a - 1, 4 * a - 1)
-        return int(p * m)
+    """floor(m*p) with p = (2a-1)/(4a-1), the expected share of symbol 2, exact at a float's own value."""
+    a = Fraction(check_a(a))
     return math.floor(m * (2 * a - 1) / (4 * a - 1))
 
 

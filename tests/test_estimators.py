@@ -36,7 +36,7 @@ from okamoto.estimators import (
     local_dimension_slopes,
     sample_measure,
 )
-from okamoto.subsystem import sample_subsystem_measure
+from okamoto.subsystem import build_subsystem, sample_subsystem_measure
 from okamoto.systems import Level, expand_level, fold_word, projection_parts
 from graph_oracle import box_count_grid_sorted
 from measure_oracle import sample_per_symbol
@@ -446,36 +446,47 @@ def test_sample_measure_caps():
         sample_measure(0.4, 10, 10, seed=0)
 
 
-@pytest.mark.parametrize("a", [0.6, 0.75])
+def _block_system(a):
+    """(tau, rho, weights) of S_a with its natural weights, or for "m=2" of the four maps of the
+    m = 2 subsystem at a = 0.75, which share one ratio, with the uniform weight."""
+    if a != "m=2":
+        return (*projection_parts(a), natural_weights(a))
+    sub = build_subsystem(0.75, 2)
+    return sub.translations, np.full(len(sub.translations), float(sub.ratio)), (0.25,) * 4
+
+
+@pytest.mark.parametrize("a", [0.6, 0.75, "m=2"])
 @pytest.mark.parametrize("k", [SAMPLE_BLOCK, 3])
 def test_block_maps_are_the_word_folds(a, k):
     # the block of SAMPLE_BLOCK symbols and a remainder block, entry i being the word at position i
-    t, r, prob, alias = _block_table(a, k)
-    assert len(t) == len(r) == len(prob) == len(alias) == 3**k
-    parts = projection_parts(a)
-    for i, word in enumerate(product((1, 2, 3), repeat=k)):
+    *parts, weights = _block_system(a)
+    n = len(weights)
+    t, r, prob, alias = _block_table(*parts, k)
+    assert len(t) == len(r) == len(prob) == len(alias) == n**k
+    for i, word in enumerate(product(range(1, n + 1), repeat=k)):
         assert (t[i], r[i]) == fold_word(*parts, word)
 
 
-@pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
+@pytest.mark.parametrize("a", [0.6, 0.75, 0.9, "m=2"])
 @pytest.mark.parametrize("k", [SAMPLE_BLOCK, 1, 5])
 def test_alias_mass_is_the_block_weight(a, k):
     # entry i is drawn from its own column with prob[i] and from every column aliased to it with the rest
-    _, _, prob, alias = _block_table(a, k)
-    weights = natural_weights(a)
-    expected = np.array([math.prod(weights[s - 1] for s in word) for word in product((1, 2, 3), repeat=k)])
-    other = alias != np.arange(3**k)
+    *parts, weights = _block_system(a)
+    n = len(weights)
+    _, _, prob, alias = _block_table(*parts, k)
+    expected = np.array([math.prod(weights[s - 1] for s in word) for word in product(range(1, n + 1), repeat=k)])
+    other = alias != np.arange(n**k)
     mass = prob.copy()
     np.add.at(mass, alias[other], 1.0 - prob[other])
     assert np.all((0.0 <= prob) & (prob <= 1.0))
-    assert np.max(np.abs(mass - 3**k * expected)) <= 1e-12
+    assert np.max(np.abs(mass - n**k * expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])
 def test_block_table_weights_are_the_weight_level(a):
     # oracle: the table on the ratios of the system with zero translations and ratios natural_weights(a)
     for k in range(1, SAMPLE_BLOCK + 1):
-        _, _, prob, alias = _block_table(a, k)
+        _, _, prob, alias = _block_table(*projection_parts(a), k)
         oracle_prob, oracle_alias = _alias_table(expand_level((0.0, 0.0, 0.0), natural_weights(a), k).r)
         assert np.array_equal(alias, oracle_alias)
         if a == 0.9:  # the two float products round apart, so a rounded integer unit can differ by one
@@ -484,10 +495,32 @@ def test_block_table_weights_are_the_weight_level(a):
             assert np.array_equal(prob, oracle_prob)
 
 
+@pytest.mark.parametrize("a", [0.55, 0.6, 0.75, 0.9, 0.99])
+def test_block_folds_are_the_level_kernel(a):
+    # the folded symbol matrix and the level kernel run the same float operations per word
+    for k in range(1, SAMPLE_BLOCK + 1):
+        t, r, _, _ = _block_table(*projection_parts(a), k)
+        level = expand_level(*projection_parts(a), k)
+        assert np.array_equal(t, level.t) and np.array_equal(r, level.r)
+
+
 def test_alias_table_of_uniform_weights_is_trivial():
     # the construction runs on integers, so equal weights fill every column with itself exactly
     prob, _ = _alias_table(np.full(7, 1 / 7))
     assert np.all(prob == 1.0)
+
+
+@pytest.mark.parametrize("n, kind", [(16_384, "random"), (30_000, "random"), (30_000, "equal")])
+def test_alias_mass_identity_past_2_to_the_14_entries(n, kind):
+    # n * 2^49 no longer fits in int64 here, so the units shrink with the table; subsystem
+    # alphabets reach 28 160 words at m = 11 and millions at m = 16
+    weights = np.random.default_rng(n).random(n) if kind == "random" else np.full(n, 0.5)
+    prob, alias = _alias_table(weights)
+    other = alias != np.arange(n)
+    mass = prob.copy()
+    np.add.at(mass, alias[other], 1.0 - prob[other])
+    assert np.all((0.0 <= prob) & (prob <= 1.0))
+    assert np.max(np.abs(mass - n * weights / weights.sum())) <= 1e-12
 
 
 @pytest.mark.parametrize("depth", [0, 1, 7, SAMPLE_BLOCK, 41])

@@ -10,11 +10,10 @@ import pytest
 from okamoto.cli import run
 from okamoto.dimensions import okamoto_s0
 from okamoto.errors import ParameterError
-from okamoto.estimators import ks_statistic
+from okamoto.estimators import _sample_words, ks_statistic
 from okamoto.subsystem import (
     GAMMA_TUPLE_BUDGET,
     SPLIT_CAP,
-    _sample_block_coding,
     _sampling_depth,
     build_subsystem,
     convolution_check,
@@ -26,6 +25,7 @@ from okamoto.subsystem import (
 )
 from okamoto.systems import fold_rows, fold_word, projection_parts
 from okamoto.words import two_count
+from measure_oracle import sample_per_position
 from word_oracle import word_tuples
 
 
@@ -179,6 +179,11 @@ def test_convolution_ks_small_over_five_seeds():
     assert all(d < 0.02 for d in ks)
 
 
+def _coding(sub, lam: float, count: int, depth: int, rng) -> np.ndarray:
+    """The blocked core's draw from the subsystem's maps with the shared ratio lam, as the package makes it."""
+    return _sample_words(sub.translations, np.full(len(sub.translations), lam), count, depth, rng)
+
+
 def _split_ks(m: int, k: int, count: int, seed: int, last_exponent: int) -> float:
     """convolution_check's KS, the combination built term by term with lambda^last_exponent on the last copy."""
     sub = build_subsystem(0.75, m)
@@ -186,8 +191,8 @@ def _split_ks(m: int, k: int, count: int, seed: int, last_exponent: int) -> floa
     depth = _sampling_depth(lam)
     depth += (-depth) % k
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k + 1)]
-    direct = _sample_block_coding(sub.translations, lam, count, depth, rngs[0])
-    copies = [_sample_block_coding(sub.translations, lam**k, count, depth // k, rng) for rng in rngs[1:]]
+    direct = _coding(sub, lam, count, depth, rngs[0])
+    copies = [_coding(sub, lam**k, count, depth // k, rng) for rng in rngs[1:]]
     exponents = [*range(k - 1), last_exponent]
     return ks_statistic(direct, sum(lam**e * eta for e, eta in zip(exponents, copies)))
 
@@ -222,9 +227,29 @@ def test_block_coding_matches_direct_split_sum():
     sub = build_subsystem(a, 1)
     lam = float(sub.ratio)
     rng = np.random.default_rng(0)
-    xs = _sample_block_coding(sub.translations, lam, 50_000, 40, rng)
+    xs = _coding(sub, lam, 50_000, 40, rng)
     ys = sample_subsystem_measure(a, 1, 50_000, seed=1)
     assert ks_statistic(xs, ys) < 0.02
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_blocked_coding_matches_the_per_position_law(m):
+    # two-sample KS against the per-position reference at the 5% critical value 1.36 sqrt(2/N);
+    # every map has |rho| = |lambda|, so the |rho|-weighted blocks draw the uniform coding measure.
+    # Under equal laws each seed exceeds that value with probability 5%, so the median over the
+    # five seeds is held below it: it exceeds it with probability about 0.1% per m
+    n = 100_000
+    critical = 1.36 * math.sqrt(2.0 / n)
+    sub = build_subsystem(0.75, m)
+    lam = float(sub.ratio)
+    depth = _sampling_depth(lam)
+    ks = []
+    for seed in range(1, 6):
+        blocked = _coding(sub, lam, n, depth, np.random.default_rng(seed))
+        reference = sample_per_position(sub.translations, lam, n, depth, np.random.default_rng(1000 + seed))
+        ks.append(ks_statistic(blocked, reference))
+    print(f"m={m}: KS {np.round(ks, 4).tolist()} against the critical value {critical:.4f}")
+    assert np.median(ks) < critical
 
 
 # --- entropy ratio -------------------------------------------------------------------

@@ -141,11 +141,18 @@ def test_alphabet_size_matches_enumeration(m):
     # p runs from 0 (j = 0 at a = 51/100) to about 1/3 (a = 19/20)
     for a in (Fraction(3, 4), Fraction(51, 100), Fraction(19, 20), 0.75, 0.51, 0.6, 0.95):
         j = two_count(a, m)
-        assert isinstance(a, float) or j == math.floor(Fraction(2 * a - 1, 4 * a - 1) * m)
+        assert j == math.floor((2 * Fraction(a) - 1) / (4 * Fraction(a) - 1) * m)
         alphabet = subsystem_alphabet(a, m)
         assert alphabet.dtype == np.uint8 and alphabet.shape == (2 ** (m - j) * math.comb(m, j), m)
         if m <= 10:
             assert word_tuples(alphabet) == _alphabet_oracle(a, m)
+
+
+def test_two_count_of_a_float_is_exact_at_its_value():
+    # floor(m (2a-1)/(4a-1)) evaluated in floats lands on a neighbouring integer at these inputs
+    for a, m, j in ((0.9166666666666666, 16, 4), (0.7857142857142857, 15, 3), (0.9, 91, 28)):
+        assert two_count(a, m) == two_count(Fraction(a), m) == j
+        assert math.floor(m * (2 * a - 1) / (4 * a - 1)) != j
 
 
 @pytest.mark.parametrize("a", [Fraction(3, 4), 0.55, 0.9])
