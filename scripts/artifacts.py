@@ -19,8 +19,10 @@ error outputs of checks made before any work, among them the float
 paths at rationals whose floats round to 1/2 and to 1, level-set scans and
 slices on both sides of the depth where level statistics stop counting one
 whole sorted level and split each word into a prefix and that level's
-suffix, scans and slices at depth 24, which only the split reaches, and last
-subsystem draws whose alias tables hold more than 2^14 entries.
+suffix, scans and slices at depth 24, which only the split reaches,
+subsystem draws whose alias tables hold more than 2^14 entries, and last
+scans at both ends of the rule that sets the split's suffix depth from the
+level count.
 """
 
 import argparse
@@ -117,6 +119,16 @@ WIDE_TABLES = [
     "subsystem --a 0.75 --m 12 --check slices --samples 20 --depth 10 --seed 5",
 ]
 
+# both ends of the suffix-depth rule: 25 000 levels at depth 13 sort a depth-12 suffix level in
+# two chunks of prefix covers, and a few levels at depths 16-20 sort one of depth 4-10
+RULE_EDGES = [
+    "levelset-scan --a 0.95 --samples 25000 --depth 13 --format csv --seed 9",
+    "levelset-scan --a 0.55 --samples 3 --depth 20 --format csv --seed 7",
+    "levelset-scan --a 0.75 --samples 3 --depth 16 --format csv --seed 7",
+    "levelset-scan --a 0.95 --samples 3 --depth 18 --format csv --seed 7",
+    "subsystem --a 0.6 --m 6 --check slices --samples 5 --depth 18 --seed 3",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -152,7 +164,8 @@ def commands() -> list:
     out += SWEEP_EDGES  # likewise after the late errors
     out += SPLIT_EDGES
     out += NEW_REACH  # the split is the only path that reaches them
-    out += WIDE_TABLES  # last
+    out += WIDE_TABLES
+    out += RULE_EDGES  # last
     return out
 
 

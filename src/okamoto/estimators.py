@@ -9,37 +9,49 @@ and covers each column's samples greedily with height-delta boxes, so it can
 only undercount and serves as the independent cross-check from below.
 
 Level sets are covered by branch and bound: a word is extended only while its
-closed y-interval still contains the target level.  Both the grid samples and
-the covers run on the one level kernel, systems.expand_level, on exact
-integers over the common denominator when a and y are rational and on float64
-otherwise.  level_statistics is the one place where a set of levels, uniform
-or drawn from a measure, becomes estimates log N_n / (n log 3) and their
-quantile summary.  With lo_w <= hi_w the ends of word w's interval, N_q(y) =
-#{w : lo_w <= y} - #{w : hi_w < y}, so it sorts the two end arrays of one
-unpruned level of depth q = min(n, 12) (3^12 words at most) and counts by two
-binary searches.  A deeper word is w = u v with a prefix u of depth p = n - q,
-and y lies in I_w exactly when z_u = S_u^-1(y) lies in I_v, so
-N_n(y) = sum over u in cover_p(y) of N_q(z_u): branch and bound finds each
-level's prefixes, at most 3^12 of them, and their z_u, clamped to [0, 1],
-are searched in the sorted level.  So a count at any depth up to 24 holds
-about 3^12 words, not the (4a-1)^n of a depth-n cover.  On rationals every
-count is the cover's exactly.  On floats the depth-q count keeps the words
-whose own rounded interval holds y, a superset of the cover, which also drops
-a word whose prefix's rounded interval misses y; a split count rounds z_u
-too and is neither a subset nor a superset of the cover.  Either differs from
-the cover only within rounding of an interval end.
+closed y-interval still contains the target level, and a cover whose kept
+words pass COVER_BYTE_BUDGET bytes at a depth is refused.  Both the grid
+samples and the covers run on the one level kernel, systems.expand_level, on
+exact integers over the common denominator when a and y are rational and on
+float64 otherwise.  level_statistics is the one place where a set of levels,
+uniform or drawn from a measure, becomes estimates log N_n / (n log 3) and
+their quantile summary.  With lo_w <= hi_w the ends of word w's interval,
+N_q(y) = #{w : lo_w <= y} - #{w : hi_w < y}, so it sorts the two end arrays
+of one unpruned level of depth q and counts by two binary searches.  Up to
+depth LEVEL_SWEEP_DEPTH = 12, q = n and every level is counted that way.  A
+deeper word is w = u v with a prefix u of depth p = n - q, and y lies in I_w
+exactly when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u in
+cover_p(y) of N_q(z_u).  There q is the smallest with 3^q >= L (4a-1)^p for
+L levels, at most 12: the sorted level against the mean size of all levels'
+prefix covers.  One batched expand_level, one root per level, finds the
+prefixes of all levels at once, each child tested against its own level; the
+z_u, clamped to [0, 1], are searched in the sorted level and summed per level
+by one bincount.  The levels go in chunks whose children stay within
+SPLIT_FRONTIER_CAP = 3^10 entries at a depth unless a chunk is one level, so
+a count at any depth up to 24 holds a sorted level of at most 3^12 words
+beside one chunk, not the (4a-1)^n of a depth-n cover; only a single level
+whose own prefix cover is larger holds that cover, as a per-level count
+would.  On rationals every count is the cover's exactly, at every q.  On
+floats the depth-n count keeps the words whose own rounded interval holds y,
+a superset of the cover, which also drops a word whose prefix's rounded
+interval misses y; a split count rounds z_u too and is neither a subset nor
+a superset of the cover, and the batched prefixes round exactly as one
+level's alone.  Either differs from the cover only within rounding of an
+interval end.
 
-Every sample is drawn by one core, _sample_words: i.i.d. random words of N
-maps x -> rho_s x + tau_s applied to 0, map s drawn with weight
-|rho_s| / sum |rho|.  The natural weights (a, 2a-1, a)/(4a-1) of S_a are
-|rho_s|/(4a-1), so the core draws the y-projection of the natural measure;
-in a homogeneous subsystem every |rho| is |lambda|, so it draws the uniform
-coding measure.  Words come in blocks of k symbols, k the largest with
-N^k <= 3^SAMPLE_BLOCK (8 for S_a): the N^k block maps are folded at once,
-and Walker's alias method (Vose's construction) picks one per uniform draw
-with weight |r|.  A depth that is not a multiple of k takes one shorter
-remainder block, and the points advance in fixed-size chunks, so the memory
-beyond the sample stays bounded.  Two probes read a sample: local-dimension
+Every sample is drawn by one core, _sample_words on the block tables of
+_block_steps: i.i.d. random words of N maps x -> rho_s x + tau_s applied to
+0, map s drawn with weight |rho_s| / sum |rho|.  The natural weights
+(a, 2a-1, a)/(4a-1) of S_a are |rho_s|/(4a-1), so the core draws the
+y-projection of the natural measure; in a homogeneous subsystem every |rho|
+is |lambda|, so it draws the uniform coding measure.  Words come in blocks of
+k symbols, k the largest with N^k <= 3^SAMPLE_BLOCK (8 for S_a): the N^k
+block maps are folded at once (for k = 1 they are the maps themselves), and
+Walker's alias method (Vose's construction) picks one per uniform draw with
+weight |r|.  A depth that is not a multiple of k takes one shorter remainder
+block, and the points advance in fixed-size chunks, so the memory beyond the
+sample stays bounded.  The tables are built once per law: the k copies of a
+subsystem's eta share one set.  Two probes read a sample: local-dimension
 slopes from closed-ball counts, and Monte-Carlo Fourier magnitudes with
 their decay fit.
 """
@@ -66,7 +78,11 @@ SAMPLE_DEPTH_CAP = 60
 SAMPLE_BLOCK = 8  # a draw takes k symbols of N maps, k >= 1 the largest with N^k <= 3^8: 8 symbols of S_a
 SAMPLE_CHUNK = 1 << 16  # points _sample_words advances together
 LEVEL_COUNT_CAP = 10**5  # levels of one scan or slice report
-LEVEL_SWEEP_DEPTH = 12  # depth of the one sorted level, 3^12 words, that level_statistics counts every depth on
+LEVEL_SWEEP_DEPTH = 12  # deepest sorted suffix level, 3^12 words, that level_statistics counts on
+# children a chunk of levels' batched prefix covers may hold at one depth: at about 50 bytes a child with
+# its bounds, root indices and masks, a chunk takes a third of the sorted depth-12 level's 8.5 MB
+SPLIT_FRONTIER_CAP = 3**10
+COVER_BYTE_BUDGET = 1 << 25  # bytes of the t and r arrays a level-set cover may keep at one depth: 2^21 words
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
 GRID_CHUNK_BYTES = 1 << 18  # bytes of one per-row float64 array of the grid count: its few arrays stay in cache
 
@@ -233,79 +249,186 @@ def _level_bounds(y, unit) -> tuple:
     return (math.floor(yu), math.ceil(yu)) if isinstance(unit, int) else (yu, yu)
 
 
-def _contains(y):
-    """Prune predicate: the closed y-interval between t and t + r of a word contains y, in kernel units.
+def _holds(t, r, below, above):
+    """The closed y-interval between t and t + r holds the level with bounds (below, above), in kernel units.
 
     The interval's ends are min and max of t and t + r, no sign select on r:
     rounded addition is monotone, so fl(t + r) <= t exactly when r <= 0, and
     min/max pick the same end as the sign of r does, bit for bit on floats.
     """
+    end = t + r
+    hi = np.maximum(t, end)
+    lo = np.minimum(t, end, out=end)
+    mask = lo <= below
+    mask &= above <= hi
+    return mask
 
-    def keep(t, r, unit):
-        below, above = _level_bounds(y, unit)
-        end = t + r
-        return (np.minimum(t, end) <= below) & (above <= np.maximum(t, end))
 
-    return keep
+def _bounds_per_level(ys, unit, dtype) -> tuple:
+    """(below, above) arrays of _level_bounds over the levels, on the kernel's dtype: y itself on floats."""
+    if not isinstance(unit, int):
+        ys = np.asarray(ys, dtype=float)
+        return ys, ys
+    below, above = zip(*(_level_bounds(y, unit) for y in ys))
+    return np.array(below, dtype=dtype), np.array(above, dtype=dtype)
 
 
-def _split_bounds(y, prefix: Level, unit) -> tuple:
+class _FrontierFull(Exception):
+    """A batched prefix cover of several levels outgrew SPLIT_FRONTIER_CAP; it is retried in halves."""
+
+
+class _EachLevel:
+    """keep of a batched expand_level: the child of root i is tested against level ys[i].
+
+    idx is the root of every entry, np.repeat(idx, 3)[mask] per depth.  With
+    one level it stays None: the bounds broadcast, nothing is gathered, and
+    the level runs as its own cover would.  Several levels raise
+    _FrontierFull before a depth below p whose children would pass `cap`
+    entries.
+    """
+
+    def __init__(self, ys: Sequence, p: int, cap: int):
+        self.ys, self.p, self.cap = ys, p, cap
+        self.idx = None if len(ys) == 1 else np.arange(len(ys))
+        self.depth = 0
+
+    def __call__(self, t, r, unit):
+        self.depth += 1
+        below, above = _bounds_per_level(self.ys, unit, t.dtype)
+        if self.idx is not None:
+            self.idx = np.repeat(self.idx, 3)
+            below, above = (below[self.idx],) * 2 if below is above else (below[self.idx], above[self.idx])
+        mask = _holds(t, r, below, above)
+        if self.idx is not None:
+            self.idx = self.idx[mask]
+            if self.depth < self.p and 3 * len(self.idx) > self.cap:
+                raise _FrontierFull
+        return mask
+
+
+def _split_bounds(prefix: Level, levels: _EachLevel, unit) -> tuple:
     """(below, above) of z_u = S_u^-1(y) for every prefix u of a level, in the suffix level's unit.
 
-    On integers z_u * unit = (y * d^p - t_u) * unit / r_u over the prefix unit
-    d^p, its floor and ceil taken by integer division, on int64 while the
-    products stay below 2^63 and on Python ints beyond; floats divide.  Both
-    ends are clamped to [0, unit]: a kept prefix has z_u in [0, 1] on
-    rationals, so there the clamp changes nothing, and on floats it keeps a z_u
-    rounded just outside [0, 1] on the suffix ends 0 and 1.
+    The prefixes are those a batched expansion kept with `levels`: entry i
+    belongs to level levels.ys[levels.idx[i]], or to the one level when idx
+    is None.  On integers z_u * unit = (y * d^p - t_u) * unit / r_u
+    over the prefix unit d^p, its floor and ceil taken by integer division, on
+    int64 while the products stay below 2^63 and on Python ints beyond;
+    floats divide.  Both ends are clamped to [0, unit]: a kept prefix has z_u
+    in [0, 1] on rationals, so there the clamp changes nothing, and on floats
+    it keeps a z_u rounded just outside [0, 1] on the suffix ends 0 and 1.
     """
-    t, r = prefix.t, prefix.r
+    t, r, ys, idx = prefix.t, prefix.r, levels.ys, levels.idx
+    pick = (lambda v: v) if idx is None else (lambda v: v[idx])
     if not isinstance(unit, int):
-        z = y - t
+        z = pick(np.asarray(ys, dtype=float)) - t
         z /= r
         np.clip(z, 0.0, 1.0, out=z)
         return z, z
-    y = Fraction(y)
-    num, den = y.numerator, y.denominator
-    reach = num * prefix.unit + den * int(max(np.abs(t).max(initial=0), np.abs(r).max(initial=0)))
-    if reach * unit >= 2**63:  # bounds |top| and |bottom| below
+    ys = [Fraction(y) for y in ys]
+    num = pick(np.array([y.numerator for y in ys], dtype=object))
+    den = pick(np.array([y.denominator for y in ys], dtype=object))
+    reach = num.max(initial=0) * prefix.unit + den.max(initial=0) * int(
+        max(np.abs(t).max(initial=0), np.abs(r).max(initial=0))
+    )
+    if reach * unit < 2**63:  # bounds |top| and |bottom| below
+        num, den = num.astype(np.int64), den.astype(np.int64)
+    else:
         t, r = t.astype(object), r.astype(object)
     top = (num * prefix.unit - den * t) * unit
     bottom = den * r
     return np.clip(top // bottom, 0, unit), np.clip(-(-top // bottom), 0, unit)
 
 
-def _level_counts(a: Number, ys: Sequence, n: int) -> list:
-    """N_n(y) at the levels ys: N_q counted on one sorted depth-q level, q = min(n, LEVEL_SWEEP_DEPTH).
+def _suffix_depth(a: Number, levels: int, n: int) -> int:
+    """The depth q of the sorted suffix level for `levels` levels at depth n.
 
-    A depth-q word v has N_q's interval ends lo_v <= hi_v as _contains takes
-    them, so N_q(z) = #{v : lo_v <= z} - #{v : hi_v < z}, two binary searches
-    on the sorted ends.  A depth-n word is w = u v with a prefix u of depth
-    p = n - q, and y lies in I_w exactly when z_u = S_u^-1(y) lies in I_v, so
-    N_n(y) = sum over u in cover_p(y) of N_q(z_u): each level's prefixes come
-    from branch and bound, at most 3^p of them (p <= 12 as n <= 24) beside
-    the 3^q sorted ends, and their z_u (see _split_bounds) are searched at
-    once.  At p = 0 the prefix is the identity and z = y bit for bit, so
-    every level is searched at once.  Exact on rationals; on floats see the
-    module docstring.
+    n itself up to LEVEL_SWEEP_DEPTH (no split); beyond it the smallest q >= 1
+    with 3^q >= levels * (4a-1)^(n-q), at most LEVEL_SWEEP_DEPTH: the sorted
+    level's 3^q words against the mean size of the depth-(n-q) prefix covers
+    of all levels, (4a-1)^(n-q) each.
     """
-    q = min(n, LEVEL_SWEEP_DEPTH)
-    parts = projection_parts(a)
-    suffix = expand_level(*parts, q)
-    lo, end = suffix.t, suffix.r
+    if n <= LEVEL_SWEEP_DEPTH:
+        return n
+    q = 1
+    while q < LEVEL_SWEEP_DEPTH and 3**q < levels * (4 * a - 1) ** (n - q):
+        q += 1
+    return q
+
+
+def _sorted_ends(parts: tuple, q: int) -> tuple:
+    """(lo, hi, unit): the sorted lower and upper interval ends of the unpruned depth-q level.
+
+    The level's t becomes lo in place and its r the upper ends before hi is
+    taken, so only lo and hi outlive the call.
+    """
+    level = expand_level(*parts, q)
+    lo, end = level.t, level.r
     end += lo
     hi = np.maximum(lo, end)
     np.minimum(lo, end, out=lo)
     lo.sort()
     hi.sort()
+    return lo, hi, level.unit
+
+
+def _level_counts(a: Number, ys: Sequence, n: int) -> list:
+    """N_n(y) at the levels ys, split at the suffix depth _suffix_depth chooses from n and the level count."""
+    return _split_counts(a, ys, n, _suffix_depth(a, len(ys), n))
+
+
+def _split_counts(a: Number, ys: Sequence, n: int, q: int) -> list:
+    """N_n(y) at the levels ys: N_q counted on one sorted depth-q level under the depth-(n-q) prefix covers.
+
+    A depth-q word v has N_q's interval ends lo_v <= hi_v as _holds takes
+    them, so N_q(z) = #{v : lo_v <= z} - #{v : hi_v < z}, two binary searches
+    on the sorted ends.  At q = n every level is searched at once.  Else a
+    depth-n word is w = u v with a prefix u of depth p = n - q, and y lies in
+    I_w exactly when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u in
+    cover_p(y) of N_q(z_u).  One batched expand_level finds the prefixes of
+    all levels at once, one root per level, each child tested against its
+    own level (_EachLevel); the z_u of all of them (_split_bounds) are
+    searched together and summed per level by one bincount over the root
+    index.  The levels go in chunks, split only between levels, whose
+    children stay within SPLIT_FRONTIER_CAP entries at every depth unless a
+    chunk is a single level: a chunk that outgrows it is retried in halves,
+    and the next chunks keep the smaller size.  Exact on rationals at every
+    q; on floats see the module docstring.
+    """
+    parts = projection_parts(a)
+    lo, hi, unit = _sorted_ends(parts, q)
 
     def count(below, above):
-        return np.searchsorted(lo, below, side="right") - np.searchsorted(hi, above, side="left")
+        found = np.searchsorted(lo, below, side="right")
+        found -= np.searchsorted(hi, above, side="left")
+        return found
 
     if q == n:
-        return count(*zip(*(_level_bounds(y, suffix.unit) for y in ys))).tolist()
-    splits = (_split_bounds(y, expand_level(*parts, n - q, _contains(y)), suffix.unit) for y in ys)
-    return [int(count(*bounds).sum()) for bounds in splits]
+        return count(*_bounds_per_level(ys, unit, lo.dtype)).tolist()
+    counts = np.zeros(len(ys), dtype=np.int64)
+    start, size = 0, min(len(ys), SPLIT_FRONTIER_CAP // 3)
+    while start < len(ys):
+        chunk = ys[start : start + size]
+        try:
+            counts[start : start + len(chunk)] = _prefix_counts(parts, chunk, n - q, unit, count)
+        except _FrontierFull:
+            size = len(chunk) // 2
+            continue
+        start += len(chunk)
+    return counts.tolist()
+
+
+def _prefix_counts(parts: tuple, ys: Sequence, p: int, unit, count) -> np.ndarray:
+    """Per level y, the sum of count(z_u) over its depth-p prefix cover, from one batched expand_level.
+
+    A function of its own so that a chunk's arrays are gone before the next
+    chunk expands.
+    """
+    keep = _EachLevel(ys, p, SPLIT_FRONTIER_CAP)
+    found = count(*_split_bounds(expand_level(*parts, p, keep, roots=len(ys)), keep, unit))
+    if keep.idx is None:
+        return found.sum()
+    return np.bincount(keep.idx, weights=found, minlength=len(ys))
 
 
 def _check_level(y: Number) -> None:
@@ -322,13 +445,24 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     """Depth-n words whose closed y-interval contains y, by branch and bound.
 
     Exact rational interval arithmetic whenever both a and y are rational.
+    The kept words are checked at every depth: once their t and r arrays
+    pass COVER_BYTE_BUDGET bytes (16 per word on float64 and int64, a pointer
+    each for Python ints) the cover is a BudgetError, before the next depth
+    builds three children for each of them.
     """
     check_a(a)
     _check_level(y)
     _check_cover_depth(n)
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float_a(a), float(y)
-    level = expand_level(*projection_parts(a), n, _contains(y))
+
+    def keep(t, r, unit):
+        mask = _holds(t, r, *_level_bounds(y, unit))
+        if np.count_nonzero(mask) * (t.itemsize + r.itemsize) > COVER_BYTE_BUDGET:
+            raise BudgetError(f"depth-{n} cover of level y = {y} at a = {a} exceeds {COVER_BYTE_BUDGET} bytes")
+        return mask
+
+    level = expand_level(*projection_parts(a), n, keep)
     return LevelSetCover(a=a, y=y, depth=n, level=level)
 
 
@@ -343,8 +477,10 @@ def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
     """Depth-n cover-count dimension estimates at the given levels, on float64, and their summary.
 
     a, every level and the depth are checked before any count.  Every depth
-    is counted by _level_counts: one sorted level of depth min(n, 12), under
-    a branch-and-bound prefix cover per level when n > 12.
+    is counted by _level_counts: one sorted level of depth n up to 12, and
+    past 12 one of depth q (3^q >= L (4a-1)^(n-q) for L levels, q <= 12) under
+    one batched branch-and-bound cover of every level's depth-(n-q) prefixes,
+    in chunks of at most SPLIT_FRONTIER_CAP children per depth.
     """
     a = float_a(a)
     if len(ys) == 0:
@@ -466,19 +602,23 @@ def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.G
 
 
 def _block_table(tau: Sequence, rho: Sequence, k: int) -> tuple:
-    """(t, r, prob, alias) of the N^k maps of a k-symbol block, in lexicographic order, weighted by |r|."""
-    n = len(rho)
-    t, r, _ = fold_rows(tau, rho, digit_rows(np.arange(n**k), k, base=n) + 1)
+    """(t, r, prob, alias) of the N^k maps of a k-symbol block, in lexicographic order, weighted by |r|.
+
+    A one-symbol block's maps are the maps themselves, so k = 1 folds nothing.
+    """
+    if k == 1:
+        t, r = np.asarray(tau, dtype=float), np.asarray(rho, dtype=float)
+    else:
+        n = len(rho)
+        t, r, _ = fold_rows(tau, rho, digit_rows(np.arange(n**k), k, base=n) + 1)
     return (t, r, *_alias_table(r))
 
 
-def _sample_words(tau: Sequence, rho: Sequence, count: int, depth: int, rng: np.random.Generator) -> np.ndarray:
-    """count points of i.i.d. depth-`depth` words of the float maps x -> rho_s x + tau_s, applied to 0.
+def _block_steps(tau: Sequence, rho: Sequence, depth: int) -> list:
+    """The block tables of a depth-`depth` word of the float maps x -> rho_s x + tau_s, outermost first.
 
-    Map s has weight |rho_s| / sum |rho|.  A block of k symbols (see the
-    module docstring) is one alias-table draw and two gathers; a shorter
-    remainder block keeps the depth exact.  The points advance SAMPLE_CHUNK
-    at a time, which keeps the temporaries in cache.
+    Blocks of k symbols (see the module docstring) share one table, and a
+    shorter remainder block keeps the depth exact.
     """
     k = 1
     while len(rho) ** (k + 1) <= 3**SAMPLE_BLOCK:
@@ -487,6 +627,16 @@ def _sample_words(tau: Sequence, rho: Sequence, count: int, depth: int, rng: np.
     steps = [_block_table(tau, rho, k)] * blocks if blocks else []
     if rem:
         steps.append(_block_table(tau, rho, rem))
+    return steps
+
+
+def _sample_words(steps: list, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count points of i.i.d. words drawn through the block tables of _block_steps, applied to 0.
+
+    Map s has weight |rho_s| / sum |rho|.  A block is one alias-table draw
+    and two gathers.  The points advance SAMPLE_CHUNK at a time, which keeps
+    the temporaries in cache.
+    """
     pts = np.zeros(count)
     for lo in range(0, count, SAMPLE_CHUNK):
         x = pts[lo : lo + SAMPLE_CHUNK]  # a view: the chunk is composed in place
@@ -519,7 +669,7 @@ def sample_measure(a: float, count: int, depth: int, seed: int) -> MeasureSample
         raise ParameterError(f"sampling needs depth >= 0, got {depth}")
     if depth > SAMPLE_DEPTH_CAP:
         raise BudgetError(f"sample depth {depth} exceeds cap {SAMPLE_DEPTH_CAP}")
-    pts = _sample_words(*projection_parts(a), count, depth, np.random.default_rng(seed))
+    pts = _sample_words(_block_steps(*projection_parts(a), depth), count, np.random.default_rng(seed))
     return MeasureSample(
         system_kind="projection", parameter=a, weights=natural_weights(a), points=pts, seed=seed, depth=depth
     )

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError
-from .estimators import _check_count, _check_levels, _sample_words, ks_statistic, level_statistics
+from .estimators import _block_steps, _check_count, _check_levels, _sample_words, ks_statistic, level_statistics
 from .dimensions import okamoto_s0
 from .systems import fold_rows, fold_word, projection_parts
 from .words import (
@@ -113,7 +113,8 @@ def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndar
     a = float_a(a)
     _check_count(count)
     tau, lam = _coding_maps(a, m)
-    return _sample_words(tau, np.broadcast_to(lam, tau.shape), count, _sampling_depth(lam), np.random.default_rng(seed))
+    steps = _block_steps(tau, np.broadcast_to(lam, tau.shape), _sampling_depth(lam))
+    return _sample_words(steps, count, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -136,12 +137,13 @@ def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> Convol
     depth = _sampling_depth(lam)
     depth += (-depth) % k  # whole superblocks
     rng_direct, *rng_copies = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k + 1))
-    direct = _sample_words(tau, np.broadcast_to(lam, tau.shape), count, depth, rng_direct)
+    direct = _sample_words(_block_steps(tau, np.broadcast_to(lam, tau.shape), depth), count, rng_direct)
+    eta = _block_steps(tau, np.broadcast_to(lam**k, tau.shape), depth // k)  # one set of tables for all k copies
     # sum_{j<k} lambda^j eta_j by Horner's rule, from the last copy down
     combined = np.zeros(count)
     for rng in reversed(rng_copies):
         combined *= lam
-        combined += _sample_words(tau, np.broadcast_to(lam**k, tau.shape), count, depth // k, rng)
+        combined += _sample_words(eta, count, rng)
     return ConvolutionReport(
         a=a,
         m=m,

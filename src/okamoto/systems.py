@@ -16,9 +16,10 @@ written twice: `fold_word` runs it along one word, or along every row of a
 symbol matrix at once (`fold_rows`: subsystem alphabets, the gamma check, the
 sampler's block maps), and `expand_level` runs it over every word of a depth
 at once, with optional pruning (grid box counts, level-set covers, separation
-gaps, the graph sample), one strided pass per symbol into (N, 3) arrays whose
-C order is the lexicographic order, keeping the prune's boolean masks to
-recover the surviving words as a symbol matrix.  Symbols are not checked:
+gaps, the graph sample), from one root or from several side by side (the
+level counts' batched prefix covers), one strided pass per symbol into (N, 3)
+arrays whose C order is the lexicographic order, keeping the prune's boolean
+masks to recover the surviving words as a symbol matrix.  Symbols are not checked:
 every word folded is one the package built.  Both array forms share one exact
 number kind, integers over the common denominator d of the coefficients,
 t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a proven bound
@@ -131,7 +132,7 @@ class Level:
         return symbols
 
 
-def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = None) -> Level:
+def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = None, roots: int = 1) -> Level:
     """The one-symbol extension over all depth-n words of a three-map system at once.
 
     Rational coefficients with common denominator d run exactly on integers,
@@ -144,9 +145,15 @@ def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = N
     the lexicographic order of the children.  keep(t, r, unit) masks the words
     to extend further, unit = d^l at depth l; the masks are kept to recover
     the words.  Unpruned, no masks are kept.
+
+    roots > 1 starts from that many copies of the identity and extends them
+    side by side, so one call runs several pruned expansions at once: the
+    words of root i come before those of root i + 1, and keep tells the roots
+    apart by the masks it has returned (a child at position p of a depth
+    descends from entry p // 3 of the depth above).
     """
     d, tau, rho = _number_kind(tau, rho, n)
-    t, r = np.zeros(1, dtype=tau.dtype), np.ones(1, dtype=tau.dtype)
+    t, r = np.zeros(roots, dtype=tau.dtype), np.ones(roots, dtype=tau.dtype)
     kept = None if keep is None else []
     for depth in range(1, n + 1):
         dt = t if d == 1 else d * t

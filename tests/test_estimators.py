@@ -14,6 +14,7 @@ from okamoto.cli import run
 from okamoto.dimensions import natural_weights, okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
+    COVER_BYTE_BUDGET,
     GRID_CHUNK_BYTES,
     LEVEL_SWEEP_DEPTH,
     SAMPLE_BLOCK,
@@ -24,6 +25,8 @@ from okamoto.estimators import (
     _ball_counts,
     _block_table,
     _level_counts,
+    _split_counts,
+    _suffix_depth,
     box_count_graph,
     box_count_series,
     fit_dimension,
@@ -359,19 +362,118 @@ def test_float_split_clamps_z_to_the_unit_interval(monkeypatch, q):
 
 @pytest.mark.parametrize("n", [5, 12, 13, 14, 16, 24])
 def test_split_builds_one_suffix_level_and_shallow_prefixes(monkeypatch, n):
+    # one unpruned suffix level at the rule's depth q (3 levels at a = 0.75: the smallest q
+    # with 3^q >= 3 * 2^(n-q) past depth 12), then one batched prefix expansion of all levels
+    q = {5: 5, 12: 12, 13: 6, 14: 7, 16: 7, 24: 10}[n]
     calls = []
 
-    def spy(tau, rho, depth, keep=None):
-        calls.append((depth, keep is None))
-        return expand_level(tau, rho, depth, keep)
+    def spy(tau, rho, depth, keep=None, roots=1):
+        calls.append((depth, keep is None, roots))
+        return expand_level(tau, rho, depth, keep, roots)
 
     monkeypatch.setattr(estimators, "expand_level", spy)
+    monkeypatch.setattr(estimators, "SPLIT_FRONTIER_CAP", 3**20)  # one chunk
     ys = np.random.default_rng(n).random(3)
     level_statistics(0.75, ys, n)
-    suffix = [depth for depth, whole in calls if whole]
-    prefixes = [depth for depth, whole in calls if not whole]
-    assert suffix == [min(n, LEVEL_SWEEP_DEPTH)]
-    assert prefixes == ([n - LEVEL_SWEEP_DEPTH] * len(ys) if n > LEVEL_SWEEP_DEPTH else [])
+    assert _suffix_depth(0.75, len(ys), n) == q
+    assert calls == [(q, True, 1)] + ([(n - q, False, len(ys))] if n > q else [])
+
+
+@pytest.mark.parametrize("a, levels, n, q", [
+    (0.75, 250, 14, 9), (0.75, 250, 24, 12), (0.75, 10**4, 13, 11), (0.95, 25000, 13, 12), (0.55, 3, 20, 4),
+    (Fraction(3, 4), 3, 13, 6), (0.9, 10**5, 12, 12), (0.9, 1, 3, 3),
+    (Fraction(5, 8), 192, 13, 7),  # 3^7 = 192 (3/2)^6 exactly: equality is enough
+])
+def test_suffix_depth_balances_the_sorted_level_against_the_prefix_covers(a, levels, n, q):
+    # past depth 12: the smallest q >= 1 with 3^q >= levels * (4a-1)^(n-q), at most 12; else n itself
+    assert _suffix_depth(a, levels, n) == q
+    if n > LEVEL_SWEEP_DEPTH and q < LEVEL_SWEEP_DEPTH:
+        assert 3**q >= levels * (4 * a - 1) ** (n - q) and (q == 1 or 3 ** (q - 1) < levels * (4 * a - 1) ** (n - q + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([Fraction(3, 4), Fraction(2, 3), Fraction(7, 9)]), st.integers(1, 8), st.data())
+def test_split_counts_equal_the_rational_covers_at_every_suffix_depth(a, n, data):
+    special = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 2), 1 - a, a])
+    ys = data.draw(st.lists(special | st.integers(0, 97).map(lambda k: Fraction(k, 97)), min_size=1, max_size=6))
+    covers = [level_set_cover(a, y, n).count for y in ys]
+    for q in range(1, n + 1):
+        assert _split_counts(a, ys, n, q) == covers
+
+
+def test_split_counts_equal_the_rational_covers_past_the_sweep_depth():
+    a = Fraction(3, 4)
+    ys = [Fraction(1, 3), Fraction(38, 81), Fraction(1, 2), Fraction(0), Fraction(1)]
+    covers = [level_set_cover(a, y, 13).count for y in ys]
+    assert _level_counts(a, ys, 13) == covers
+    for q in range(1, LEVEL_SWEEP_DEPTH + 1):
+        assert _split_counts(a, ys, 13, q) == covers
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+def test_split_counts_past_int64_at_a_pinned_suffix_depth(q):
+    # den(y) * d^6 passes 2^63 for the first level, so its z_u * d^q are taken on Python ints;
+    # at y = 1/3 they stay on int64
+    a = Fraction(943, 944)
+    assert 999983 * a.denominator**6 > 2**63 > 4 * a.denominator**6
+    for ys in ([Fraction(1, 999983), Fraction(1), a], [Fraction(1, 3)]):
+        assert _split_counts(a, ys, 6, q) == [level_set_cover(a, y, 6).count for y in ys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 1, exclude_min=True, exclude_max=True), st.integers(2, 9), st.data())
+def test_float_split_counts_of_a_batch_are_those_of_each_level_alone(a, n, data):
+    # the batched prefix cover runs the same operations on the same parents as one level alone,
+    # at rounded interval ends too, where rounding decides
+    q = data.draw(st.integers(1, n - 1))
+    m = data.draw(st.integers(1, n))
+    level = expand_level(*projection_parts(a), m)
+    ends = [float(e) for e in np.concatenate([level.t[:20], level.t[:20] + level.r[:20]]) if 0 <= e <= 1]
+    ys = ends + data.draw(st.lists(st.floats(0, 1), max_size=5))
+    assert _split_counts(a, ys, n, q) == [_split_counts(a, [y], n, q)[0] for y in ys]
+
+
+@pytest.mark.parametrize("a", [0.75, 0.9, Fraction(3, 4)])
+def test_split_counts_do_not_depend_on_the_chunks(monkeypatch, a):
+    # a chunk budget of a few children splits the levels into many chunks, most of one level
+    ys = [Fraction(k, 61) for k in range(61)] if isinstance(a, Fraction) else np.random.default_rng(5).random(200)
+    whole = _split_counts(a, ys, 11, 4)
+    calls = []
+
+    def spy(tau, rho, depth, keep=None, roots=1):
+        level = expand_level(tau, rho, depth, keep, roots)
+        calls.append(roots)
+        # a chunk of several levels never builds more than the budget's children at a depth
+        assert roots == 1 or all(len(mask) <= 60 for mask in level.kept)
+        return level
+
+    monkeypatch.setattr(estimators, "expand_level", spy)
+    monkeypatch.setattr(estimators, "SPLIT_FRONTIER_CAP", 60)
+    assert _split_counts(a, ys, 11, 4) == whole
+    prefixes = calls[1:]
+    assert sum(prefixes) == len(ys) and len(prefixes) > 10
+
+
+def test_level_set_cover_refuses_kept_words_past_the_byte_budget(monkeypatch):
+    # 16 bytes of t and r per kept word on int64; the count never falls with depth, so the
+    # deepest level is the largest and a budget of its bytes is the least that passes
+    cover = level_set_cover(Fraction(3, 4), Fraction(1, 3), 14)
+    assert cover.count == 22869 and 16 * cover.count <= COVER_BYTE_BUDGET
+    monkeypatch.setattr(estimators, "COVER_BYTE_BUDGET", 16 * cover.count)
+    assert level_set_cover(Fraction(3, 4), Fraction(1, 3), 14).count == cover.count
+    monkeypatch.setattr(estimators, "COVER_BYTE_BUDGET", 16 * cover.count - 1)
+    with pytest.raises(BudgetError, match=f"exceeds {16 * cover.count - 1} bytes"):
+        level_set_cover(Fraction(3, 4), Fraction(1, 3), 14)
+
+
+def test_oversized_level_set_cover_is_a_json_budget_error(monkeypatch):
+    # (4a-1)^24 is about 2e11 at a = 0.99: the cover is refused while it is still small
+    monkeypatch.setattr(estimators, "COVER_BYTE_BUDGET", 1 << 16)
+    buf = io.StringIO()
+    assert run(["levelset", "--a", "0.99", "--y", "0.5", "--depth", "24"], stdout=buf) == 1
+    error = json.loads(buf.getvalue())["error"]
+    assert error["type"] == "BudgetError"
+    assert "depth-24 cover of level y = 0.5 at a = 0.99 exceeds 65536 bytes" in error["message"]
 
 
 @pytest.mark.parametrize("n", [12, 14])  # one sorted level, alone and under depth-2 prefixes

@@ -10,7 +10,7 @@ import pytest
 from okamoto.cli import run
 from okamoto.dimensions import okamoto_s0
 from okamoto.errors import ParameterError
-from okamoto.estimators import _sample_words, ks_statistic
+from okamoto.estimators import _block_steps, _sample_words, ks_statistic
 from okamoto.subsystem import (
     GAMMA_TUPLE_BUDGET,
     SPLIT_CAP,
@@ -179,9 +179,26 @@ def test_convolution_ks_small_over_five_seeds():
     assert all(d < 0.02 for d in ks)
 
 
+@pytest.mark.parametrize("m, k", [(1, 3), (10, 2)])  # blocks of 12 symbols of 2 maps; one symbol of 11 520
+def test_convolution_builds_the_tables_of_eta_once(monkeypatch, m, k):
+    # the direct draw's tables, then one set for all k copies of eta
+    from okamoto import subsystem
+
+    built = []
+
+    def spy(tau, rho, depth):
+        built.append((float(rho[0]), depth))
+        return _block_steps(tau, rho, depth)
+
+    monkeypatch.setattr(subsystem, "_block_steps", spy)
+    report = convolution_check(0.75, m, k, 1000, seed=4)
+    lam = float(subsystem_ratio(0.75, m))
+    assert built == [(lam, report.depth), (lam**k, report.depth // k)]
+
+
 def _coding(sub, lam: float, count: int, depth: int, rng) -> np.ndarray:
     """The blocked core's draw from the subsystem's maps with the shared ratio lam, as the package makes it."""
-    return _sample_words(sub.translations, np.full(len(sub.translations), lam), count, depth, rng)
+    return _sample_words(_block_steps(sub.translations, np.full(len(sub.translations), lam), depth), count, rng)
 
 
 def _split_ks(m: int, k: int, count: int, seed: int, last_exponent: int) -> float:
