@@ -91,9 +91,9 @@ def lq_dimension(a: Number, q: float) -> float:
 
 
 def assouad_bound(a: Number, slice_sup_estimate: float) -> float:
-    """max{dim of the graph, 1 + sup over slices}; the slice bound s0-1 returns s0."""
-    if slice_sup_estimate < 0:
-        raise ParameterError(f"slice estimate must be >= 0, got {slice_sup_estimate}")
+    """max{dim of the graph, 1 + sup over slices}, at most 2 as a slice lies on a line; s0-1 returns s0."""
+    if not 0 <= slice_sup_estimate <= 1:
+        raise ParameterError(f"slice estimate must lie in [0, 1], got {slice_sup_estimate}")
     return max(okamoto_s0(a), 1.0 + slice_sup_estimate)
 
 

@@ -16,28 +16,30 @@ exact integers over the common denominator when a and y are rational and on
 float64 otherwise.  level_statistics is the one place where a set of levels,
 uniform or drawn from a measure, becomes estimates log N_n / (n log 3) and
 their quantile summary.  With lo_w <= hi_w the ends of word w's interval,
-N_q(y) = #{w : lo_w <= y} - #{w : hi_w < y}, so it sorts the two end arrays
-of one unpruned level of depth q and counts by two binary searches.  Up to
-depth LEVEL_SWEEP_DEPTH = 12, q = n and every level is counted that way.  A
-deeper word is w = u v with a prefix u of depth p = n - q, and y lies in I_w
-exactly when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u in
-cover_p(y) of N_q(z_u).  There q is the smallest with 3^q >= L (4a-1)^p for
-L levels, at most 12: the sorted level against the mean size of all levels'
-prefix covers.  One batched expand_level, one root per level, finds the
-prefixes of all levels at once, each child tested against its own level; the
-z_u, clamped to [0, 1], are searched in the sorted level and summed per level
-by one bincount.  The levels go in chunks whose children stay within
-SPLIT_FRONTIER_CAP = 3^10 entries at a depth unless a chunk is one level, so
-a count at any depth up to 24 holds a sorted level of at most 3^12 words
-beside one chunk, not the (4a-1)^n of a depth-n cover; only a single level
-whose own prefix cover is larger holds that cover, as a per-level count
-would.  On rationals every count is the cover's exactly, at every q.  On
-floats the depth-n count keeps the words whose own rounded interval holds y,
-a superset of the cover, which also drops a word whose prefix's rounded
-interval misses y; a split count rounds z_u too and is neither a subset nor
-a superset of the cover, and the batched prefixes round exactly as one
-level's alone.  Either differs from the cover only within rounding of an
-interval end.
+N_q(y) = #{w : lo_w <= y} - #{w : hi_w < y}, so it sorts the two end arrays of
+one unpruned level of depth q and counts by two binary searches.  A depth-n
+word is w = u v with a prefix u of depth p = n - q, and y lies in I_w exactly
+when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u in cover_p(y) of
+N_q(z_u).  Up to depth LEVEL_SWEEP_DEPTH = 12, q = n: the prefix is empty,
+each level's identity root gives z = y, and the count is the sweep of every
+level through the sorted level.  Past it q is the smallest with 3^q >= L
+(4a-1)^p for L levels, at most 12: the sorted level against the mean size of
+all levels' prefix covers.  Both take one path: one batched expand_level, one
+root per level, finds the prefixes of all levels, each child tested against
+its own level; the z_u, clamped to [0, 1], are searched in the sorted level
+and summed per level.  One function, _z_bounds, gives every level bound: z_u
+of a prefix, and y at the identity, as the covers test it.  The levels go in
+chunks whose children stay within SPLIT_FRONTIER_CAP = 3^10 entries at a depth
+unless a chunk is one level, so a count at any depth up to 24 holds a sorted
+level of at most 3^12 words beside one chunk, not the (4a-1)^n of a depth-n
+cover; only a single level whose own prefix cover is larger holds that cover,
+as a per-level count would.  On rationals every count is the cover's exactly,
+at every q.  On floats the depth-n count keeps the words whose own rounded
+interval holds y, a superset of the cover, which also drops a word whose
+prefix's rounded interval misses y; a split count rounds z_u too and is
+neither a subset nor a superset of the cover, and the batched prefixes round
+exactly as one level's alone.  Either differs from the cover only within
+rounding of an interval end.
 
 Every sample is drawn by one core, _sample_words on the block tables of
 _block_steps: i.i.d. random words of N maps x -> rho_s x + tau_s applied to
@@ -239,16 +241,6 @@ def _dim_estimate(count: int, a: Number, y: Number, n: int) -> float:
     return math.log(count) / (n * LOG3)
 
 
-def _level_bounds(y, unit) -> tuple:
-    """(below, above) in kernel units: an end e has e <= y exactly when e <= below, y <= e when above <= e.
-
-    On integers floor and ceil of the Fraction y * unit, exact on whole arrays
-    and within the kernel's bound as floor <= unit; floats compare with y.
-    """
-    yu = y * unit
-    return (math.floor(yu), math.ceil(yu)) if isinstance(unit, int) else (yu, yu)
-
-
 def _holds(t, r, below, above):
     """The closed y-interval between t and t + r holds the level with bounds (below, above), in kernel units.
 
@@ -264,15 +256,6 @@ def _holds(t, r, below, above):
     return mask
 
 
-def _bounds_per_level(ys, unit, dtype) -> tuple:
-    """(below, above) arrays of _level_bounds over the levels, on the kernel's dtype: y itself on floats."""
-    if not isinstance(unit, int):
-        ys = np.asarray(ys, dtype=float)
-        return ys, ys
-    below, above = zip(*(_level_bounds(y, unit) for y in ys))
-    return np.array(below, dtype=dtype), np.array(above, dtype=dtype)
-
-
 class _FrontierFull(Exception):
     """A batched prefix cover of several levels outgrew SPLIT_FRONTIER_CAP; it is retried in halves."""
 
@@ -281,10 +264,10 @@ class _EachLevel:
     """keep of a batched expand_level: the child of root i is tested against level ys[i].
 
     idx is the root of every entry, np.repeat(idx, 3)[mask] per depth.  With
-    one level it stays None: the bounds broadcast, nothing is gathered, and
-    the level runs as its own cover would.  Several levels raise
+    one level it stays None: the level's values broadcast, nothing is
+    gathered, and the keep is the level's own cover's.  Several levels raise
     _FrontierFull before a depth below p whose children would pass `cap`
-    entries.
+    entries.  Only this class tells one level from several.
     """
 
     def __init__(self, ys: Sequence, p: int, cap: int):
@@ -292,13 +275,25 @@ class _EachLevel:
         self.idx = None if len(ys) == 1 else np.arange(len(ys))
         self.depth = 0
 
+    def gather(self, per_level: np.ndarray, minus=0) -> np.ndarray:
+        """Per frontier entry, its level's value less minus: one level's broadcast, several levels' offset in place."""
+        if self.idx is None:
+            return per_level - minus
+        out = per_level[self.idx]
+        out -= minus
+        return out
+
+    def sums(self, per_entry: np.ndarray):
+        """The frontier entries' values summed per level."""
+        if self.idx is None:
+            return per_entry.sum()
+        return np.bincount(self.idx, weights=per_entry, minlength=len(self.ys))
+
     def __call__(self, t, r, unit):
         self.depth += 1
-        below, above = _bounds_per_level(self.ys, unit, t.dtype)
         if self.idx is not None:
             self.idx = np.repeat(self.idx, 3)
-            below, above = (below[self.idx],) * 2 if below is above else (below[self.idx], above[self.idx])
-        mask = _holds(t, r, below, above)
+        mask = _holds(t, r, *_z_bounds(self, unit))
         if self.idx is not None:
             self.idx = self.idx[mask]
             if self.depth < self.p and 3 * len(self.idx) > self.cap:
@@ -306,38 +301,34 @@ class _EachLevel:
         return mask
 
 
-def _split_bounds(prefix: Level, levels: _EachLevel, unit) -> tuple:
-    """(below, above) of z_u = S_u^-1(y) for every prefix u of a level, in the suffix level's unit.
+def _z_bounds(levels: _EachLevel, unit, t=0, r=1, prefix_unit=1) -> tuple:
+    """(below, above) of z_u = S_u^-1(y) in the unit of the level it is tested on, per prefix u of the levels.
 
-    The prefixes are those a batched expansion kept with `levels`: entry i
-    belongs to level levels.ys[levels.idx[i]], or to the one level when idx
-    is None.  On integers z_u * unit = (y * d^p - t_u) * unit / r_u
-    over the prefix unit d^p, its floor and ceil taken by integer division, on
-    int64 while the products stay below 2^63 and on Python ints beyond;
-    floats divide.  Both ends are clamped to [0, unit]: a kept prefix has z_u
-    in [0, 1] on rationals, so there the clamp changes nothing, and on floats
-    it keeps a z_u rounded just outside [0, 1] on the suffix ends 0 and 1.
+    An interval end e there has e <= z_u exactly when e <= below, and z_u <= e
+    when above <= e.  The prefix maps are x -> (r x + t) / prefix_unit, one per
+    frontier entry of `levels`.  The identity prefix, t = 0 and r = 1 over
+    unit 1, gives z_u = y: bit for bit on floats, floor and ceil of y * unit
+    on integers.  On integers z_u * unit = (y * prefix_unit - t) * unit / r,
+    its floor and ceil taken by integer division, on int64 while the products
+    stay below 2^63 and on Python ints beyond; a kept prefix has z_u in [0, 1]
+    exactly there.  Floats divide, and z_u is clamped to [0, 1], which keeps a
+    z_u rounded just outside it on the suffix ends 0 and 1.
     """
-    t, r, ys, idx = prefix.t, prefix.r, levels.ys, levels.idx
-    pick = (lambda v: v) if idx is None else (lambda v: v[idx])
     if not isinstance(unit, int):
-        z = pick(np.asarray(ys, dtype=float)) - t
+        z = levels.gather(np.asarray(levels.ys, dtype=float), t)
         z /= r
         np.clip(z, 0.0, 1.0, out=z)
         return z, z
-    ys = [Fraction(y) for y in ys]
-    num = pick(np.array([y.numerator for y in ys], dtype=object))
-    den = pick(np.array([y.denominator for y in ys], dtype=object))
-    reach = num.max(initial=0) * prefix.unit + den.max(initial=0) * int(
-        max(np.abs(t).max(initial=0), np.abs(r).max(initial=0))
-    )
+    num, den = np.array([Fraction(y).as_integer_ratio() for y in levels.ys], dtype=object).T
+    reach = num.max() * prefix_unit + den.max() * int(max(np.abs(t).max(initial=0), np.abs(r).max(initial=0)))
     if reach * unit < 2**63:  # bounds |top| and |bottom| below
         num, den = num.astype(np.int64), den.astype(np.int64)
     else:
-        t, r = t.astype(object), r.astype(object)
-    top = (num * prefix.unit - den * t) * unit
+        t, r = np.asarray(t, dtype=object), np.asarray(r, dtype=object)
+    num, den = levels.gather(num), levels.gather(den)
+    top = (num * prefix_unit - den * t) * unit
     bottom = den * r
-    return np.clip(top // bottom, 0, unit), np.clip(-(-top // bottom), 0, unit)
+    return top // bottom, -(-top // bottom)
 
 
 def _suffix_depth(a: Number, levels: int, n: int) -> int:
@@ -382,18 +373,19 @@ def _split_counts(a: Number, ys: Sequence, n: int, q: int) -> list:
 
     A depth-q word v has N_q's interval ends lo_v <= hi_v as _holds takes
     them, so N_q(z) = #{v : lo_v <= z} - #{v : hi_v < z}, two binary searches
-    on the sorted ends.  At q = n every level is searched at once.  Else a
-    depth-n word is w = u v with a prefix u of depth p = n - q, and y lies in
-    I_w exactly when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u in
-    cover_p(y) of N_q(z_u).  One batched expand_level finds the prefixes of
-    all levels at once, one root per level, each child tested against its
-    own level (_EachLevel); the z_u of all of them (_split_bounds) are
-    searched together and summed per level by one bincount over the root
-    index.  The levels go in chunks, split only between levels, whose
-    children stay within SPLIT_FRONTIER_CAP entries at every depth unless a
-    chunk is a single level: a chunk that outgrows it is retried in halves,
-    and the next chunks keep the smaller size.  Exact on rationals at every
-    q; on floats see the module docstring.
+    on the sorted ends.  A depth-n word is w = u v with a prefix u of depth
+    p = n - q, and y lies in I_w exactly when z_u = S_u^-1(y) lies in I_v, so
+    N_n(y) = sum over u in cover_p(y) of N_q(z_u).  One batched expand_level
+    finds the prefixes of all levels at once, one root per level, each child
+    tested against its own level (_EachLevel); the z_u of all of them
+    (_z_bounds) are searched together and summed per level over the root
+    index.  At q = n the prefix is empty: each level keeps its identity root,
+    z = y, and the same searches count the unsplit sweep.  The levels go in
+    chunks, split only between levels, whose children stay within
+    SPLIT_FRONTIER_CAP entries at every depth unless a chunk is a single
+    level: a chunk that outgrows it is retried in halves, and the next chunks
+    keep the smaller size.  Exact on rationals at every q; on floats see the
+    module docstring.
     """
     parts = projection_parts(a)
     lo, hi, unit = _sorted_ends(parts, q)
@@ -403,8 +395,6 @@ def _split_counts(a: Number, ys: Sequence, n: int, q: int) -> list:
         found -= np.searchsorted(hi, above, side="left")
         return found
 
-    if q == n:
-        return count(*_bounds_per_level(ys, unit, lo.dtype)).tolist()
     counts = np.zeros(len(ys), dtype=np.int64)
     start, size = 0, min(len(ys), SPLIT_FRONTIER_CAP // 3)
     while start < len(ys):
@@ -424,11 +414,11 @@ def _prefix_counts(parts: tuple, ys: Sequence, p: int, unit, count) -> np.ndarra
     A function of its own so that a chunk's arrays are gone before the next
     chunk expands.
     """
-    keep = _EachLevel(ys, p, SPLIT_FRONTIER_CAP)
-    found = count(*_split_bounds(expand_level(*parts, p, keep, roots=len(ys)), keep, unit))
-    if keep.idx is None:
-        return found.sum()
-    return np.bincount(keep.idx, weights=found, minlength=len(ys))
+    levels = _EachLevel(ys, p, SPLIT_FRONTIER_CAP)
+    prefix = expand_level(*parts, p, levels, roots=len(ys))
+    bounds = _z_bounds(levels, unit, prefix.t, prefix.r, prefix.unit)
+    del prefix  # the prefixes' t, r and masks go before the searches build their counts
+    return levels.sums(count(*bounds))
 
 
 def _check_level(y: Number) -> None:
@@ -456,8 +446,10 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float_a(a), float(y)
 
+    holds_y = _EachLevel([y], n, SPLIT_FRONTIER_CAP)  # one level: no frontier cap applies
+
     def keep(t, r, unit):
-        mask = _holds(t, r, *_level_bounds(y, unit))
+        mask = holds_y(t, r, unit)
         if np.count_nonzero(mask) * (t.itemsize + r.itemsize) > COVER_BYTE_BUDGET:
             raise BudgetError(f"depth-{n} cover of level y = {y} at a = {a} exceeds {COVER_BYTE_BUDGET} bytes")
         return mask
@@ -477,10 +469,11 @@ def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
     """Depth-n cover-count dimension estimates at the given levels, on float64, and their summary.
 
     a, every level and the depth are checked before any count.  Every depth
-    is counted by _level_counts: one sorted level of depth n up to 12, and
-    past 12 one of depth q (3^q >= L (4a-1)^(n-q) for L levels, q <= 12) under
+    is counted by _level_counts on one path: one sorted level of depth q under
     one batched branch-and-bound cover of every level's depth-(n-q) prefixes,
-    in chunks of at most SPLIT_FRONTIER_CAP children per depth.
+    in chunks of at most SPLIT_FRONTIER_CAP children per depth.  Up to depth
+    12, q = n and the prefixes are empty, so each level is searched as it is;
+    past 12, 3^q >= L (4a-1)^(n-q) for L levels, q <= 12.
     """
     a = float_a(a)
     if len(ys) == 0:
@@ -569,10 +562,15 @@ def _alias_table(weights: np.ndarray) -> tuple:
     the largest with bits = min(49, 62 - bit length of n), so every sum stays
     below 2^62 and the construction on the units is exact: each prob is
     rounded once, by its final division.  Equal units fill every column with
-    itself, so a uniform table needs no pairing.
+    itself, so a uniform table needs no pairing; equal magnitudes, as in
+    every subsystem table, are found before any units and give stride-0
+    arrays, prob 1 and alias 0 in every column, whose draw is the column.
     """
     n = len(weights)
-    mass = np.abs(np.asarray(weights, dtype=float))  # the weights' magnitudes, then their units, then n units
+    lo, hi = weights.min(), weights.max()
+    if lo == hi or (lo == -hi and np.all(np.abs(weights) == hi)):
+        return np.broadcast_to(1.0, n), np.broadcast_to(np.intp(0), n)
+    mass = np.abs(weights)  # the weights' magnitudes, then their units, then n units
     mass *= 2.0 ** min(49, 62 - n.bit_length()) / mass.max()
     mass = np.rint(mass, out=mass).astype(np.int64)
     full = int(mass.sum())  # the content of one column; entry i brings n times its units

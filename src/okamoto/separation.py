@@ -24,7 +24,7 @@ from .errors import DepthCapError, ParameterError
 from .systems import expand_level, projection_parts
 from .words import check_printable, digit_rows
 
-PRUNED_CAP = 12
+SEPARATION_DEPTH_CAP = 12
 
 
 def _check_rational_b(b) -> Fraction:
@@ -44,8 +44,8 @@ def delta_n_detail(b, n: int) -> tuple:
     b = _check_rational_b(b)
     if n < 1:
         raise ParameterError(f"depth n must be >= 1, got {n}")
-    if n > PRUNED_CAP:
-        raise DepthCapError(f"depth capped at n <= {PRUNED_CAP}, got {n}")
+    if n > SEPARATION_DEPTH_CAP:
+        raise DepthCapError(f"depth capped at n <= {SEPARATION_DEPTH_CAP}, got {n}")
     level = expand_level(*projection_parts((1 + b) / 2), n)
     values = 2 * level.t + level.r
     order = np.argsort(values, kind="stable")
@@ -85,8 +85,8 @@ def verify_sesc(b, n_max: int = 8) -> SeparationReport:
     before any gap is computed.
     """
     b = _check_rational_b(b)
-    if not (1 <= n_max <= PRUNED_CAP):
-        raise DepthCapError(f"n_max must lie in [1, {PRUNED_CAP}], got {n_max}")
+    if not (1 <= n_max <= SEPARATION_DEPTH_CAP):
+        raise DepthCapError(f"n_max must lie in [1, {SEPARATION_DEPTH_CAP}], got {n_max}")
     check_printable((2 * b.denominator) ** (n_max - 1), f"separation to depth {n_max}")
     depths = tuple(range(1, n_max + 1))
     gaps = []

@@ -193,9 +193,10 @@ def test_assouad_bound_examples():
     s0 = okamoto_s0(a)
     assert assouad_bound(a, s0 - 1.0) == s0
     assert assouad_bound(a, 0.0) == s0
-    assert assouad_bound(a, 1.5) == 2.5
-    with pytest.raises(ParameterError):
-        assouad_bound(a, -0.1)
+    assert assouad_bound(a, 1.0) == 2.0
+    for estimate in (-0.1, 1.5):
+        with pytest.raises(ParameterError):
+            assouad_bound(a, estimate)
 
 
 def test_dim_report_consistency():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -21,6 +22,7 @@ from okamoto.estimators import (
     SAMPLE_CHUNK,
     LevelSetCover,
     MeasureSample,
+    _alias_draw,
     _alias_table,
     _ball_counts,
     _block_table,
@@ -363,7 +365,8 @@ def test_float_split_clamps_z_to_the_unit_interval(monkeypatch, q):
 @pytest.mark.parametrize("n", [5, 12, 13, 14, 16, 24])
 def test_split_builds_one_suffix_level_and_shallow_prefixes(monkeypatch, n):
     # one unpruned suffix level at the rule's depth q (3 levels at a = 0.75: the smallest q
-    # with 3^q >= 3 * 2^(n-q) past depth 12), then one batched prefix expansion of all levels
+    # with 3^q >= 3 * 2^(n-q) past depth 12), then one batched prefix expansion of all levels,
+    # of depth 0 up to depth 12, where each level keeps its identity root and the split is the sweep
     q = {5: 5, 12: 12, 13: 6, 14: 7, 16: 7, 24: 10}[n]
     calls = []
 
@@ -376,7 +379,7 @@ def test_split_builds_one_suffix_level_and_shallow_prefixes(monkeypatch, n):
     ys = np.random.default_rng(n).random(3)
     level_statistics(0.75, ys, n)
     assert _suffix_depth(0.75, len(ys), n) == q
-    assert calls == [(q, True, 1)] + ([(n - q, False, len(ys))] if n > q else [])
+    assert calls == [(q, True, 1), (n - q, False, len(ys))]
 
 
 @pytest.mark.parametrize("a, levels, n, q", [
@@ -410,10 +413,10 @@ def test_split_counts_equal_the_rational_covers_past_the_sweep_depth():
         assert _split_counts(a, ys, 13, q) == covers
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
 def test_split_counts_past_int64_at_a_pinned_suffix_depth(q):
     # den(y) * d^6 passes 2^63 for the first level, so its z_u * d^q are taken on Python ints;
-    # at y = 1/3 they stay on int64
+    # at y = 1/3 they stay on int64; q = 6 takes the identity prefix's bounds y * d^6 alone
     a = Fraction(943, 944)
     assert 999983 * a.denominator**6 > 2**63 > 4 * a.denominator**6
     for ys in ([Fraction(1, 999983), Fraction(1), a], [Fraction(1, 3)]):
@@ -610,6 +613,22 @@ def test_alias_table_of_uniform_weights_is_trivial():
     # the construction runs on integers, so equal weights fill every column with itself exactly
     prob, _ = _alias_table(np.full(7, 1 / 7))
     assert np.all(prob == 1.0)
+
+
+def test_alias_table_of_equal_magnitudes_holds_no_per_entry_arrays():
+    # every subsystem table has equal |r|: its draw is the uniform column, so the table needs
+    # no prob and alias of its own length; signed ratios of one magnitude count as equal
+    weights = np.full(2**20, 0.25)
+    tracemalloc.start()
+    prob, alias = _alias_table(weights)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20
+    assert prob.strides == alias.strides == (0,) and np.all(prob == 1.0)
+    prob, alias = _alias_table(np.array([0.5, -0.5, 0.5]))
+    assert prob.strides == (0,) and len(prob) == len(alias) == 3
+    rng, rng_copy = np.random.default_rng(3), np.random.default_rng(3)
+    assert np.array_equal(_alias_draw(prob, alias, 1000, rng), (3 * rng_copy.random(1000)).astype(np.intp))
 
 
 @pytest.mark.parametrize("n, kind", [(16_384, "random"), (30_000, "random"), (30_000, "equal")])
