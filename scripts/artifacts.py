@@ -20,9 +20,9 @@ paths at rationals whose floats round to 1/2 and to 1, level-set scans and
 slices on both sides of the depth where level statistics stop counting one
 whole sorted level and split each word into a prefix and that level's
 suffix, scans and slices at depth 24, which only the split reaches,
-subsystem draws whose alias tables hold more than 2^14 entries, and last
-scans at both ends of the rule that sets the split's suffix depth from the
-level count.
+subsystem draws whose alias tables hold more than 2^14 entries, scans at
+both ends of the rule that sets the split's suffix depth from the level
+count, and last a negative --seed on every seeded command.
 """
 
 import argparse
@@ -129,6 +129,16 @@ RULE_EDGES = [
     "subsystem --a 0.6 --m 6 --check slices --samples 5 --depth 18 --seed 3",
 ]
 
+# a negative seed is a usage error raised while parsing, before the m = 15 alphabet is built
+NEGATIVE_SEEDS = [
+    "levelset-scan --a 0.75 --samples 5 --seed -1",
+    "measure --a 0.75 --samples 10 --seed -1",
+    "fourier --a 0.75 --samples 10 --seed -1",
+    "subsystem --a 0.75 --m 15 --check convolution --seed -1",
+    "subsystem --a 0.75 --m 15 --check slices --seed -1",
+    "bundle --a 0.75 --seed -1",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -165,7 +175,8 @@ def commands() -> list:
     out += SPLIT_EDGES
     out += NEW_REACH  # the split is the only path that reaches them
     out += WIDE_TABLES
-    out += RULE_EDGES  # last
+    out += RULE_EDGES
+    out += NEGATIVE_SEEDS  # last
     return out
 
 

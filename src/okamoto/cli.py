@@ -5,8 +5,9 @@ paths, a decimal a float.  A float-only path converts a at one gate,
 words.float_a; `dims --q` is JSON only.  This module is the only place
 the artifact format is defined: every JSON artifact is strict JSON (never NaN
 or Infinity) with schema_version "1", report dataclasses render by their
-fields and rationals as "p/q"; every CSV has a header row.  Runs are
-deterministic for a fixed config and seed (no timestamps, sorted keys).
+fields and rationals as "p/q"; every CSV has a header row, and the csv
+module writes each value, a float as its repr.  Runs are deterministic for
+a fixed config and seed (no timestamps, sorted keys).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .words import float_a
 
 SCHEMA_VERSION = "1"
 _TCOUNT_CAP = 1000  # frequencies of one fourier grid
-_ROW_CHUNK = 1 << 16  # CSV rows turned into Python floats together
+_ROW_CHUNK = 1 << 16  # CSV rows turned into Python values together
 
 
 class UsageError(Exception):
@@ -67,6 +68,12 @@ def _q_list(text: str) -> list:
     return values
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():  # argparse's usage error names the option
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="okamoto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,7 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
 
     p = add("separation", help="exact minimal-gap separation certificate")
     p.add_argument("--b", required=True, type=parse_number, help="rational p/q (exact arithmetic)")
@@ -115,12 +122,12 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--depth", type=int, default=40)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
 
     p = add("fourier", help="Fourier transform magnitudes of the projected measure")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=200000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--tmin", type=float, default=10.0)
     p.add_argument("--tmax", type=float, default=1e4)
     p.add_argument("--tcount", type=int, default=30)
@@ -132,11 +139,11 @@ def build_parser() -> _Parser:
     p.add_argument("--check", choices=("ratio", "gamma", "convolution", "entropy", "slices"), required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
 
     p = add("bundle", help="composite desk-scale report for one parameter", formats=False)
     p.add_argument("--a", required=True, type=parse_number)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
 
     return parser
 
@@ -169,9 +176,8 @@ def _cmd_dims(cfg):
     report = dimensions.dim_report(cfg.a)
     if cfg.format == "csv":
         header = ["a", "b", "s0", "p1", "p2", "p3", "entropy", "chi1", "chi2", "fenghu_dim", "level_set_bound"]
-        row = [report.a, report.b, report.s0, *report.weights, report.entropy,
-               report.chi1, report.chi2, report.fenghu_dim, report.level_set_bound]
-        return "csv", header, [row]
+        return "csv", header, [(report.a, report.b, report.s0, *report.weights, report.entropy,
+                                report.chi1, report.chi2, report.fenghu_dim, report.level_set_bound)]
     payload = {**vars(report), "assouad_bound": dimensions.assouad_bound(report.a, report.level_set_bound)}
     if cfg.q:
         payload["lq"] = _lq_rows(cfg.a, cfg.q)
@@ -179,7 +185,7 @@ def _cmd_dims(cfg):
 
 
 def _array_rows(*columns):
-    """CSV rows of equal-length arrays, leaving as Python floats one chunk at a time."""
+    """CSV rows of equal-length arrays, leaving as Python values one chunk at a time."""
     for lo in range(0, len(columns[0]), _ROW_CHUNK):
         yield from zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
 
@@ -200,27 +206,27 @@ def _cmd_boxdim(cfg):
         raise UsageError("min-depth must not exceed max-depth")
     series = estimators.box_count_series(cfg.a, range(cfg.min_depth, cfg.max_depth + 1), cfg.mode)
     if cfg.format == "csv":
-        return "csv", ["n", "delta", "count"], [[n, d, c] for n, d, c in series.rows]
+        return "csv", ["n", "delta", "count"], series.rows
     return "json", _box_json(series)
 
 
-def _word_text(symbols: np.ndarray) -> list:
-    """The rows of a uint8 symbol matrix as strings: symbols 1-3 plus ord("0") are ASCII digits."""
-    return (symbols + ord("0")).view(f"S{symbols.shape[1]}").ravel().astype(str).tolist()
+def _word_text(symbols: np.ndarray) -> np.ndarray:
+    """The rows of a uint8 symbol matrix as a str array: symbols 1-3 plus ord("0") are ASCII digits."""
+    return (symbols + ord("0")).view(f"S{symbols.shape[1]}").ravel().astype(str)
 
 
 def _cmd_levelset(cfg):
     cover = estimators.level_set_cover(cfg.a, cfg.y, cfg.depth)
     words = _word_text(cover.level.symbols())
     if cfg.format == "csv":
-        return "csv", ["word"], [[w] for w in words]
+        return "csv", ["word"], _array_rows(words)
     return "json", {
         "a": float(cfg.a),
         "y": float(cfg.y),
         "depth": cover.depth,
         "count": cover.count,
         "dim_estimate": cover.dim_estimate,
-        "words": words,
+        "words": words.tolist(),
     }
 
 
@@ -234,7 +240,7 @@ def _cmd_levelset_scan(cfg):
 def _cmd_separation(cfg):
     report = separation.verify_sesc(cfg.b, n_max=cfg.max_depth)
     if cfg.format == "csv":
-        rows = [[r["n"], float(r["gap"]), r["gap_root"], r["floor"]] for r in report.rows()]
+        rows = ((r["n"], float(r["gap"]), r["gap_root"], r["floor"]) for r in report.rows())
         return "csv", ["n", "gap", "gap_root", "floor"], rows
     return "json", {
         "b": report.b,
@@ -244,14 +250,14 @@ def _cmd_separation(cfg):
         "epsilon": report.epsilon,
         "pass": report.passed,
         "floors": report.floors,
-        "witness": None if report.witness is None else _word_text(report.witness),
+        "witness": None if report.witness is None else _word_text(report.witness).tolist(),
     }
 
 
 def _cmd_lq(cfg):
     values = _lq_rows(cfg.a, cfg.q)
     if cfg.format == "csv":
-        return "csv", ["q", "tau", "dim"], [[v["q"], v["tau"], v["dim"]] for v in values]
+        return "csv", ["q", "tau", "dim"], map(dict.values, values)
     return "json", {"a": float(cfg.a), "values": values}
 
 
@@ -279,14 +285,14 @@ def _cmd_fourier(cfg):
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
     if cfg.format == "csv":
-        return "csv", ["t", "magnitude"], [[float(t), float(m)] for t, m in zip(ts, mags)]
+        return "csv", ["t", "magnitude"], _array_rows(ts, mags)
     slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
     return "json", {
         "a": sample.parameter,
         "samples": cfg.samples,
         "seed": cfg.seed,
-        "t": [float(t) for t in ts],
-        "magnitude": [float(m) for m in mags],
+        "t": ts.tolist(),
+        "magnitude": mags.tolist(),
         "decay_slope": slope,
         "decay_intercept": intercept,
         "points_used": used,
@@ -373,7 +379,7 @@ def _writer(result):
     """A function writing the artifact to a stream.
 
     JSON is encoded here, so an encoding error is reported like any other;
-    CSV rows go to the stream one by one, never held as one text.
+    CSV rows go to the stream as they are formed, never held as one text.
     """
     if result[0] == "json":
         text = _render(result)
@@ -383,8 +389,7 @@ def _writer(result):
     def write_csv(stream):
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
     return write_csv
 
@@ -405,10 +410,7 @@ def run(argv, stdout=None) -> int:
     except UsageError as exc:
         out_stream.write(_emit_error("usage", str(exc)))
         return 2
-    except OkamotoError as exc:
-        out_stream.write(_emit_error(type(exc).__name__, str(exc)))
-        return 1
-    except (ValueError, OSError) as exc:
+    except (OkamotoError, ValueError, OSError) as exc:
         out_stream.write(_emit_error(type(exc).__name__, str(exc)))
         return 1
     if cfg.out:

@@ -266,12 +266,12 @@ class _EachLevel:
     idx is the root of every entry, np.repeat(idx, 3)[mask] per depth.  With
     one level it stays None: the level's values broadcast, nothing is
     gathered, and the keep is the level's own cover's.  Several levels raise
-    _FrontierFull before a depth below p whose children would pass `cap`
-    entries.  Only this class tells one level from several.
+    _FrontierFull before a depth below p whose children would pass
+    SPLIT_FRONTIER_CAP entries.  Only this class tells one level from several.
     """
 
-    def __init__(self, ys: Sequence, p: int, cap: int):
-        self.ys, self.p, self.cap = ys, p, cap
+    def __init__(self, ys: Sequence, p: int):
+        self.ys, self.p = ys, p
         self.idx = None if len(ys) == 1 else np.arange(len(ys))
         self.depth = 0
 
@@ -296,7 +296,7 @@ class _EachLevel:
         mask = _holds(t, r, *_z_bounds(self, unit))
         if self.idx is not None:
             self.idx = self.idx[mask]
-            if self.depth < self.p and 3 * len(self.idx) > self.cap:
+            if self.depth < self.p and 3 * len(self.idx) > SPLIT_FRONTIER_CAP:
                 raise _FrontierFull
         return mask
 
@@ -414,7 +414,7 @@ def _prefix_counts(parts: tuple, ys: Sequence, p: int, unit, count) -> np.ndarra
     A function of its own so that a chunk's arrays are gone before the next
     chunk expands.
     """
-    levels = _EachLevel(ys, p, SPLIT_FRONTIER_CAP)
+    levels = _EachLevel(ys, p)
     prefix = expand_level(*parts, p, levels, roots=len(ys))
     bounds = _z_bounds(levels, unit, prefix.t, prefix.r, prefix.unit)
     del prefix  # the prefixes' t, r and masks go before the searches build their counts
@@ -446,7 +446,7 @@ def level_set_cover(a: Number, y: Number, n: int) -> LevelSetCover:
     if not (isinstance(a, (Fraction, int)) and isinstance(y, (Fraction, int))):
         a, y = float_a(a), float(y)
 
-    holds_y = _EachLevel([y], n, SPLIT_FRONTIER_CAP)  # one level: no frontier cap applies
+    holds_y = _EachLevel([y], n)
 
     def keep(t, r, unit):
         mask = holds_y(t, r, unit)
@@ -561,10 +561,9 @@ def _alias_table(weights: np.ndarray) -> tuple:
     n * w_i / sum(w).  The weights are rounded to integer units, 2^bits for
     the largest with bits = min(49, 62 - bit length of n), so every sum stays
     below 2^62 and the construction on the units is exact: each prob is
-    rounded once, by its final division.  Equal units fill every column with
-    itself, so a uniform table needs no pairing; equal magnitudes, as in
-    every subsystem table, are found before any units and give stride-0
-    arrays, prob 1 and alias 0 in every column, whose draw is the column.
+    rounded once, by its final division.  Equal magnitudes, as in every
+    subsystem table, are found before any units and give stride-0 arrays,
+    prob 1 and alias 0 in every column, whose draw is the column.
     """
     n = len(weights)
     lo, hi = weights.min(), weights.max()
@@ -578,8 +577,6 @@ def _alias_table(weights: np.ndarray) -> tuple:
     prob = np.ones(n)  # the columns left when one list runs dry hold exactly `full`
     alias = np.arange(n)
     small = np.flatnonzero(mass < full).tolist()
-    if not small:
-        return prob, alias
     large = np.flatnonzero(mass >= full).tolist()
     mass = mass.tolist()
     while small and large:
