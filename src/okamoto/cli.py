@@ -7,7 +7,10 @@ the artifact format is defined: every JSON artifact is strict JSON (never NaN
 or Infinity) with schema_version "1", report dataclasses render by their
 fields and rationals as "p/q"; every CSV has a header row, and the csv
 module writes each value, a float as its repr.  Runs are deterministic for
-a fixed config and seed (no timestamps, sorted keys).
+a fixed config and seed (no timestamps, sorted keys).  The parser is built
+once per process, on the first build_parser call, and every run call shares
+it.  A stdout closed by its reader ends main with exit code 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -74,6 +79,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="okamoto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -421,7 +427,14 @@ def run(argv, stdout=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -373,7 +373,8 @@ def _split_counts(a: Number, ys: Sequence, n: int, q: int) -> list:
 
     A depth-q word v has N_q's interval ends lo_v <= hi_v as _holds takes
     them, so N_q(z) = #{v : lo_v <= z} - #{v : hi_v < z}, two binary searches
-    on the sorted ends.  A depth-n word is w = u v with a prefix u of depth
+    on the sorted ends, made with the keys in sorted order and scattered back.
+    A depth-n word is w = u v with a prefix u of depth
     p = n - q, and y lies in I_w exactly when z_u = S_u^-1(y) lies in I_v, so
     N_n(y) = sum over u in cover_p(y) of N_q(z_u).  One batched expand_level
     finds the prefixes of all levels at once, one root per level, each child
@@ -391,9 +392,12 @@ def _split_counts(a: Number, ys: Sequence, n: int, q: int) -> list:
     lo, hi, unit = _sorted_ends(parts, q)
 
     def count(below, above):
-        found = np.searchsorted(lo, below, side="right")
-        found -= np.searchsorted(hi, above, side="left")
-        return found
+        order = np.argsort(below)  # keys searched in order stay in cache; above sorts with below
+        found = np.searchsorted(lo, below[order], side="right")
+        found -= np.searchsorted(hi, above[order], side="left")
+        counts = np.empty_like(found)
+        counts[order] = found
+        return counts
 
     counts = np.zeros(len(ys), dtype=np.int64)
     start, size = 0, min(len(ys), SPLIT_FRONTIER_CAP // 3)

@@ -10,7 +10,9 @@ Gaps run on the level kernel in exact arithmetic.  With a = (1+b)/2, the
 conjugacy h(x) = 4(x - 1/2)/(1-b) fixes phi_w(0) = h(S_w(1/2)), and
 S_w(1/2) = (2t + r) / (2 unit) for the kernel's integer t and r.  h is
 increasing, so the integers 2t + r sort like the projections, and an adjacent
-difference g is the gap 2g / (unit (1-b)).
+difference g is the gap 2g / (unit (1-b)).  The integers are sorted plainly
+(np.sort, no index order), and the witness words are found afterwards by
+scans in word order (see delta_n_detail).
 """
 
 from __future__ import annotations
@@ -37,9 +39,14 @@ def _check_rational_b(b) -> Fraction:
 
 
 def delta_n_detail(b, n: int) -> tuple:
-    """(gap, witnessing words): the first minimal adjacent pair of the stably sorted depth-n projections.
+    """(gap, witnessing words): the first minimal adjacent pair of the sorted depth-n projections.
 
-    The pair is a (2, n) uint8 symbol matrix, one word per row, in sorted order.
+    The values are sorted plainly, so the sort itself keeps no word.  The pair
+    is a (2, n) uint8 symbol matrix, one word per row, in sorted order, taken
+    by two scans in word (lexicographic) order, where a stable sort would
+    place tied words: at a zero gap the first two words at that value; at a
+    positive gap, where no two values tie, the last word at the lower value
+    and the first at the upper one.
     """
     b = _check_rational_b(b)
     if n < 1:
@@ -48,11 +55,13 @@ def delta_n_detail(b, n: int) -> tuple:
         raise DepthCapError(f"depth capped at n <= {SEPARATION_DEPTH_CAP}, got {n}")
     level = expand_level(*projection_parts((1 + b) / 2), n)
     values = 2 * level.t + level.r
-    order = np.argsort(values, kind="stable")
-    diffs = np.diff(values[order])
+    ordered = np.sort(values)
+    diffs = np.diff(ordered)
     i = int(np.argmin(diffs))
     gap = Fraction(2 * int(diffs[i]), level.unit * (1 - b))
-    return gap, digit_rows(order[i : i + 2], n) + 1
+    at_lower = np.flatnonzero(values == ordered[i])
+    pair = at_lower[:2] if diffs[i] == 0 else [at_lower[-1], np.argmax(values == ordered[i + 1])]
+    return gap, digit_rows(pair, n) + 1
 
 
 @dataclass(frozen=True)

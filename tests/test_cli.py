@@ -2,6 +2,8 @@ import argparse
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from graph_oracle import evaluate_T
+import okamoto
 from okamoto import systems
 from okamoto.cli import _writer, build_parser, parse_number, run
 from okamoto.dimensions import okamoto_s0
@@ -21,6 +24,38 @@ def _run(argv):
     buf = io.StringIO()
     code = run(argv, stdout=buf)
     return code, buf.getvalue()
+
+
+def _cli_process(argv, **kwargs):
+    """The CLI in a new interpreter on this checkout's package, as a Popen."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okamoto.__file__))}
+    return subprocess.Popen([sys.executable, "-m", "okamoto.cli", *argv], env=env, **kwargs)
+
+
+def test_one_parser_serves_every_run():
+    assert build_parser() is build_parser()
+    # a usage error part-way through a subcommand's options leaves nothing behind:
+    # the next run takes --depth's default, twice, as a fresh process does
+    code, out = _run(["levelset", "--a", "3/4", "--depth", "5", "--y", "x/2"])
+    assert code == 2 and json.loads(out)["error"]["type"] == "usage"
+    argv = ["levelset", "--a", "3/4", "--y", "1/3", "--format", "csv"]
+    with _cli_process(argv, stdout=subprocess.PIPE) as proc:
+        fresh = proc.communicate(timeout=120)[0]
+    assert proc.returncode == 0
+    for _ in range(2):
+        code, out = _run(argv)
+        assert code == 0 and out.encode() == fresh
+
+
+def test_closed_stdout_ends_with_exit_code_1_and_no_traceback():
+    # two MB of CSV: the writer is still writing when the reader closes the pipe
+    argv = ["measure", "--a", "0.75", "--samples", "100000", "--seed", "1", "--format", "csv"]
+    with _cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_parse_number_routes():

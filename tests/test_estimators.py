@@ -404,6 +404,24 @@ def test_split_counts_equal_the_rational_covers_at_every_suffix_depth(a, n, data
         assert _split_counts(a, ys, n, q) == covers
 
 
+@pytest.mark.parametrize("a", [Fraction(3, 4), Fraction(944, 945)])  # int64 and Python-int bounds
+@pytest.mark.parametrize("q", [1, 3, 6])
+def test_split_counts_do_not_depend_on_the_order_of_the_levels(a, q):
+    # the searches run on sorted keys and scatter back: a shuffled list counts like the sorted one
+    ys = sorted([Fraction(k, 97) for k in range(98)] + [1 - a, a])
+    shuffled = [ys[i] for i in np.random.default_rng(q).permutation(len(ys))]
+    covers = {y: level_set_cover(a, y, 6).count for y in ys}
+    assert _split_counts(a, ys, 6, q) == [covers[y] for y in ys]
+    assert _split_counts(a, shuffled, 6, q) == [covers[y] for y in shuffled]
+
+
+def test_float_level_counts_do_not_depend_on_the_order_of_the_levels():
+    ys = np.random.default_rng(11).random(500)
+    order = np.argsort(ys)
+    for n in (12, 14):  # the sweep, then a split
+        assert np.array_equal(np.array(_level_counts(0.75, ys, n))[order], _level_counts(0.75, ys[order], n))
+
+
 def test_split_counts_equal_the_rational_covers_past_the_sweep_depth():
     a = Fraction(3, 4)
     ys = [Fraction(1, 3), Fraction(38, 81), Fraction(1, 2), Fraction(0), Fraction(1)]

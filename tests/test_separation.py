@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okamoto import separation
 from okamoto.errors import DepthCapError, ParameterError
 from okamoto.separation import delta_n_detail, verify_sesc
-from okamoto.systems import expand_level, projection_parts
+from okamoto.systems import Level, expand_level, projection_parts
+from okamoto.words import digit_rows
 from separation_oracle import conjugate_parts, delta_exhaustive
 from word_oracle import project, word_tuples
 
@@ -149,3 +152,36 @@ def test_delta_on_object_integers_matches_exhaustive():
     assert expand_level(*projection_parts((1 + b) / 2), 6).t.dtype == object
     (gap, pair), (oracle_gap, oracle_pair) = delta_n_detail(b, 6), delta_exhaustive(b, 6)
     assert gap == oracle_gap and set(word_tuples(pair)) == set(oracle_pair)  # the oracle orders the pair lexicographically
+
+
+def _stable_sort_detail(b, n):
+    """The gap and witness as a stable argsort of the projections gives them: the rule delta_n_detail keeps."""
+    level = expand_level(*projection_parts((1 + b) / 2), n)
+    values = 2 * level.t + level.r
+    order = np.argsort(values, kind="stable")
+    diffs = np.diff(values[order])
+    i = int(np.argmin(diffs))
+    return Fraction(2 * int(diffs[i]), level.unit * (1 - b)), digit_rows(order[i : i + 2], n) + 1
+
+
+# every p/q with q <= 13 to depth 9 (53 zero gaps among them), and b = 999/1000 to depth 6 on Python ints
+_TIE_BREAK_CASES = [(Fraction(p, q), 9) for q in range(2, 14) for p in range(1, q) if math.gcd(p, q) == 1]
+_TIE_BREAK_CASES.append((Fraction(999, 1000), 6))
+
+
+@pytest.mark.parametrize("b, n_max", _TIE_BREAK_CASES, ids=str)
+def test_witness_is_the_stably_sorted_pair(b, n_max):
+    # the plain sort's word-order scans pick the pair a stable sort places at the first minimal gap
+    for n in range(1, n_max + 1):
+        gap, pair = delta_n_detail(b, n)
+        expected_gap, expected_pair = _stable_sort_detail(b, n)
+        assert gap == expected_gap and np.array_equal(pair, expected_pair)
+
+
+def test_witness_of_a_threefold_tie_is_its_first_two_words(monkeypatch):
+    # no p/q above ties three words at a first zero gap; a crafted level pins the rule there
+    t = np.array([3, 0, 3, 3, 7])
+    monkeypatch.setattr(separation, "expand_level", lambda *args: Level(t, np.zeros_like(t), None, 1))
+    gap, pair = delta_n_detail(Fraction(1, 3), 2)
+    assert np.argsort(2 * t, kind="stable")[1:3].tolist() == [0, 2]
+    assert gap == 0 and np.array_equal(pair, digit_rows([0, 2], 2) + 1)
