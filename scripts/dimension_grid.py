@@ -5,6 +5,7 @@ import argparse
 import csv
 import sys
 
+from okamoto.cli import _seed
 from okamoto.dimensions import dim_report
 from okamoto.estimators import box_count_series, level_set_scan
 
@@ -16,7 +17,7 @@ def main() -> int:
     ap.add_argument("--max-depth", type=int, default=13)
     ap.add_argument("--scan-depth", type=int, default=12)
     ap.add_argument("--scan-samples", type=int, default=100)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=_seed, required=True)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 

@@ -9,6 +9,7 @@ lower bound on the subsystem's support.
 import argparse
 import sys
 
+from okamoto.cli import _seed
 from okamoto.subsystem import slice_lower_bound_report
 
 
@@ -18,7 +19,7 @@ def main() -> int:
     ap.add_argument("--m", type=int, default=8)
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--depths", type=str, default="10,12,14")
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=_seed, required=True)
     args = ap.parse_args()
 
     print(f"a={args.a} m={args.m} samples={args.samples} seed={args.seed}")

@@ -1,17 +1,17 @@
 """Numerical verification layer: box counting, level-set covers, measure sampling and probes.
 
-Box counting comes in two routes.  The column method is exact bookkeeping:
-over a depth-n column the graph spans the full y-extent of its cylinder, which
-is the product of the vertical ratio magnitudes, so grouping the 3^n words by
-their number of 2-symbols turns N_delta into an (n+1)-term sum.  The grid
-method actually samples graph points (cylinder anchors a few levels deeper)
-and covers each column's samples greedily with height-delta boxes, so it can
-only undercount and serves as the independent cross-check from below.
+Box counting takes one sum for both methods: the C(n, j) 2^(n-j) depth-n
+columns with j symbols 2 share the signed ratio a^(n-j) (1-2a)^j, so N_delta =
+sum over j of C(n, j) 2^(n-j) boxes(j).  The column method is exact: the graph
+spans its cylinder's full y-extent |ratio|, so boxes(j) = ceil(extent/delta).
+The grid method samples one column per j, 1^(n-j) 2^j, at cylinder anchors a
+few levels deeper and covers the samples greedily with height-delta boxes, so
+it can only undercount and serves as the independent cross-check from below.
 
 Level sets are covered by branch and bound: a word is extended only while its
 closed y-interval still contains the target level, and a cover whose kept
 words pass COVER_BYTE_BUDGET bytes at a depth is refused.  Both the grid
-samples and the covers run on the one level kernel, systems.expand_level, on
+anchors and the covers run on the one level kernel, systems.expand_level, on
 exact integers over the common denominator when a and y are rational and on
 float64 otherwise.  level_statistics is the one place where a set of levels,
 uniform or drawn from a measure, becomes estimates log N_n / (n log 3) and
@@ -60,16 +60,18 @@ their decay fit.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from .dimensions import LOG3, natural_weights, okamoto_s0
-from .systems import Level, expand_level, fold_rows, projection_parts
+from .systems import Level, expand_level, fold_rows, fold_word, projection_parts
 from .words import Number, check_a, digit_rows, float_a
 
 COLUMN_DEPTH_CAP = 20
@@ -86,7 +88,6 @@ LEVEL_SWEEP_DEPTH = 12  # deepest sorted suffix level, 3^12 words, that level_st
 SPLIT_FRONTIER_CAP = 3**10
 COVER_BYTE_BUDGET = 1 << 25  # bytes of the t and r arrays a level-set cover may keep at one depth: 2^21 words
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
-GRID_CHUNK_BYTES = 1 << 18  # bytes of one per-row float64 array of the grid count: its few arrays stay in cache
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,12 @@ def _check_box_depth(a: Number, n: int, method: str) -> None:
 
 
 def box_count_graph(a: Number, n: int, method: str = "column") -> int:
-    """Number of occupied mesh-size 3^-n boxes over the graph."""
+    """Number of occupied mesh-size 3^-n boxes over the graph: sum over j of C(n, j) 2^(n-j) boxes(j)."""
     _check_box_depth(a, n, method)
     if n == 0:
         return 1
-    if method == "column":
-        return _box_count_column(Fraction(a), n)
-    return _box_count_grid(float_a(a), n)
+    boxes = _column_boxes(Fraction(a), n) if method == "column" else _grid_boxes(float_a(a), n)
+    return sum(math.comb(n, j) * 2 ** (n - j) * boxes(j) for j in range(n + 1))
 
 
 def _grid_sampling_levels(a: float, n: int) -> int:
@@ -127,61 +127,53 @@ def _grid_sampling_levels(a: float, n: int) -> int:
 
     A column spans about (3a)^n boxes, so matching it needs n*log(3a)/log 3
     extra levels; the total point budget caps the depth at larger n.  It
-    bounds time, not memory: the count visits all 3^(n + extra) samples but
-    holds one per row at a time.
+    fixes the anchors, the sample set the grid count is defined on.
     """
     needed = math.ceil(n * math.log(3.0 * a) / LOG3) + 1
-    budget = max(2, 15 - n)  # keeps 3^(n + extra), the samples visited, around 1.4e7
+    budget = max(2, 15 - n)  # keeps 3^(n + extra), the samples of all columns, around 1.4e7
     return max(2, min(needed, budget))
 
 
-def _box_count_column(a: Fraction, n: int) -> int:
-    """Exact count: words grouped by #2s; each column needs ceil(osc * 3^n) boxes.
+def _column_boxes(a: Fraction, n: int) -> Callable[[int], int]:
+    """boxes(j) = max(1, ceil(a^(n-j) (2a-1)^j 3^n)), 2a - 1 taken once per depth.
 
     a is exact, the input's own value for a float, so no boundary count is rounded.
     """
     b = 2 * a - 1
-    total = 0
-    for j in range(n + 1):
-        osc_boxes = a ** (n - j) * b**j * 3**n
-        total += math.comb(n, j) * 2 ** (n - j) * max(1, math.ceil(osc_boxes))
-    return total
+    return lambda j: max(1, math.ceil(a ** (n - j) * b**j * 3**n))
 
 
-def _box_count_grid(a: float, n: int) -> int:
-    """Boxes needed for sampled graph points, greedily covered column by column.
+def _grid_boxes(a: float, n: int) -> Callable[[int], int]:
+    """boxes(j) of the grid method: the greedy cover of the sampled points of the column 1^(n-j) 2^j.
 
     Samples are the cylinder anchors _grid_sampling_levels deeper plus the
     right endpoint, all exact graph points.  Covering the sampled points of one
     column with height-delta boxes greedily needs at most ceil(extent/delta)
     boxes, so this count never exceeds the column formula.
 
-    The greedy cover takes a column's samples in ascending order, yet no
-    column is sorted: its samples are fl(t + fl(r*x)) over one shared anchor
-    set, and rounded multiplication and addition are monotone, so they rise
-    with x where r > 0 and fall where r < 0 (r is never 0 for a in (1/2, 1)).
-    The anchors are sorted once and each row walks them forwards or
-    backwards, with the compares and float operations of a per-column sort.
+    The samples fl(fl(r*x) + t) over the sorted anchors x rise with x where
+    r > 0 and fall where r < 0, rounding being monotone, so they are walked
+    forwards or backwards; each box starts at the first sample above the last
+    box's top, by binary search.  Every column with j twos has the ratio
+    a^(n-j) (1-2a)^j, so its samples are a translate of these and need as many
+    boxes in exact arithmetic.  In floats two translates could part at a tie
+    within rounding: the sum equals tests/graph_oracle.box_count_grid_sorted
+    (every column, sorted) on every case checked, not by construction.
     """
     tau, rho = projection_parts(a)
-    level = expand_level(tau, rho, n)
     anchors = np.sort(np.append(expand_level(tau, rho, _grid_sampling_levels(a, n)).t, 1.0))
     delta = 3.0**-n
-    total = 0
-    rows = GRID_CHUNK_BYTES // 8
-    for lo in range(0, len(level.t), rows):
-        t, r = level.t[lo : lo + rows], level.r[lo : lo + rows]
-        up = r > 0
-        for tc, rc, xs in ((t[up], r[up], anchors), (t[~up], r[~up], anchors[::-1])):
-            cover_end = np.full(len(tc), -np.inf)
-            for x in xs:
-                y = rc * x
-                y += tc
-                fresh = y > cover_end
-                total += int(np.count_nonzero(fresh))
-                y += delta
-                np.copyto(cover_end, y, where=fresh)
-    return total
+
+    def boxes(j: int) -> int:
+        t, r = fold_word(tau, rho, [1] * (n - j) + [2] * j)
+        ys = (r * (anchors if r > 0 else anchors[::-1]) + t).tolist()
+        count = start = 0
+        while start < len(ys):
+            count += 1
+            start = bisect.bisect_right(ys, ys[start] + delta, start)
+        return count
+
+    return boxes
 
 
 def _check_fit_rows(count: int) -> None:
@@ -275,6 +267,12 @@ class _EachLevel:
         self.idx = None if len(ys) == 1 else np.arange(len(ys))
         self.depth = 0
 
+    @functools.cached_property
+    def ratios(self) -> tuple:
+        """(num, den, max num, max den) of the levels as exact integers, num and den object arrays, built once."""
+        num, den = np.array([Fraction(y).as_integer_ratio() for y in self.ys], dtype=object).T
+        return num, den, num.max(), den.max()
+
     def gather(self, per_level: np.ndarray, minus=0) -> np.ndarray:
         """Per frontier entry, its level's value less minus: one level's broadcast, several levels' offset in place."""
         if self.idx is None:
@@ -319,8 +317,8 @@ def _z_bounds(levels: _EachLevel, unit, t=0, r=1, prefix_unit=1) -> tuple:
         z /= r
         np.clip(z, 0.0, 1.0, out=z)
         return z, z
-    num, den = np.array([Fraction(y).as_integer_ratio() for y in levels.ys], dtype=object).T
-    reach = num.max() * prefix_unit + den.max() * int(max(np.abs(t).max(initial=0), np.abs(r).max(initial=0)))
+    num, den, num_max, den_max = levels.ratios
+    reach = num_max * prefix_unit + den_max * int(max(np.abs(t).max(initial=0), np.abs(r).max(initial=0)))
     if reach * unit < 2**63:  # bounds |top| and |bottom| below
         num, den = num.astype(np.int64), den.astype(np.int64)
     else:
@@ -698,11 +696,10 @@ def local_dimension_slopes(
     """
     radii = np.geomspace(r_lo, r_hi, r_count)
     counts = _ball_counts(sample.points, xs, radii)
-    log_r = np.log(radii)
     out = np.full(len(counts), np.nan)
-    for i, cnts in enumerate(counts):
-        if np.all(cnts > 0):
-            out[i] = np.polyfit(log_r, np.log(cnts / sample.count), 1)[0]
+    full = np.all(counts > 0, axis=1)
+    if full.any():  # one fit, a column of log masses per point
+        out[full] = np.polyfit(np.log(radii), np.log(counts[full] / sample.count).T, 1)[0]
     return out
 
 

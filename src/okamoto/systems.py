@@ -12,15 +12,16 @@ Fraction parameter gives Fraction output.
 
 Every composed map comes from one recursion, the one-symbol extension
 t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.  It is
-written twice: `fold_word` runs it along one word, or along every row of a
-symbol matrix at once (`fold_rows`: subsystem alphabets, the gamma check, the
-sampler's block maps), and `expand_level` runs it over every word of a depth
-at once, with optional pruning (grid box counts, level-set covers, separation
-gaps, the graph sample), from one root or from several side by side (the
-level counts' batched prefix covers), one strided pass per symbol into (N, 3)
-arrays whose C order is the lexicographic order, keeping the prune's boolean
-masks to recover the surviving words as a symbol matrix.  Symbols are not checked:
-every word folded is one the package built.  Both array forms share one exact
+written twice: `fold_word` runs it along one word (the grid count's sampled
+columns), or along every row of a symbol matrix at once (`fold_rows`:
+subsystem alphabets, the gamma check, the sampler's block maps), and
+`expand_level` runs it over every word of a depth at once, with optional
+pruning (grid anchors, level-set covers, separation gaps, the graph sample),
+from one root or from several side by side (the level counts' batched prefix
+covers), one strided pass per symbol into (N, 3) arrays whose C order is the
+lexicographic order, keeping the prune's boolean masks to recover the
+surviving words as a symbol matrix.  Symbols are not checked: every word
+folded is one the package built.  Both array forms share one exact
 number kind, integers over the common denominator d of the coefficients,
 t' = d*t + r*tau_s with tau and rho scaled by d, int64 where a proven bound
 allows and Python ints beyond it; floats run on float64 with d = 1.0.  The

@@ -16,7 +16,6 @@ from okamoto.dimensions import natural_weights, okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
     COVER_BYTE_BUDGET,
-    GRID_CHUNK_BYTES,
     LEVEL_SWEEP_DEPTH,
     SAMPLE_BLOCK,
     SAMPLE_CHUNK,
@@ -99,9 +98,27 @@ def test_grid_count_equals_sorted_oracle(a):
         assert box_count_graph(a, n, "grid") == box_count_grid_sorted(a, n)
 
 
-def test_grid_count_equals_sorted_oracle_over_many_row_chunks():
-    assert 3**12 > 4 * GRID_CHUNK_BYTES // 8
+def test_grid_count_equals_sorted_oracle_at_depth_12():
     assert box_count_graph(0.75, 12, "grid") == box_count_grid_sorted(0.75, 12)
+
+
+# past n = 6 near a = 1 the oracle sorts about 1.4e7 samples
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 1, exclude_min=True, exclude_max=True), st.integers(1, 6))
+def test_grid_count_equals_sorted_oracle_at_any_float_a(a, n):
+    assert box_count_graph(a, n, "grid") == box_count_grid_sorted(a, n)
+
+
+def test_grid_count_holds_no_depth_n_level():
+    # the depth-14 level alone is 3^14 words of t and r, 76 MB
+    box_count_graph(0.75, 14, "grid")
+    tracemalloc.start()
+    try:
+        assert box_count_graph(0.75, 14, "grid") > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_grid_counts_of_the_cover_workload():
@@ -475,6 +492,21 @@ def test_split_counts_do_not_depend_on_the_chunks(monkeypatch, a):
     assert sum(prefixes) == len(ys) and len(prefixes) > 10
 
 
+@pytest.mark.parametrize("a, y, n", [(Fraction(3, 4), Fraction(1, 3), 14), (Fraction(2, 3), Fraction(38, 81), 15)])
+def test_exact_cover_converts_its_level_once(monkeypatch, a, y, n):
+    calls = []
+    ratio = Fraction.as_integer_ratio
+
+    def spy(self):
+        calls.append(self)
+        return ratio(self)
+
+    expected = level_set_cover(a, y, n).count
+    monkeypatch.setattr(Fraction, "as_integer_ratio", spy)
+    assert level_set_cover(a, y, n).count == expected
+    assert calls == [y]
+
+
 def test_level_set_cover_refuses_kept_words_past_the_byte_budget(monkeypatch):
     # 16 bytes of t and r per kept word on int64; the count never falls with depth, so the
     # deepest level is the largest and a budget of its bytes is the least that passes
@@ -743,6 +775,18 @@ def test_local_dimension_counts_closed_balls():
         radii = [1e-3, 1e-2, abs(float(pts[5]) - x)]  # the last ball has a point on its boundary
         expected = [np.sum(np.abs(pts - x) <= r) for r in radii]
         assert _ball_counts(pts, [x], radii)[0].tolist() == expected
+
+
+def test_local_dimension_slopes_equal_per_point_fits():
+    sample = _uniform_sample(50_000, 9)
+    xs = [0.1, 0.37, 5.0, 0.9]  # 5.0 has empty balls
+    radii = np.geomspace(1e-4, 1e-2, 6)
+    slopes = local_dimension_slopes(sample, xs, r_lo=1e-4, r_hi=1e-2, r_count=6)
+    counts = _ball_counts(sample.points, xs, radii)
+    assert math.isnan(slopes[2])
+    for i in (0, 1, 3):
+        expected = np.polyfit(np.log(radii), np.log(counts[i] / sample.count), 1)[0]
+        assert abs(slopes[i] - expected) < 1e-12
 
 
 def test_local_dimension_slopes_uniform():

@@ -1,7 +1,10 @@
 """The package's public surface: what the commands and scripts reach, and the README example."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +61,13 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_research_scripts_refuse_a_negative_seed_as_a_usage_error():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for script in ("dimension_grid.py", "slice_experiment.py"):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), "--seed", "-1"], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 2
+        assert "--seed: expected a non-negative integer" in done.stderr and "Traceback" not in done.stderr
