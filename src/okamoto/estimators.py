@@ -55,7 +55,9 @@ block, and the points advance in fixed-size chunks, so the memory beyond the
 sample stays bounded.  The tables are built once per law: the k copies of a
 subsystem's eta share one set.  Two probes read a sample: local-dimension
 slopes from closed-ball counts, and Monte-Carlo Fourier magnitudes with
-their decay fit.
+their decay fit.  The Fourier sums split their frequencies across the usable
+CPUs within FOURIER_BYTE_BUDGET bytes of scratch, each frequency computed as
+the serial loop computes it, so the magnitudes are the same for any CPU count.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -87,6 +91,9 @@ LEVEL_SWEEP_DEPTH = 12  # deepest sorted suffix level, 3^12 words, that level_st
 # its bounds, root indices and masks, a chunk takes a third of the sorted depth-12 level's 8.5 MB
 SPLIT_FRONTIER_CAP = 3**10
 COVER_BYTE_BUDGET = 1 << 25  # bytes of the t and r arrays a level-set cover may keep at one depth: 2^21 words
+# bytes of argument and value scratch fourier_estimate may split across workers: 16 per point per worker, so
+# 2^22 points or more run on one worker, whose scratch is then the 16 bytes a point of a serial loop
+FOURIER_BYTE_BUDGET = 1 << 26
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
 
 
@@ -706,13 +713,47 @@ def local_dimension_slopes(
 # --- Fourier probe -----------------------------------------------------------------
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def fourier_estimate(sample: MeasureSample, t_values: Sequence[float]) -> np.ndarray:
-    """|mu_hat(t)| by Monte Carlo; standard error is at most 1/sqrt(count)."""
+    """|mu_hat(t)| by Monte Carlo; standard error is at most 1/sqrt(count).
+
+    The frequencies split across w = min(len(t_values), usable CPUs,
+    FOURIER_BYTE_BUDGET // (16 count)) workers, at least one: worker i takes
+    every k = i mod w, the calling thread worker 0.  Each frequency runs the
+    same operations as a serial loop, on scratch the caller allocates before
+    any thread starts, so the magnitudes are the same bits for every w; numpy
+    releases the GIL inside the trig ufuncs and their means.
+    """
     pts = sample.points
     out = np.empty(len(t_values))
-    for k, t in enumerate(t_values):
-        arg = t * pts
-        out[k] = math.hypot(float(np.cos(arg).mean()), float(np.sin(arg).mean()))
+    workers = max(1, min(len(out), _usable_cpus(), FOURIER_BYTE_BUDGET // (16 * max(len(pts), 1))))
+    scratch = np.empty((workers, 2, len(pts)))
+    failures = []  # (frequency index, exception) of each worker that raised
+
+    def work(i: int) -> None:
+        arg, val = scratch[i]
+        try:
+            for k in range(i, len(out), workers):
+                np.multiply(pts, t_values[k], out=arg)
+                out[k] = math.hypot(float(np.cos(arg, out=val).mean()), float(np.sin(arg, out=val).mean()))
+        except Exception as exc:
+            failures.append((k, exc))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failures:  # the serial loop's error: the one at the first failing frequency
+        raise min(failures, key=lambda f: f[0])[1]
     return out
 
 
@@ -720,7 +761,9 @@ def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple
     """(slope, intercept, points used) of the log-log decay fit.
 
     Points whose magnitude sits below three standard errors are noise and are
-    dropped before fitting; fewer than two points left is a ParameterError.
+    dropped before fitting; fewer than two points left, or points at fewer
+    than two distinct frequencies, through which no line is determined, is a
+    ParameterError.
     """
     mags = fourier_estimate(sample, t_values)
     floor = 3.0 / math.sqrt(sample.count)
@@ -729,7 +772,10 @@ def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple
         raise ParameterError(
             f"decay fit needs >= 2 magnitudes above the noise floor 3/sqrt({sample.count}), got {int(keep.sum())}"
         )
-    xs = np.log(np.asarray(t_values, dtype=float)[keep])
+    kept_t = np.asarray(t_values, dtype=float)[keep]
+    if np.all(kept_t == kept_t[0]):
+        raise ParameterError(f"decay fit needs >= 2 distinct frequencies, got {len(kept_t)} points at t = {kept_t[0]}")
+    xs = np.log(kept_t)
     ys = np.log(mags[keep])
     slope, intercept = np.polyfit(xs, ys, 1)
     return float(slope), float(intercept), int(keep.sum())

@@ -58,6 +58,20 @@ def test_closed_stdout_ends_with_exit_code_1_and_no_traceback():
     assert err == b""
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_fourier_output_is_the_same_on_one_cpu():
+    # the child pins itself to one CPU before the package loads: the trig sums then run on one worker
+    argv = ["fourier", "--a", "0.75", "--samples", "20000", "--seed", "3"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okamoto.__file__))}
+    pin = ("import os, runpy, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "sys.argv[0] = 'okamoto'; runpy.run_module('okamoto.cli', run_name='__main__')")
+    one = subprocess.run([sys.executable, "-c", pin, *argv], env=env, capture_output=True, timeout=120)
+    with _cli_process(argv, stdout=subprocess.PIPE) as proc:
+        every = proc.communicate(timeout=120)[0]
+    assert one.returncode == proc.returncode == 0 and one.stderr == b""
+    assert one.stdout == every
+
+
 def test_parse_number_routes():
     assert parse_number("3/4") == Fraction(3, 4)
     assert isinstance(parse_number("0.75"), float)
@@ -251,6 +265,16 @@ def test_fourier_json():
     assert payload["decay_slope"] < 0
 
 
+def test_fourier_csv_of_one_frequency_prints_the_magnitudes():
+    # the JSON's decay fit refuses a grid of one distinct t; the CSV has no fit
+    code, out = _run(["fourier", "--a", "0.75", "--samples", "20000", "--seed", "1", "--tmin", "10", "--tmax", "10",
+                      "--format", "csv"])
+    rows = out.splitlines()
+    assert code == 0
+    assert rows[0] == "t,magnitude" and len(rows) == 31
+    assert {row.split(",")[0] for row in rows[1:]} == {"10.0"}
+
+
 def test_subsystem_checks():
     code, out = _run(["subsystem", "--a", "3/4", "--m", "2", "--k", "2", "--check", "gamma"])
     payload = json.loads(out)
@@ -370,6 +394,8 @@ def test_json_or_csv_only_commands_reject_format(argv):
     # the gamma and convolution work grows with the block split k, which must lie in [2, 16]
     ["subsystem", "--a", "3/4", "--m", "2", "--k", "17", "--check", "gamma"],
     ["subsystem", "--a", "0.75", "--m", "2", "--k", "1000", "--check", "convolution", "--seed", "1"],
+    # every magnitude clears the noise floor, but all at the one frequency t = 10: no line to fit
+    ["fourier", "--a", "0.75", "--samples", "20000", "--seed", "1", "--tmin", "10", "--tmax", "10"],
 ])
 def test_empty_or_negative_draws_are_json_errors(argv):
     code, out = _run(argv)

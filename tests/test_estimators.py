@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -16,6 +18,7 @@ from okamoto.dimensions import natural_weights, okamoto_s0
 from okamoto.errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from okamoto.estimators import (
     COVER_BYTE_BUDGET,
+    FOURIER_BYTE_BUDGET,
     LEVEL_SWEEP_DEPTH,
     SAMPLE_BLOCK,
     SAMPLE_CHUNK,
@@ -42,6 +45,7 @@ from okamoto.estimators import (
 )
 from okamoto.subsystem import build_subsystem, sample_subsystem_measure
 from okamoto.systems import Level, expand_level, fold_word, projection_parts
+from fourier_oracle import fourier_serial
 from graph_oracle import box_count_grid_sorted
 from measure_oracle import sample_per_symbol
 from word_oracle import exhaustive_level_filter, prefix_level_filter, word_tuples
@@ -810,6 +814,119 @@ def test_fourier_decay_fit_negative_slope():
     slope, _, used = fourier_decay_fit(sample, np.geomspace(10, 1e4, 30))
     assert used >= 2
     assert slope < 0
+
+
+def test_fourier_decay_fit_needs_two_distinct_frequencies():
+    # every magnitude clears the noise floor, but a line through one t is not determined
+    sample = sample_measure(0.75, 20_000, 50, seed=1)
+    for ts in ([10.0] * 30, [10.0, 10.0]):
+        with pytest.raises(ParameterError, match="distinct frequencies"):
+            fourier_decay_fit(sample, ts)
+
+
+_FOURIER_GRIDS = {
+    "zero": [0.0, 5.0, 50.0],
+    "decay": np.geomspace(10.0, 1e4, 30),
+    "one": [7.5],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])  # 64 is more workers than any grid has frequencies
+@pytest.mark.parametrize("grid", list(_FOURIER_GRIDS))
+def test_fourier_workers_match_the_serial_loop(monkeypatch, cpus, grid):
+    sample = sample_measure(0.75, 10_007, 50, seed=2)
+    ts = _FOURIER_GRIDS[grid]
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+    assert np.array_equal(fourier_estimate(sample, ts), fourier_serial(sample.points, ts))
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("cpus, budget_points, workers", [
+    (1, 10**9, 1),
+    (2, 10**9, 2),
+    (3, 10**9, 3),
+    (64, 10**9, 30),  # one worker per frequency at most
+    (3, 2, 2),  # the scratch budget holds two workers
+    (3, 1, 1),
+    (3, 0, 1),  # a count above the budget: one worker, the serial loop's memory
+])
+def test_fourier_worker_count_is_derived(monkeypatch, cpus, budget_points, workers):
+    sample = sample_measure(0.75, 5_000, 50, seed=4)
+    ts = np.geomspace(10.0, 1e4, 30)
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(estimators, "FOURIER_BYTE_BUDGET", budget_points * 16 * sample.count + 15)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    before = threading.active_count()
+    mags = fourier_estimate(sample, ts)
+    assert _CountedThread.started == workers - 1  # worker 0 is the calling thread
+    assert threading.active_count() == before
+    assert np.array_equal(mags, fourier_serial(sample.points, ts))
+
+
+def test_fourier_workers_under_frequent_switches(monkeypatch):
+    # 30 workers on fewer cores, switching every microsecond: a magnitude lost or written twice
+    # leaves np.empty's garbage or a wrong frequency in the output
+    sample = sample_measure(0.75, 2_000, 50, seed=7)
+    ts = np.geomspace(10.0, 1e4, 30)
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 64)
+    expected = fourier_serial(sample.points, ts)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert np.array_equal(fourier_estimate(sample, ts), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fourier_budget_gives_one_worker_at_the_sample_cap():
+    # at the 1e8 sample cap one worker's scratch is already 1.6 GB
+    assert FOURIER_BYTE_BUDGET // (16 * estimators.SAMPLE_COUNT_CAP) == 0
+    assert FOURIER_BYTE_BUDGET // (16 * 125_000) >= 2  # the benchmark's fourier sample splits
+
+
+@pytest.mark.parametrize("cpus, budget_points, workers", [(3, 10**9, 3), (3, 0, 1)])
+def test_fourier_scratch_is_caller_owned_and_bounded(monkeypatch, cpus, budget_points, workers):
+    sample = sample_measure(0.75, 100_000, 50, seed=5)
+    ts = np.geomspace(10.0, 1e4, 30)
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(estimators, "FOURIER_BYTE_BUDGET", budget_points * 16 * sample.count + 15)
+    fourier_estimate(sample, ts)
+    tracemalloc.start()
+    try:
+        fourier_estimate(sample, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one argument and one value row of count float64 per worker, plus 64 KiB of slack for the
+    # magnitudes, the thread objects and numpy's scalars; a worker that allocated its own
+    # temporaries would add 8 bytes a point on top
+    scratch = workers * 16 * sample.count
+    assert scratch <= peak <= scratch + (1 << 16)
+
+
+def test_fourier_worker_error_is_the_serial_loops(monkeypatch):
+    # with three workers "x" (k = 0) fails in worker 0 and None (k = 5) in worker 2 after one good
+    # frequency, each with its own TypeError subclass; the serial loop stops at "x", and so must the split
+    sample = sample_measure(0.75, 50_000, 50, seed=6)
+    ts = ["x", 2.0, 3.0, 4.0, 5.0, None]
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    with pytest.raises(TypeError) as serial:
+        fourier_serial(sample.points, ts)
+    with pytest.raises(TypeError) as split:
+        fourier_estimate(sample, ts)
+    assert type(split.value) is type(serial.value)
+    assert threading.active_count() == before
 
 
 # --- KS harness -----------------------------------------------------------------------------
