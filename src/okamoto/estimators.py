@@ -15,9 +15,12 @@ anchors and the covers run on the one level kernel, systems.expand_level, on
 exact integers over the common denominator when a and y are rational and on
 float64 otherwise.  level_statistics is the one place where a set of levels,
 uniform or drawn from a measure, becomes estimates log N_n / (n log 3) and
-their quantile summary.  With lo_w <= hi_w the ends of word w's interval,
+their quantile summary, np.quantile's default "linear" rule and np.median
+bit for bit from one sort of the estimates (np.quantile's np.unique would
+import numpy.ma).  With lo_w <= hi_w the ends of word w's interval,
 N_q(y) = #{w : lo_w <= y} - #{w : hi_w < y}, so it sorts the two end arrays of
-one unpruned level of depth q and counts by two binary searches.  A depth-n
+one unpruned level of depth q, one on a thread beside the other where two CPUs
+are usable, and counts by two binary searches.  A depth-n
 word is w = u v with a prefix u of depth p = n - q, and y lies in I_w exactly
 when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u in cover_p(y) of
 N_q(z_u).  Up to depth LEVEL_SWEEP_DEPTH = 12, q = n: the prefix is empty,
@@ -66,7 +69,6 @@ import bisect
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -76,6 +78,7 @@ import numpy as np
 from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from .dimensions import LOG3, natural_weights, okamoto_s0
 from .systems import Level, expand_level, fold_rows, fold_word, projection_parts
+from .threads import split_tasks
 from .words import Number, check_a, digit_rows, float_a
 
 COLUMN_DEPTH_CAP = 20
@@ -352,19 +355,28 @@ def _suffix_depth(a: Number, levels: int, n: int) -> int:
     return q
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _sorted_ends(parts: tuple, q: int) -> tuple:
     """(lo, hi, unit): the sorted lower and upper interval ends of the unpruned depth-q level.
 
     The level's t becomes lo in place and its r the upper ends before hi is
-    taken, so only lo and hi outlive the call.
+    taken, so only lo and hi outlive the call.  With two usable CPUs hi sorts on
+    a thread while the calling thread sorts lo: numpy sorts in place, with no
+    array allocated, and releases the GIL for numeric levels.
     """
     level = expand_level(*parts, q)
     lo, end = level.t, level.r
     end += lo
     hi = np.maximum(lo, end)
     np.minimum(lo, end, out=lo)
-    lo.sort()
-    hi.sort()
+    split_tasks(2, min(2, _usable_cpus()), lambda k, i: (lo, hi)[k].sort())
     return lo, hi, level.unit
 
 
@@ -491,11 +503,29 @@ def level_statistics(a: Number, ys: Sequence[float], n: int) -> LevelStatistics:
         _check_level(y)
     _check_cover_depth(n)
     est = np.array([_dim_estimate(c, a, float(y), n) for c, y in zip(_level_counts(a, ys, n), ys)])
-    return LevelStatistics(
-        estimates=est,
-        quantiles={f"q{int(100 * q)}": float(np.quantile(est, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)},
-        median=float(np.median(est)),
-    )
+    return LevelStatistics(est, *_summary(est))
+
+
+def _summary(est: np.ndarray) -> tuple:
+    """(quantiles q10 to q90, median) of the estimates, np.quantile's default "linear" rule and np.median bit for bit.
+
+    With s the n sorted estimates, v = (n-1) q, i = floor(v) and g = v - i, a
+    quantile interpolates lo = s[i] and hi = s[min(i+1, n-1)] as numpy's _lerp
+    does: hi - (hi-lo)(1-g) where g >= 0.5, else lo + (hi-lo) g.  The median
+    is the middle of s, or the mean of its two middle values.  np.quantile
+    itself calls np.unique, whose first call imports numpy.ma.
+    """
+    s = np.sort(est).tolist()
+    n = len(s)
+    quantiles = {}
+    for q in (0.1, 0.25, 0.5, 0.75, 0.9):
+        v = (n - 1) * q
+        i = math.floor(v)
+        g = v - i
+        lo, hi = s[i], s[min(i + 1, n - 1)]
+        d = hi - lo
+        quantiles[f"q{int(100 * q)}"] = hi - d * (1 - g) if g >= 0.5 else lo + d * g
+    return quantiles, s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
 
 
 @dataclass(frozen=True)
@@ -713,14 +743,6 @@ def local_dimension_slopes(
 # --- Fourier probe -----------------------------------------------------------------
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def fourier_estimate(sample: MeasureSample, t_values: Sequence[float]) -> np.ndarray:
     """|mu_hat(t)| by Monte Carlo; standard error is at most 1/sqrt(count).
 
@@ -735,25 +757,13 @@ def fourier_estimate(sample: MeasureSample, t_values: Sequence[float]) -> np.nda
     out = np.empty(len(t_values))
     workers = max(1, min(len(out), _usable_cpus(), FOURIER_BYTE_BUDGET // (16 * max(len(pts), 1))))
     scratch = np.empty((workers, 2, len(pts)))
-    failures = []  # (frequency index, exception) of each worker that raised
 
-    def work(i: int) -> None:
+    def frequency(k: int, i: int) -> None:
         arg, val = scratch[i]
-        try:
-            for k in range(i, len(out), workers):
-                np.multiply(pts, t_values[k], out=arg)
-                out[k] = math.hypot(float(np.cos(arg, out=val).mean()), float(np.sin(arg, out=val).mean()))
-        except Exception as exc:
-            failures.append((k, exc))
+        np.multiply(pts, t_values[k], out=arg)
+        out[k] = math.hypot(float(np.cos(arg, out=val).mean()), float(np.sin(arg, out=val).mean()))
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if failures:  # the serial loop's error: the one at the first failing frequency
-        raise min(failures, key=lambda f: f[0])[1]
+    split_tasks(len(out), workers, frequency)
     return out
 
 

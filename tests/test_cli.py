@@ -72,6 +72,25 @@ def test_fourier_output_is_the_same_on_one_cpu():
     assert one.stdout == every
 
 
+def test_level_summaries_import_no_numpy_ma():
+    # np.quantile finds its indices through np.unique, whose first call imports numpy.ma, about 20 ms
+    # of a fresh process; every command that summarises levels takes the same quantiles from one sort
+    commands = [
+        ["levelset-scan", "--a", "0.75", "--samples", "50", "--depth", "14", "--seed", "1"],
+        ["levelset-scan", "--a", "0.9", "--samples", "40", "--depth", "12", "--seed", "1", "--format", "csv"],
+        ["subsystem", "--a", "0.75", "--m", "8", "--check", "slices", "--samples", "20", "--depth", "12",
+         "--seed", "1"],
+        ["bundle", "--a", "0.75", "--seed", "1"],
+    ]
+    script = ("import io, json, sys; from okamoto.cli import run; "
+              "print([run(argv, stdout=io.StringIO()) for argv in json.loads(sys.argv[1])], 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okamoto.__file__))}
+    argv = [sys.executable, "-c", script, json.dumps(commands)]
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert done.stderr == b""
+    assert done.stdout == b"[0, 0, 0, 0] False\n"
+
+
 def test_parse_number_routes():
     assert parse_number("3/4") == Fraction(3, 4)
     assert isinstance(parse_number("0.75"), float)

@@ -29,7 +29,9 @@ from okamoto.estimators import (
     _ball_counts,
     _block_table,
     _level_counts,
+    _sorted_ends,
     _split_counts,
+    _summary,
     _suffix_depth,
     box_count_graph,
     box_count_series,
@@ -289,6 +291,119 @@ def test_level_statistics_match_the_covers():
     assert stats.estimates.tolist() == expected
     assert stats.median == float(np.median(expected))
     assert stats.quantiles["q50"] == stats.median
+
+
+def _assert_numpys_summary(est):
+    quantiles, median = _summary(np.array(est))
+    assert quantiles == {f"q{int(100 * q)}": float(np.quantile(est, q)) for q in (0.1, 0.25, 0.5, 0.75, 0.9)}
+    assert median == float(np.median(est))
+    assert all(type(v) is float for v in (*quantiles.values(), median))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_level_statistics_summary_is_numpys_bit_for_bit(data):
+    # fewer distinct values than estimates gives ties; the values either span 1e-300 to 1e300 within
+    # one array or sit at one scale of that range, and numpy's two lerp branches meet at g = 0.5
+    n = data.draw(st.integers(1, 300))
+    scale = data.draw(st.sampled_from([None, 1e-300, 1e-3, 1.0, 1e300]))
+    values = st.floats(-1e300, 1e300) if scale is None else st.floats(-1.0, 1.0).map(lambda x: x * scale)
+    pool = data.draw(st.lists(values, min_size=1, max_size=n))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    _assert_numpys_summary(np.array(pool)[picks])
+
+
+@pytest.mark.parametrize("est", [[0.3], [0.7, 0.1], [0.625] * 7, [-0.0, 0.0, 1e300, -1e300, 5e-324]])
+def test_level_statistics_summary_of_one_two_and_equal_estimates(est):
+    _assert_numpys_summary(est)
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+def _serial_ends(parts, q):
+    level = expand_level(*parts, q)
+    end = level.t + level.r
+    return np.sort(np.minimum(level.t, end)), np.sort(np.maximum(level.t, end))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("a, q, dtype", [
+    (0.75, 9, np.float64),
+    (Fraction(3, 4), 7, np.int64),
+    (Fraction(10**12 + 1, 2 * 10**12), 5, object),  # its level is too wide for int64
+])
+def test_sorted_ends_match_a_serial_sort(monkeypatch, cpus, a, q, dtype):
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    before = threading.active_count()
+    lo, hi, _ = _sorted_ends(projection_parts(a), q)
+    assert threading.active_count() == before
+    assert _CountedThread.started == cpus - 1  # hi sorts on a thread with two CPUs, lo on the caller's
+    expected_lo, expected_hi = _serial_ends(projection_parts(a), q)
+    assert lo.dtype == hi.dtype == dtype
+    assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
+
+
+class _Unsortable:
+    """Added to a number it stays itself and is above the number; two of them do not compare."""
+
+    def __add__(self, other):
+        return self
+
+    __radd__ = __add__
+
+    def _cmp(self, other, result):
+        if isinstance(other, _Unsortable):
+            raise TypeError("two unsortable ends")
+        return result
+
+    def __lt__(self, other):
+        return self._cmp(other, False)
+
+    def __le__(self, other):
+        return self._cmp(other, False)
+
+    def __gt__(self, other):
+        return self._cmp(other, True)
+
+    def __ge__(self, other):
+        return self._cmp(other, True)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sorted_ends_raise_a_failing_sort_of_the_upper_ends(monkeypatch, cpus):
+    # lo = [3, 1, 2] sorts, hi = [u, u, 2] does not: with two CPUs hi sorts on the thread, and a
+    # failure left there would return a half-sorted hi and wrong counts
+    t = np.array([3, 1, 2], dtype=object)
+    r = np.array([_Unsortable(), _Unsortable(), 0], dtype=object)
+    monkeypatch.setattr(estimators, "expand_level", lambda *args: Level(t, r, None, 1))
+    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    with pytest.raises(TypeError, match="two unsortable ends"):
+        _sorted_ends(projection_parts(0.75), 1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("a, q", [(0.75, 12), (0.75, 8), (Fraction(3, 4), 6)])
+def test_sorted_ends_hold_three_level_arrays(a, q):
+    # t, r and hi, the arrays of a serial call, plus 16 KiB for the level's objects and the sort thread's;
+    # on x86-64 with numpy 2.4 the serial call peaked 3.4 KB above the arrays and the threaded one 6-10 KB
+    parts = projection_parts(a)
+    _sorted_ends(parts, q)
+    tracemalloc.start()
+    try:
+        _sorted_ends(parts, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * 3**q + (1 << 14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -839,14 +954,6 @@ def test_fourier_workers_match_the_serial_loop(monkeypatch, cpus, grid):
     ts = _FOURIER_GRIDS[grid]
     monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
     assert np.array_equal(fourier_estimate(sample, ts), fourier_serial(sample.points, ts))
-
-
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
 
 
 @pytest.mark.parametrize("cpus, budget_points, workers", [
