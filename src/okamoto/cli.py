@@ -5,12 +5,16 @@ paths, a decimal a float.  A float-only path converts a at one gate,
 words.float_a; `dims --q` is JSON only.  This module is the only place
 the artifact format is defined: every JSON artifact is strict JSON (never NaN
 or Infinity) with schema_version "1", report dataclasses render by their
-fields and rationals as "p/q"; every CSV has a header row, and the csv
-module writes each value, a float as its repr.  Runs are deterministic for
-a fixed config and seed (no timestamps, sorted keys).  The parser is built
-once per process, on the first build_parser call, and every run call shares
-it.  A stdout closed by its reader ends main with exit code 1 and no
-traceback.
+fields and rationals as "p/q"; every CSV has a header row.  A long column
+leaves its array as text, at most _ROW_CHUNK rows at a time, in the bytes
+the csv module writes for a short table: a number as the repr of its Python
+value.  A cover's words leave their symbol matrix as lines of one byte
+buffer, and their JSON is the rendered scalars with those lines spliced into
+the list's place, so neither format is ever held as one text.  Runs are
+deterministic for a fixed config and seed (no timestamps, sorted keys).  The
+parser is built once per process, on the first build_parser call, and every
+run call shares it.  A stdout closed by its reader ends main with exit code
+1 and no traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .words import float_a
 
 SCHEMA_VERSION = "1"
 _TCOUNT_CAP = 1000  # frequencies of one fourier grid
-_ROW_CHUNK = 1 << 16  # CSV rows turned into Python values together
+_ROW_CHUNK = 1 << 13  # rows of a long column rendered as text together
 
 
 class UsageError(Exception):
@@ -190,10 +194,15 @@ def _cmd_dims(cfg):
     return "json", payload
 
 
-def _array_rows(*columns):
-    """CSV rows of equal-length arrays, leaving as Python values one chunk at a time."""
+def _column_lines(*columns):
+    """CSV lines of equal-length arrays as text, one chunk of rows at a time.
+
+    Each value prints as the repr of its Python value, which is what the csv
+    module writes for a float or an int.
+    """
     for lo in range(0, len(columns[0]), _ROW_CHUNK):
-        yield from zip(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
+        rows = zip(*(map(repr, c[lo : lo + _ROW_CHUNK].tolist()) for c in columns))
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
 def _cmd_graph(cfg):
@@ -204,7 +213,7 @@ def _cmd_graph(cfg):
     # the depth-n anchors are T(k/3^n) for k < 3^n; the endpoint T(1) = 1 closes the graph
     ys = np.append(systems.expand_level(*parts, n).t, 1.0)
     xs = np.arange(3**n + 1) / 3**n
-    return "csv", ["x", "y"], _array_rows(xs, ys)
+    return "csv", ["x", "y"], _column_lines(xs, ys)
 
 
 def _cmd_boxdim(cfg):
@@ -216,30 +225,43 @@ def _cmd_boxdim(cfg):
     return "json", _box_json(series)
 
 
-def _word_text(symbols: np.ndarray) -> np.ndarray:
-    """The rows of a uint8 symbol matrix as a str array: symbols 1-3 plus ord("0") are ASCII digits."""
-    return (symbols + ord("0")).view(f"S{symbols.shape[1]}").ravel().astype(str)
+def _word_lines(symbols: np.ndarray, head=b"", tail=b"\n", trim=0):
+    """The rows of a uint8 symbol matrix as text, one line per word, one chunk of rows at a time.
+
+    A line is head, the word's digits (symbols 1-3 plus ord("0")) and tail,
+    written into one reused byte buffer whose fixed bytes hold head and tail;
+    each chunk is decoded once.  The last line loses its final trim bytes.
+    """
+    rows, width = symbols.shape
+    buf = np.empty((min(rows, _ROW_CHUNK), len(head) + width + len(tail)), np.uint8)
+    buf[:, : len(head)] = np.frombuffer(head, np.uint8)
+    buf[:, len(head) + width :] = np.frombuffer(tail, np.uint8)
+    for lo in range(0, rows, _ROW_CHUNK):
+        part = symbols[lo : lo + _ROW_CHUNK]
+        np.add(part, ord("0"), out=buf[: len(part), len(head) : len(head) + width])
+        size = buf[: len(part)].size - (trim if lo + len(part) == rows else 0)
+        yield str(buf.reshape(-1)[:size].data, "ascii")
 
 
 def _cmd_levelset(cfg):
     cover = estimators.level_set_cover(cfg.a, cfg.y, cfg.depth)
-    words = _word_text(cover.level.symbols())
+    symbols = cover.level.symbols()
     if cfg.format == "csv":
-        return "csv", ["word"], _array_rows(words)
+        return "csv", ["word"], _word_lines(symbols)
     return "json", {
         "a": float(cfg.a),
         "y": float(cfg.y),
         "depth": cover.depth,
         "count": cover.count,
         "dim_estimate": cover.dim_estimate,
-        "words": words.tolist(),
+        "words": symbols,  # spliced in by _writer as indented JSON string lines
     }
 
 
 def _cmd_levelset_scan(cfg):
     scan = estimators.level_set_scan(cfg.a, cfg.samples, cfg.depth, seed=cfg.seed)
     if cfg.format == "csv":
-        return "csv", ["y", "estimate"], _array_rows(scan.ys, scan.estimates)
+        return "csv", ["y", "estimate"], _column_lines(scan.ys, scan.estimates)
     return "json", _scan_json(scan)
 
 
@@ -256,7 +278,7 @@ def _cmd_separation(cfg):
         "epsilon": report.epsilon,
         "pass": report.passed,
         "floors": report.floors,
-        "witness": None if report.witness is None else _word_text(report.witness).tolist(),
+        "witness": None if report.witness is None else "".join(_word_lines(report.witness)).split(),
     }
 
 
@@ -279,7 +301,7 @@ def _cmd_measure(cfg):
             "mean": float(pts.mean()),
             "std": float(pts.std()),
         }
-    return "csv", ["value"], _array_rows(sample.points)
+    return "csv", ["value"], _column_lines(sample.points)
 
 
 def _cmd_fourier(cfg):
@@ -291,7 +313,7 @@ def _cmd_fourier(cfg):
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
     if cfg.format == "csv":
-        return "csv", ["t", "magnitude"], _array_rows(ts, mags)
+        return "csv", ["t", "magnitude"], _column_lines(ts, mags)
     slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
     return "json", {
         "a": sample.parameter,
@@ -384,20 +406,40 @@ def _render(result, indent=2) -> str:
 def _writer(result):
     """A function writing the artifact to a stream.
 
-    JSON is encoded here, so an encoding error is reported like any other;
-    CSV rows go to the stream as they are formed, never held as one text.
+    JSON is encoded here, so an encoding error is reported like any other.
+    A cover's symbol matrix under "words" (never empty) goes out as the
+    lines of _word_lines between the texts _render gives before and after
+    an empty list.  A CSV row is a tuple of values, which the csv module
+    writes, or a str of whole lines rendered from arrays; rows go to the
+    stream as they are formed, never held as one text.
     """
-    if result[0] == "json":
+    if result[0] == "csv":
+        _, header, rows = result
+
+        def write_csv(stream):
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                if isinstance(row, str):
+                    stream.write(row)
+                else:
+                    writer.writerow(row)
+
+        return write_csv
+    payload = result[1]
+    words = payload.get("words")
+    if not isinstance(words, np.ndarray):
         text = _render(result)
         return lambda stream: stream.write(text)
-    _, header, rows = result
+    head, _, tail = _render(("json", {**payload, "words": []})).partition('"words": []')
 
-    def write_csv(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    def write_words(stream):
+        stream.write(head + '"words": [\n')
+        for chunk in _word_lines(words, b'    "', b'",\n', trim=2):
+            stream.write(chunk)
+        stream.write("\n  ]" + tail)
 
-    return write_csv
+    return write_words
 
 
 def _emit_error(kind: str, message: str) -> str:

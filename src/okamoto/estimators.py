@@ -792,10 +792,33 @@ def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple
 
 
 def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|."""
-    xs = np.sort(np.asarray(x))
-    ys = np.sort(np.asarray(y))
-    grid = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, grid, side="right") / len(xs)
-    fy = np.searchsorted(ys, grid, side="right") / len(ys)
-    return float(np.max(np.abs(fx - fy)))
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|.
+
+    Both draws are sorted inside one array and merged by one stable argsort
+    (timsort merges the two sorted runs).  The sup is reached at the last
+    value of a run of equal values, where cx and cy, the x and y draws up
+    to it, give F_x = cx/nx and F_y = cy/ny.  Each temporary is freed as
+    soon as it is done.
+    """
+    nx, ny = len(x), len(y)
+    z = np.concatenate([x, y])
+    z[:nx].sort()
+    z[nx:].sort()
+    order = np.argsort(z, kind="stable")
+    z = z[order]
+    last = np.empty(len(z), dtype=bool)  # z[i] ends its run of equal values
+    np.not_equal(z[1:], z[:-1], out=last[:-1])
+    last[-1] = True
+    del z
+    counts = np.cumsum(order < nx)
+    del order
+    cx = counts[last]
+    del counts
+    cy = np.flatnonzero(last)
+    del last
+    cy += 1
+    cy -= cx
+    gap = cx / nx
+    del cx
+    gap -= cy / ny
+    return float(np.abs(gap, out=gap).max())

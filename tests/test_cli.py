@@ -1,4 +1,5 @@
 import argparse
+import csv
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from graph_oracle import evaluate_T
 import okamoto
 from okamoto import systems
-from okamoto.cli import _writer, build_parser, parse_number, run
+from okamoto.cli import _ROW_CHUNK, _column_lines, _writer, build_parser, parse_number, run
 from okamoto.dimensions import okamoto_s0
 from okamoto.estimators import LEVEL_COUNT_CAP, level_set_cover
 from word_oracle import word_tuples
@@ -47,15 +48,24 @@ def test_one_parser_serves_every_run():
         assert code == 0 and out.encode() == fresh
 
 
-def test_closed_stdout_ends_with_exit_code_1_and_no_traceback():
-    # two MB of CSV: the writer is still writing when the reader closes the pipe
-    argv = ["measure", "--a", "0.75", "--samples", "100000", "--seed", "1", "--format", "csv"]
+def _close_after_first_line(argv, first):
     with _cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"value\n"
+        assert proc.stdout.readline() == first
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+def test_closed_stdout_ends_with_exit_code_1_and_no_traceback():
+    # two MB of CSV: the writer is still writing when the reader closes the pipe
+    _close_after_first_line(["measure", "--a", "0.75", "--samples", "100000", "--seed", "1", "--format", "csv"],
+                            b"value\n")
+
+
+def test_closed_stdout_ends_streamed_json_with_exit_code_1_and_no_traceback():
+    # 2.4 MB of JSON whose 141 547 words go out chunk by chunk after the rendered head
+    _close_after_first_line(["levelset", "--a", "0.9", "--y", "0.5", "--depth", "11"], b"{\n")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
@@ -260,6 +270,77 @@ def test_csv_values_print_as_the_python_float_repr():
     assert buf.getvalue() == "a,b,c,d,e\n5e-324,-0.0,1e+16,0.3333333333333333,0.1\n"
 
 
+def _csv_text(header, rows):
+    """What the csv module writes for a header and rows of Python values."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("count", [0, 1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1])
+def test_array_columns_print_as_the_csv_module_writes_them(count):
+    values = np.array([5e-324, -0.0, 1e16, 1 / 3, 0.1, -2.5e-308, 1e22, 123456789.0])
+    x = np.resize(values, count) * np.random.default_rng(count).choice([1.0, -1.0, 0.5], count)
+    y = np.arange(count) / 3**7
+    n = np.arange(count, dtype=np.int64) - 5
+    expected = _csv_text(["x", "y", "n"], zip(x.tolist(), y.tolist(), n.tolist()))
+    buf = io.StringIO()
+    _writer(("csv", ["x", "y", "n"], _column_lines(x, y, n)))(buf)
+    assert buf.getvalue() == expected
+    buf = io.StringIO()
+    _writer(("csv", ["value"], _column_lines(x)))(buf)
+    assert buf.getvalue() == _csv_text(["value"], zip(map(np.float64, x)))
+
+
+def _levelset_json_dumps(a, y, depth):
+    """The levelset artifact as one json.dumps of a payload holding every word as a str."""
+    cover = level_set_cover(parse_number(a), parse_number(y), depth)
+    words = ["".join(map(str, w)) for w in word_tuples(cover.level.symbols())]
+    payload = {"schema_version": "1", "a": float(parse_number(a)), "y": float(parse_number(y)), "depth": depth,
+               "count": cover.count, "dim_estimate": cover.dim_estimate, "words": words}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", words
+
+
+@pytest.mark.parametrize("a, y, depth", [
+    ("3/4", "1/3", 1), ("0.75", "0.3", 1), ("3/4", "1/3", 14), ("2/3", "38/81", 15), ("0.75", "0.3", 14),
+    ("0.9", "0.5", 11),  # 141 547 words, across chunk boundaries
+])
+def test_levelset_words_equal_one_json_dumps_of_every_word(a, y, depth):
+    text, words = _levelset_json_dumps(a, y, depth)
+    code, out = _run(["levelset", "--a", a, "--y", y, "--depth", str(depth)])
+    assert code == 0 and out == text
+    code, out = _run(["levelset", "--a", a, "--y", y, "--depth", str(depth), "--format", "csv"])
+    assert code == 0 and out == "".join(f"{w}\n" for w in ["word", *words])
+
+
+@pytest.mark.parametrize("rows", [1, 2, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, 2 * _ROW_CHUNK])
+def test_word_matrices_render_as_json_dumps_at_every_chunk_edge(rows):
+    symbols = np.random.default_rng(rows).integers(1, 4, (rows, 5), dtype=np.uint8)
+    words = ["".join(map(str, w)) for w in symbols.tolist()]
+    payload = {"count": rows, "dim_estimate": 0.5, "y": 0.25}
+    buf = io.StringIO()
+    _writer(("json", {**payload, "words": symbols}))(buf)
+    expected = json.dumps({"schema_version": "1", **payload, "words": words}, sort_keys=True, indent=2) + "\n"
+    assert buf.getvalue() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["levelset", "--a", "0.9", "--y", "0.5", "--depth", "11"],
+    ["levelset", "--a", "3/4", "--y", "1/3", "--depth", "14", "--format", "csv"],
+    ["measure", "--a", "0.75", "--samples", "70000", "--depth", "30", "--seed", "2", "--format", "csv"],
+    ["graph", "--a", "0.75", "--depth", "5"],
+    ["separation", "--b", "1/2", "--max-depth", "4"],
+])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, argv):
+    code, out = _run(argv)
+    target = tmp_path / "artifact"
+    code_out, msg = _run([*argv, "--out", str(target)])
+    assert code == code_out == 0 and json.loads(msg)["written"] == str(target)
+    assert target.read_bytes() == out.encode()
+
+
 class _Discard(io.TextIOBase):
     def write(self, text):
         return len(text)
@@ -275,6 +356,19 @@ def test_levelset_csv_streams_its_words():
         tracemalloc.stop()
     assert code == 0
     assert peak < 16 * 2**20
+
+
+def test_levelset_json_streams_its_words():
+    """The same 141 547 words as JSON: with one str per word and the whole text the traced peak was 22.3 MiB,
+    with the word lines spliced between the rendered scalars 7.7 MiB."""
+    tracemalloc.start()
+    try:
+        code = run(["levelset", "--a", "0.9", "--y", "0.5", "--depth", "11"], stdout=_Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 12 * 2**20
 
 
 def test_fourier_json():

@@ -48,6 +48,7 @@ from okamoto.estimators import (
 from okamoto.subsystem import build_subsystem, sample_subsystem_measure
 from okamoto.systems import Level, expand_level, fold_word, projection_parts
 from fourier_oracle import fourier_serial
+from ks_oracle import ks_searchsorted
 from graph_oracle import box_count_grid_sorted
 from measure_oracle import sample_per_symbol
 from word_oracle import exhaustive_level_filter, prefix_level_filter, word_tuples
@@ -1046,3 +1047,34 @@ def test_ks_statistic_basics():
     rng = np.random.default_rng(0)
     same = ks_statistic(rng.random(100_000), rng.random(100_000))
     assert same < 0.01
+
+
+_TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf])
+_DRAWS = st.lists(_TIED | st.floats(allow_nan=False), min_size=1, max_size=60)
+
+
+@given(_DRAWS, _DRAWS)
+@example([0.0], [-0.0])
+@example([0.5, 0.5, 0.5], [0.5])
+@settings(max_examples=300, deadline=None)
+def test_ks_statistic_equals_the_searchsorted_formula(x, y):
+    # ties inside and across the draws, +-0.0 (equal as numbers), one draw a side and unequal sizes
+    x, y = np.array(x), np.array(y)
+    assert ks_statistic(x, y) == ks_searchsorted(x, y)
+    assert ks_statistic(y, x) == ks_searchsorted(y, x)
+
+
+def test_ks_statistic_peaks_no_higher_than_the_searchsorted_formula():
+    rng = np.random.default_rng(3)
+    x, y = rng.random(250_000), rng.random(200_000).round(3)
+    peaks = []
+    for ks in (ks_statistic, ks_searchsorted):
+        ks(x[:10], y[:10])
+        tracemalloc.start()
+        try:
+            value = ks(x, y)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert value == ks_searchsorted(x, y)
+    assert peaks[0] <= peaks[1]
