@@ -22,7 +22,9 @@ whole sorted level and split each word into a prefix and that level's
 suffix, scans and slices at depth 24, which only the split reaches,
 subsystem draws whose alias tables hold more than 2^14 entries, scans at
 both ends of the rule that sets the split's suffix depth from the level
-count, and last a negative --seed on every seeded command.
+count, a negative --seed on every seeded command, and last the formats
+no earlier command prints: dims, lq and fourier as CSV, lq as JSON, the
+subsystem entropy check, a box count above 2^63 and a CSV written to --out.
 """
 
 import argparse
@@ -139,6 +141,20 @@ NEGATIVE_SEEDS = [
     "bundle --a 0.75 --seed -1",
 ]
 
+# formats no command above prints: dims and lq as CSV, the Fourier columns, the entropy check, a count
+# above 2^63 (11837534970754725699 boxes at depth 20) and a CSV written through --out
+FORMATS = [
+    "dims --a 0.75 --format csv",
+    "dims --a 3/4 --format csv",
+    "lq --a 0.75 --q 1.5,2,4,8",
+    "lq --a 0.75 --q 1.5,2,4,8 --format csv",
+    "fourier --a 0.75 --samples 20000 --seed 3 --format csv",
+    "fourier --a 0.75 --samples 20000 --seed 3 --tcount 1 --format csv",
+    "subsystem --a 0.75 --m 6 --k 3 --check entropy",
+    "boxdim --a 999/1000 --mode column --min-depth 18 --max-depth 20 --format csv",
+    "measure --a 0.75 --samples 1000 --seed 1 --format csv --out measure.csv",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -176,7 +192,8 @@ def commands() -> list:
     out += NEW_REACH  # the split is the only path that reaches them
     out += WIDE_TABLES
     out += RULE_EDGES
-    out += NEGATIVE_SEEDS  # last
+    out += NEGATIVE_SEEDS
+    out += FORMATS  # last
     return out
 
 
