@@ -5,24 +5,25 @@ paths, a decimal a float.  A float-only path converts a at one gate,
 words.float_a; `dims --q` is JSON only.  This module is the only place
 the artifact format is defined: every JSON artifact is strict JSON (never NaN
 or Infinity) with schema_version "1", report dataclasses render by their
-fields and rationals as "p/q"; every CSV has a header row.  A long column
-leaves its array as text, at most _ROW_CHUNK rows at a time, in the bytes
-the csv module writes for a short table: a number as the repr of its Python
-value.  A cover's words leave their symbol matrix as lines of one byte
-buffer, and their JSON is the rendered scalars with those lines spliced into
-the list's place, so neither format is ever held as one text.  Runs are
-deterministic for a fixed config and seed (no timestamps, sorted keys).  The
-parser is built once per process, on the first build_parser call, and every
-run call shares it.  A stdout closed by its reader ends main with exit code
-1 and no traceback.
+fields and rationals as "p/q"; every CSV is a header line and then lines of
+values, each value written as its str, the bytes the csv module would write.
+A long column leaves its array at most _ROW_CHUNK rows at a time.  A cover's
+words leave their symbol matrix as lines of one byte buffer, and their JSON
+is the rendered scalars with those lines spliced into the list's place.  Every
+artifact goes to stdout or --out as these text pieces through one writelines,
+never held as one text.  Runs are deterministic for a fixed config and seed
+(no timestamps, sorted keys).  The parser is built once per process, on the
+first build_parser call, and every run call shares it; each subcommand names
+its handler there.  A stdout closed by its reader ends main with exit code 1
+and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -88,53 +89,54 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="okamoto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help, formats=True):
+    def add(name, handler, help, formats=True):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", default=None, help="output path (stdout when omitted)")
         if formats:  # only commands that render both JSON and CSV take --format
             p.add_argument("--format", choices=("json", "csv"), default="json")
         return p
 
-    p = add("dims", help="closed-form dimension report")
+    p = add("dims", _cmd_dims, help="closed-form dimension report")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--q", default=None, type=_q_list, help="comma-separated q values for tau/L^q rows (JSON only)")
 
-    p = add("graph", help="CSV of the graph points (k/3^depth, T(k/3^depth))", formats=False)
+    p = add("graph", _cmd_graph, help="CSV of the graph points (k/3^depth, T(k/3^depth))", formats=False)
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--depth", type=int, default=6)
 
-    p = add("boxdim", help="box-count series and slope fit")
+    p = add("boxdim", _cmd_boxdim, help="box-count series and slope fit")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--min-depth", type=int, default=6)
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--mode", choices=("column", "grid"), default="column")
 
-    p = add("levelset", help="cover of one level set")
+    p = add("levelset", _cmd_levelset, help="cover of one level set")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--y", required=True, type=parse_number)
     p.add_argument("--depth", type=int, default=10)
 
-    p = add("levelset-scan", help="level-set dimension statistics over random levels")
+    p = add("levelset-scan", _cmd_levelset_scan, help="level-set dimension statistics over random levels")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--seed", type=_seed, required=True)
 
-    p = add("separation", help="exact minimal-gap separation certificate")
+    p = add("separation", _cmd_separation, help="exact minimal-gap separation certificate")
     p.add_argument("--b", required=True, type=parse_number, help="rational p/q (exact arithmetic)")
     p.add_argument("--max-depth", type=int, default=8)
 
-    p = add("lq", help="tau(q) and L^q dimension")
+    p = add("lq", _cmd_lq, help="tau(q) and L^q dimension")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--q", required=True, type=_q_list, help="comma-separated q values")
 
-    p = add("measure", help="sample the projected natural measure")
+    p = add("measure", _cmd_measure, help="sample the projected natural measure")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--depth", type=int, default=40)
     p.add_argument("--seed", type=_seed, required=True)
 
-    p = add("fourier", help="Fourier transform magnitudes of the projected measure")
+    p = add("fourier", _cmd_fourier, help="Fourier transform magnitudes of the projected measure")
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--samples", type=int, default=200000)
     p.add_argument("--seed", type=_seed, required=True)
@@ -142,7 +144,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tmax", type=float, default=1e4)
     p.add_argument("--tcount", type=int, default=30)
 
-    p = add("subsystem", help="homogeneous-subsystem checks", formats=False)
+    p = add("subsystem", _cmd_subsystem, help="homogeneous-subsystem checks", formats=False)
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=2)
@@ -151,14 +153,14 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--seed", type=_seed, default=None)
 
-    p = add("bundle", help="composite desk-scale report for one parameter", formats=False)
+    p = add("bundle", _cmd_bundle, help="composite desk-scale report for one parameter", formats=False)
     p.add_argument("--a", required=True, type=parse_number)
     p.add_argument("--seed", type=_seed, required=True)
 
     return parser
 
 
-# --- handlers: each returns ("json", payload) or ("csv", header, rows) ----------
+# --- handlers: each returns a JSON payload dict or a CSV (header, line chunks) pair ---
 
 
 def _lq_rows(a, qs: list) -> list:
@@ -186,23 +188,28 @@ def _cmd_dims(cfg):
     report = dimensions.dim_report(cfg.a)
     if cfg.format == "csv":
         header = ["a", "b", "s0", "p1", "p2", "p3", "entropy", "chi1", "chi2", "fenghu_dim", "level_set_bound"]
-        return "csv", header, [(report.a, report.b, report.s0, *report.weights, report.entropy,
-                                report.chi1, report.chi2, report.fenghu_dim, report.level_set_bound)]
+        row = (report.a, report.b, report.s0, *report.weights, report.entropy,
+               report.chi1, report.chi2, report.fenghu_dim, report.level_set_bound)
+        return header, [_csv_lines(*zip(row))]
     payload = {**vars(report), "assouad_bound": dimensions.assouad_bound(report.a, report.level_set_bound)}
     if cfg.q:
         payload["lq"] = _lq_rows(cfg.a, cfg.q)
-    return "json", payload
+    return payload
+
+
+def _csv_lines(*columns) -> str:
+    """CSV lines of equal-length, non-empty columns of values, each value written as its str.
+
+    str is what the csv module writes: the repr of a Python int or float, the
+    shortest round-trip digits of a numpy float64.  No value needs quoting.
+    """
+    return "\n".join(map(",".join, zip(*(map(str, c) for c in columns)))) + "\n"
 
 
 def _column_lines(*columns):
-    """CSV lines of equal-length arrays as text, one chunk of rows at a time.
-
-    Each value prints as the repr of its Python value, which is what the csv
-    module writes for a float or an int.
-    """
+    """CSV lines of equal-length arrays, one chunk of rows at a time."""
     for lo in range(0, len(columns[0]), _ROW_CHUNK):
-        rows = zip(*(map(repr, c[lo : lo + _ROW_CHUNK].tolist()) for c in columns))
-        yield "\n".join(map(",".join, rows)) + "\n"
+        yield _csv_lines(*(c[lo : lo + _ROW_CHUNK].tolist() for c in columns))
 
 
 def _cmd_graph(cfg):
@@ -213,7 +220,7 @@ def _cmd_graph(cfg):
     # the depth-n anchors are T(k/3^n) for k < 3^n; the endpoint T(1) = 1 closes the graph
     ys = np.append(systems.expand_level(*parts, n).t, 1.0)
     xs = np.arange(3**n + 1) / 3**n
-    return "csv", ["x", "y"], _column_lines(xs, ys)
+    return ["x", "y"], _column_lines(xs, ys)
 
 
 def _cmd_boxdim(cfg):
@@ -221,8 +228,8 @@ def _cmd_boxdim(cfg):
         raise UsageError("min-depth must not exceed max-depth")
     series = estimators.box_count_series(cfg.a, range(cfg.min_depth, cfg.max_depth + 1), cfg.mode)
     if cfg.format == "csv":
-        return "csv", ["n", "delta", "count"], series.rows
-    return "json", _box_json(series)
+        return ["n", "delta", "count"], [_csv_lines(*zip(*series.rows))]
+    return _box_json(series)
 
 
 def _word_lines(symbols: np.ndarray, head=b"", tail=b"\n", trim=0):
@@ -247,30 +254,31 @@ def _cmd_levelset(cfg):
     cover = estimators.level_set_cover(cfg.a, cfg.y, cfg.depth)
     symbols = cover.level.symbols()
     if cfg.format == "csv":
-        return "csv", ["word"], _word_lines(symbols)
-    return "json", {
+        return ["word"], _word_lines(symbols)
+    return {
         "a": float(cfg.a),
         "y": float(cfg.y),
         "depth": cover.depth,
         "count": cover.count,
         "dim_estimate": cover.dim_estimate,
-        "words": symbols,  # spliced in by _writer as indented JSON string lines
+        "words": symbols,  # spliced in by _pieces as indented JSON string lines
     }
 
 
 def _cmd_levelset_scan(cfg):
     scan = estimators.level_set_scan(cfg.a, cfg.samples, cfg.depth, seed=cfg.seed)
     if cfg.format == "csv":
-        return "csv", ["y", "estimate"], _column_lines(scan.ys, scan.estimates)
-    return "json", _scan_json(scan)
+        return ["y", "estimate"], _column_lines(scan.ys, scan.estimates)
+    return _scan_json(scan)
 
 
 def _cmd_separation(cfg):
     report = separation.verify_sesc(cfg.b, n_max=cfg.max_depth)
     if cfg.format == "csv":
-        rows = ((r["n"], float(r["gap"]), r["gap_root"], r["floor"]) for r in report.rows())
-        return "csv", ["n", "gap", "gap_root", "floor"], rows
-    return "json", {
+        roots = [float(g) ** (1.0 / n) if g > 0 else 0.0 for n, g in zip(report.depths, report.gaps)]
+        lines = _csv_lines(report.depths, map(float, report.gaps), roots, report.floors)
+        return ["n", "gap", "gap_root", "floor"], [lines]
+    return {
         "b": report.b,
         "depths": report.depths,
         "gaps": report.gaps,
@@ -285,15 +293,15 @@ def _cmd_separation(cfg):
 def _cmd_lq(cfg):
     values = _lq_rows(cfg.a, cfg.q)
     if cfg.format == "csv":
-        return "csv", ["q", "tau", "dim"], map(dict.values, values)
-    return "json", {"a": float(cfg.a), "values": values}
+        return ["q", "tau", "dim"], [_csv_lines(*zip(*map(dict.values, values)))]
+    return {"a": float(cfg.a), "values": values}
 
 
 def _cmd_measure(cfg):
     sample = estimators.sample_measure(cfg.a, cfg.samples, cfg.depth, cfg.seed)
     if cfg.format == "json":
         pts = sample.points
-        return "json", {
+        return {
             "a": sample.parameter,
             "count": sample.count,
             "depth": sample.depth,
@@ -301,7 +309,7 @@ def _cmd_measure(cfg):
             "mean": float(pts.mean()),
             "std": float(pts.std()),
         }
-    return "csv", ["value"], _column_lines(sample.points)
+    return ["value"], _column_lines(sample.points)
 
 
 def _cmd_fourier(cfg):
@@ -313,9 +321,9 @@ def _cmd_fourier(cfg):
     ts = np.geomspace(cfg.tmin, cfg.tmax, cfg.tcount)
     mags = estimators.fourier_estimate(sample, ts)
     if cfg.format == "csv":
-        return "csv", ["t", "magnitude"], _column_lines(ts, mags)
+        return ["t", "magnitude"], _column_lines(ts, mags)
     slope, intercept, used = estimators.fourier_decay_fit(sample, ts)
-    return "json", {
+    return {
         "a": sample.parameter,
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -349,7 +357,7 @@ def _cmd_subsystem(cfg):
         payload = vars(subsystem.entropy_ratio(cfg.a, cfg.m, cfg.k))
     else:
         payload = vars(subsystem.slice_lower_bound_report(cfg.a, cfg.m, cfg.samples, cfg.depth, cfg.seed))
-    return "json", {**payload, "check": check}
+    return {**payload, "check": check}
 
 
 def _cmd_bundle(cfg):
@@ -358,7 +366,7 @@ def _cmd_bundle(cfg):
     box = estimators.box_count_series(af, range(6, 13), "column")
     scan = estimators.level_set_scan(af, 100, 12, seed=cfg.seed)
     entropy = subsystem.entropy_ratio(af, 200, 200)
-    payload = {
+    return {
         "a": af,
         "dims": dims_report,
         "box": _box_json(box),
@@ -371,22 +379,6 @@ def _cmd_bundle(cfg):
         },
         "subsystem_entropy": entropy,
     }
-    return "json", payload
-
-
-_HANDLERS = {
-    "dims": _cmd_dims,
-    "graph": _cmd_graph,
-    "boxdim": _cmd_boxdim,
-    "levelset": _cmd_levelset,
-    "levelset-scan": _cmd_levelset_scan,
-    "separation": _cmd_separation,
-    "lq": _cmd_lq,
-    "measure": _cmd_measure,
-    "fourier": _cmd_fourier,
-    "subsystem": _cmd_subsystem,
-    "bundle": _cmd_bundle,
-}
 
 
 def _encode(obj):
@@ -397,53 +389,34 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not part of the artifact format")
 
 
-def _render(result, indent=2) -> str:
-    """The one JSON encoder: ("json", payload) gains schema_version and must be strict JSON."""
-    payload = {"schema_version": SCHEMA_VERSION, **result[1]}
+def _render(payload, indent=2) -> str:
+    """The one JSON encoder: the payload gains schema_version and must be strict JSON."""
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
     return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False, default=_encode) + "\n"
 
 
-def _writer(result):
-    """A function writing the artifact to a stream.
+def _pieces(result):
+    """The artifact as text pieces, in order, never joined into one text.
 
-    JSON is encoded here, so an encoding error is reported like any other.
-    A cover's symbol matrix under "words" (never empty) goes out as the
-    lines of _word_lines between the texts _render gives before and after
-    an empty list.  A CSV row is a tuple of values, which the csv module
-    writes, or a str of whole lines rendered from arrays; rows go to the
-    stream as they are formed, never held as one text.
+    A CSV is its header line, then the handler's line chunks as they are
+    formed.  JSON is encoded here, so an encoding error is reported like any
+    other; a cover's symbol matrix under "words" (never empty) goes out as
+    the lines of _word_lines between the texts _render gives before and
+    after an empty list.
     """
-    if result[0] == "csv":
-        _, header, rows = result
-
-        def write_csv(stream):
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                if isinstance(row, str):
-                    stream.write(row)
-                else:
-                    writer.writerow(row)
-
-        return write_csv
-    payload = result[1]
-    words = payload.get("words")
+    if isinstance(result, tuple):
+        header, lines = result
+        return itertools.chain([",".join(header) + "\n"], lines)
+    words = result.get("words")
     if not isinstance(words, np.ndarray):
-        text = _render(result)
-        return lambda stream: stream.write(text)
-    head, _, tail = _render(("json", {**payload, "words": []})).partition('"words": []')
-
-    def write_words(stream):
-        stream.write(head + '"words": [\n')
-        for chunk in _word_lines(words, b'    "', b'",\n', trim=2):
-            stream.write(chunk)
-        stream.write("\n  ]" + tail)
-
-    return write_words
+        return [_render(result)]
+    head, _, tail = _render({**result, "words": []}).partition('"words": []')
+    lines = _word_lines(words, b'    "', b'",\n', trim=2)
+    return itertools.chain([head + '"words": [\n'], lines, ["\n  ]" + tail])
 
 
 def _emit_error(kind: str, message: str) -> str:
-    return _render(("json", {"error": {"type": kind, "message": message}}), indent=None)
+    return _render({"error": {"type": kind, "message": message}}, indent=None)
 
 
 def run(argv, stdout=None) -> int:
@@ -451,10 +424,10 @@ def run(argv, stdout=None) -> int:
     parser = build_parser()
     try:
         cfg = parser.parse_args(argv)
-        write = _writer(_HANDLERS[cfg.command](cfg))
+        pieces = _pieces(cfg.handler(cfg))
         if cfg.out:
             with open(cfg.out, "w") as fh:
-                write(fh)
+                fh.writelines(pieces)
     except UsageError as exc:
         out_stream.write(_emit_error("usage", str(exc)))
         return 2
@@ -462,9 +435,9 @@ def run(argv, stdout=None) -> int:
         out_stream.write(_emit_error(type(exc).__name__, str(exc)))
         return 1
     if cfg.out:
-        out_stream.write(_render(("json", {"written": cfg.out}), indent=None))
+        out_stream.write(_render({"written": cfg.out}, indent=None))
     else:
-        write(out_stream)
+        out_stream.writelines(pieces)
     return 0
 
 

@@ -110,12 +110,10 @@ class BoxCountSeries:
 
 
 def _check_box_depth(a: Number, n: int, method: str) -> None:
-    """The depth lies in [0, the method's cap]; a depth-0 count needs no method."""
+    """The method is known and the depth lies in [0, its cap]."""
     check_a(a)
     if n < 0:
         raise DepthCapError(f"box counting capped at n >= 0, got {n}")
-    if n == 0:
-        return
     caps = {"column": COLUMN_DEPTH_CAP, "grid": GRID_DEPTH_CAP}
     if method not in caps:
         raise ParameterError(f"method must be 'column' or 'grid', got {method!r}")
@@ -126,8 +124,6 @@ def _check_box_depth(a: Number, n: int, method: str) -> None:
 def box_count_graph(a: Number, n: int, method: str = "column") -> int:
     """Number of occupied mesh-size 3^-n boxes over the graph: sum over j of C(n, j) 2^(n-j) boxes(j)."""
     _check_box_depth(a, n, method)
-    if n == 0:
-        return 1
     boxes = _column_boxes(Fraction(a), n) if method == "column" else _grid_boxes(float_a(a), n)
     return sum(math.comb(n, j) * 2 ** (n - j) * boxes(j) for j in range(n + 1))
 

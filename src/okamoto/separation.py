@@ -74,13 +74,6 @@ class SeparationReport:
     floors: tuple  # comparison column (b*eps/2)^n
     witness: np.ndarray | None  # (2, n) symbol matrix of a word pair achieving a zero gap, if any
 
-    def rows(self) -> list:
-        out = []
-        for n, g, f in zip(self.depths, self.gaps, self.floors):
-            rate = float(g) ** (1.0 / n) if g > 0 else 0.0
-            out.append({"n": n, "gap": g, "gap_root": rate, "floor": f})
-        return out
-
 
 def verify_sesc(b, n_max: int = 8) -> SeparationReport:
     """Empirical separation certificate: exact gaps for n = 1..n_max.

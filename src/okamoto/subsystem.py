@@ -224,19 +224,14 @@ def gamma_conjugate(a: Number, m: int, k: int) -> tuple:
         # offset * (1 - lambda^k) with offset = S_i(0) lambda^e / (1 - lambda^k)
         shift = tau_tilde * lam**exponent
         candidates[exponent] = ratios_hold and _first_mismatch(diff, flat_unit * g_unit, shift) is None
-    if not any(candidates.values()):
-        report = GammaReport(
-            a=a, m=m, k=k, offset=Fraction(0), exponent=0, exact=False,
-            checked=len(combos), candidates=candidates,
-        )
-        return Fraction(0), None, report
-    exponent = k - 1 if candidates[k - 1] else k
-    offset = offsets[exponent]
-    conjugated = HomogeneousSystem(alphabet=flat, ratio=lam_k, translations=flat_t, unit=flat_unit)
+    held = [e for e in (k - 1, k) if candidates[e]]  # the first exponent that holds is the one reported
+    exponent = held[0] if held else 0
+    offset = offsets[exponent] if held else Fraction(0)
     report = GammaReport(
-        a=a, m=m, k=k, offset=offset, exponent=exponent, exact=True,
+        a=a, m=m, k=k, offset=offset, exponent=exponent, exact=bool(held),
         checked=len(combos), candidates=candidates,
     )
+    conjugated = HomogeneousSystem(alphabet=flat, ratio=lam_k, translations=flat_t, unit=flat_unit) if held else None
     return offset, conjugated, report
 
 

@@ -14,8 +14,8 @@ import pytest
 
 from graph_oracle import evaluate_T
 import okamoto
-from okamoto import systems
-from okamoto.cli import _ROW_CHUNK, _column_lines, _writer, build_parser, parse_number, run
+from okamoto import dimensions, estimators, separation, systems
+from okamoto.cli import _ROW_CHUNK, _column_lines, _csv_lines, _pieces, build_parser, parse_number, run
 from okamoto.dimensions import okamoto_s0
 from okamoto.estimators import LEVEL_COUNT_CAP, level_set_cover
 from word_oracle import word_tuples
@@ -82,6 +82,19 @@ def test_fourier_output_is_the_same_on_one_cpu():
     assert one.stdout == every
 
 
+def _codes_and_import(commands, module):
+    """(exit codes, whether module was imported) of commands run through cli.run in one new interpreter."""
+    script = ("import io, json, sys; from okamoto.cli import run; "
+              "print(json.dumps([[run(argv, stdout=io.StringIO()) for argv in json.loads(sys.argv[1])], "
+              "sys.argv[2] in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okamoto.__file__))}
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands), module], env=env,
+                          capture_output=True, timeout=120)
+    assert done.stderr == b""
+    codes, imported = json.loads(done.stdout)
+    return codes, imported
+
+
 def test_level_summaries_import_no_numpy_ma():
     # np.quantile finds its indices through np.unique, whose first call imports numpy.ma, about 20 ms
     # of a fresh process; every command that summarises levels takes the same quantiles from one sort
@@ -92,13 +105,24 @@ def test_level_summaries_import_no_numpy_ma():
          "--seed", "1"],
         ["bundle", "--a", "0.75", "--seed", "1"],
     ]
-    script = ("import io, json, sys; from okamoto.cli import run; "
-              "print([run(argv, stdout=io.StringIO()) for argv in json.loads(sys.argv[1])], 'numpy.ma' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okamoto.__file__))}
-    argv = [sys.executable, "-c", script, json.dumps(commands)]
-    done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
-    assert done.stderr == b""
-    assert done.stdout == b"[0, 0, 0, 0] False\n"
+    assert _codes_and_import(commands, "numpy.ma") == ([0, 0, 0, 0], False)
+
+
+def test_csv_commands_import_no_csv_module():
+    # every CSV, few rows or array columns, is formatted by one str rule and written by one writelines
+    commands = [
+        ["dims", "--a", "0.75", "--format", "csv"],
+        ["lq", "--a", "0.75", "--q", "1.5,2", "--format", "csv"],
+        ["boxdim", "--a", "3/4", "--format", "csv"],
+        ["boxdim", "--a", "0.75", "--mode", "grid", "--min-depth", "4", "--max-depth", "8", "--format", "csv"],
+        ["separation", "--b", "2/5", "--format", "csv"],
+        ["graph", "--a", "0.75", "--depth", "4"],
+        ["measure", "--a", "0.75", "--samples", "100", "--seed", "1", "--format", "csv"],
+        ["fourier", "--a", "0.75", "--samples", "100", "--seed", "1", "--tcount", "3", "--format", "csv"],
+        ["levelset", "--a", "3/4", "--y", "1/3", "--depth", "8", "--format", "csv"],
+        ["levelset-scan", "--a", "0.75", "--samples", "5", "--depth", "8", "--seed", "1", "--format", "csv"],
+    ]
+    assert _codes_and_import(commands, "csv") == ([0] * len(commands), False)
 
 
 def test_parse_number_routes():
@@ -203,6 +227,8 @@ def test_separation_json_and_csv():
     code, out = _run(["separation", "--b", "2/5", "--max-depth", "4", "--format", "csv"])
     assert out.splitlines()[0] == "n,gap,gap_root,floor"
     assert len(out.splitlines()) == 5
+    n, gap = out.splitlines()[1].split(",")[:2]
+    assert int(n) == 1 and float(gap) == 1  # the depth-1 gap of 2/5 is exactly 1
     # the witness rows render through the same byte view as levelset words
     code, out = _run(["separation", "--b", "1/2", "--max-depth", "4"])
     assert json.loads(out)["witness"] == ["132", "221"]
@@ -264,10 +290,10 @@ def test_measure_csv_deterministic():
 
 
 def test_csv_values_print_as_the_python_float_repr():
-    rows = [(5e-324, -0.0, 1e16, 1 / 3, np.float64(0.1))]
-    buf = io.StringIO()
-    _writer(("csv", ["a", "b", "c", "d", "e"], rows))(buf)
-    assert buf.getvalue() == "a,b,c,d,e\n5e-324,-0.0,1e+16,0.3333333333333333,0.1\n"
+    row = (5e-324, -0.0, 1e16, 1 / 3, np.float64(0.1), 2**64 + 1)
+    line = _csv_lines(*zip(row))
+    assert line == "5e-324,-0.0,1e+16,0.3333333333333333,0.1,18446744073709551617\n"
+    assert "".join(_pieces((list("abcdef"), [line]))) == _csv_text(list("abcdef"), [row])
 
 
 def _csv_text(header, rows):
@@ -286,12 +312,47 @@ def test_array_columns_print_as_the_csv_module_writes_them(count):
     y = np.arange(count) / 3**7
     n = np.arange(count, dtype=np.int64) - 5
     expected = _csv_text(["x", "y", "n"], zip(x.tolist(), y.tolist(), n.tolist()))
-    buf = io.StringIO()
-    _writer(("csv", ["x", "y", "n"], _column_lines(x, y, n)))(buf)
-    assert buf.getvalue() == expected
-    buf = io.StringIO()
-    _writer(("csv", ["value"], _column_lines(x)))(buf)
-    assert buf.getvalue() == _csv_text(["value"], zip(map(np.float64, x)))
+    assert "".join(_pieces((["x", "y", "n"], _column_lines(x, y, n)))) == expected
+    assert "".join(_pieces((["value"], _column_lines(x)))) == _csv_text(["value"], zip(map(np.float64, x)))
+
+
+def _cli_csv(argv):
+    code, out = _run([*argv, "--format", "csv"])
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("a", ["0.75", "3/4", "0.6", "2/3"])
+def test_dims_csv_is_what_the_csv_module_writes(a):
+    r = dimensions.dim_report(parse_number(a))
+    row = (r.a, r.b, r.s0, *r.weights, r.entropy, r.chi1, r.chi2, r.fenghu_dim, r.level_set_bound)
+    header = ["a", "b", "s0", "p1", "p2", "p3", "entropy", "chi1", "chi2", "fenghu_dim", "level_set_bound"]
+    assert _cli_csv(["dims", "--a", a]) == _csv_text(header, [row])
+
+
+@pytest.mark.parametrize("a, mode, lo, hi", [
+    ("0.75", "column", 0, 12), ("3/4", "column", 4, 8), ("999/1000", "column", 18, 20),  # 20: above 2^63
+    ("0.75", "grid", 0, 8), ("0.6", "grid", 6, 9),
+])
+def test_boxdim_csv_is_what_the_csv_module_writes(a, mode, lo, hi):
+    series = estimators.box_count_series(parse_number(a), range(lo, hi + 1), mode)
+    out = _cli_csv(["boxdim", "--a", a, "--mode", mode, "--min-depth", str(lo), "--max-depth", str(hi)])
+    assert out == _csv_text(["n", "delta", "count"], series.rows)
+    if a == "999/1000":
+        assert series.rows[-1][2] == 11837534970754725699 > 2**63
+
+
+@pytest.mark.parametrize("b", ["2/5", "1/2", "7/11"])
+def test_separation_csv_is_what_the_csv_module_writes(b):
+    r = separation.verify_sesc(parse_number(b), 9)
+    rows = [(n, float(g), float(g) ** (1.0 / n) if g > 0 else 0.0, f) for n, g, f in zip(r.depths, r.gaps, r.floors)]
+    assert _cli_csv(["separation", "--b", b, "--max-depth", "9"]) == _csv_text(["n", "gap", "gap_root", "floor"], rows)
+
+
+def test_lq_csv_is_what_the_csv_module_writes():
+    qs = [1.5, 2.0, 4.0, 8.0, 1e3]
+    rows = [(q, dimensions.tau_q(0.75, q), dimensions.lq_dimension(0.75, q)) for q in qs]
+    assert _cli_csv(["lq", "--a", "0.75", "--q", "1.5,2,4,8,1e3"]) == _csv_text(["q", "tau", "dim"], rows)
 
 
 def _levelset_json_dumps(a, y, depth):
@@ -320,10 +381,8 @@ def test_word_matrices_render_as_json_dumps_at_every_chunk_edge(rows):
     symbols = np.random.default_rng(rows).integers(1, 4, (rows, 5), dtype=np.uint8)
     words = ["".join(map(str, w)) for w in symbols.tolist()]
     payload = {"count": rows, "dim_estimate": 0.5, "y": 0.25}
-    buf = io.StringIO()
-    _writer(("json", {**payload, "words": symbols}))(buf)
     expected = json.dumps({"schema_version": "1", **payload, "words": words}, sort_keys=True, indent=2) + "\n"
-    assert buf.getvalue() == expected
+    assert "".join(_pieces({**payload, "words": symbols})) == expected
 
 
 @pytest.mark.parametrize("argv", [

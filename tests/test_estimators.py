@@ -78,19 +78,21 @@ def test_column_count_is_exact_at_the_float_input(af):
 
 
 def test_box_count_depth0():
-    assert box_count_graph(0.75, 0, "column") == 1
-    assert box_count_graph(0.75, 0, "grid") == 1
+    # the sum over j of C(n, j) 2^(n-j) boxes(j) is boxes(0) = 1 at n = 0 for both methods, with no special case
+    for a in (0.51, 0.6, 0.75, 0.9, 0.99, Fraction(3, 4), Fraction(999, 1000)):
+        assert box_count_graph(a, 0, "column") == box_count_graph(a, 0, "grid") == 1
 
 
 def test_box_count_errors():
     with pytest.raises(ParameterError):
         box_count_graph(0.4, 3)
+    for n in (0, 3):  # the method is checked at every depth, the one unit box of depth 0 too
+        with pytest.raises(ParameterError, match="method must be"):
+            box_count_graph(0.75, n, "voxel")
     with pytest.raises(DepthCapError):
         box_count_graph(0.75, 21, "column")
     with pytest.raises(DepthCapError):
         box_count_graph(0.75, 15, "grid")
-    with pytest.raises(ParameterError):
-        box_count_graph(0.75, 3, "voxel")
 
 
 @pytest.mark.parametrize("a", [0.6, 0.75, 0.9])

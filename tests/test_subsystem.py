@@ -156,6 +156,19 @@ def test_gamma_reads_only_the_checked_alphabet_prefix():
     assert _exact(conjugated) == [t + offset * (1 - lam**k) for t in _exact(sub)[:GAMMA_TUPLE_BUDGET]]
 
 
+def test_gamma_reports_no_exponent_when_the_identity_fails(monkeypatch):
+    # with every translation comparison (over object integers) failing, no exponent holds: no offset, no
+    # conjugated system; the ratio comparisons, on int64, still run
+    from okamoto import subsystem
+
+    first_mismatch = subsystem._first_mismatch
+    monkeypatch.setattr(subsystem, "_first_mismatch",
+                        lambda values, *rest: 0 if values.dtype == object else first_mismatch(values, *rest))
+    offset, conjugated, report = gamma_conjugate(Fraction(3, 4), 4, 2)
+    assert (offset, conjugated) == (0, None)
+    assert (report.offset, report.exponent, report.exact, report.candidates) == (0, 0, False, {1: False, 2: False})
+
+
 def test_gamma_requires_k_at_least_two():
     with pytest.raises(ParameterError):
         gamma_conjugate(Fraction(3, 4), 2, 1)
