@@ -10,7 +10,9 @@ The central identities, for a in (1/2,1) and b = 2a-1:
     L^q dim:  min{tau(q)/(q-1), 1}
 
 tau(q) is the one root solved: bisection with a 200-iteration cap on a
-pressure that is monotone in tau, bracketed by stepping upward from q-1.
+pressure that is monotone in tau, bracketed by stepping upward from q-1.  A
+bracket that would pass the tau where b^(q-tau) overflows a float (large q,
+whose factor (1/3)^((s0-1)q) underflows) is refused before the overflow.
 """
 
 from __future__ import annotations
@@ -73,8 +75,12 @@ def tau_q(a: Number, q: float) -> float:
 
     lo = q - 1.0  # pressure < 1 here whenever q > 1
     hi = q
+    # above q the larger term is b^(q - tau), which overflows a float past tau = top
+    top = q + 1024 * math.log(2.0) / -math.log(b)
     while pressure(hi) < 0.0:
         hi += max(1.0, hi - lo)
+        if hi > top:
+            raise ParameterError(f"tau bracket at q = {q} passes tau = {top:.6g}, where b^(q - tau) overflows a float")
         if hi > 1e9:
             raise ParameterError("tau bracket expansion failed")
     root = _bisect(pressure, lo, hi)

@@ -141,12 +141,14 @@ def _grid_sampling_levels(a: float, n: int) -> int:
 
 
 def _column_boxes(a: Fraction, n: int) -> Callable[[int], int]:
-    """boxes(j) = max(1, ceil(a^(n-j) (2a-1)^j 3^n)), 2a - 1 taken once per depth.
+    """boxes(j) = max(1, ceil(a^(n-j) (2a-1)^j 3^n)), on integers: a = p/q gives p^(n-j) (2p-q)^j 3^n / q^n.
 
-    a is exact, the input's own value for a float, so no boundary count is rounded.
+    a is exact, the input's own value for a float, so no boundary count is
+    rounded; the ceiling is a floor division of the negated numerator.
     """
-    b = 2 * a - 1
-    return lambda j: max(1, math.ceil(a ** (n - j) * b**j * 3**n))
+    p, q = a.numerator, a.denominator
+    scale, den = 3**n, q**n
+    return lambda j: max(1, -(-(p ** (n - j)) * (2 * p - q) ** j * scale // den))
 
 
 def _grid_boxes(a: float, n: int) -> Callable[[int], int]:
@@ -627,6 +629,8 @@ def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.G
     u = rng.random(size)
     u *= len(prob)
     col = u.astype(np.intp)
+    if not prob.strides[0]:  # equal weights: prob 1 everywhere, and the coin u - col lies in [0, 1)
+        return col
     u -= col
     return np.where(u < prob[col], col, alias[col])
 

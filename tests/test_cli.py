@@ -526,6 +526,17 @@ def test_empty_q_lists_are_usage_errors():
         assert json.loads(out)["error"]["type"] == "usage"
 
 
+def test_tau_brackets_past_the_float_range_are_json_errors():
+    # (1/3)^((s0-1)q) underflows at these q, so the bracket of tau(q) climbs to where
+    # b^(q - tau) would overflow a float: a ParameterError, not an OverflowError traceback
+    for argv in (["lq", "--a", "0.6", "--q", "1e4"], ["lq", "--a", "0.75", "--q", "3000"],
+                 ["dims", "--a", "0.6", "--q", "1e4"]):
+        code, out = _run(argv)
+        assert code == 1 and out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParameterError" and "overflows a float" in error["message"]
+
+
 def test_slices_with_every_level_excluded_are_a_json_error(monkeypatch):
     from okamoto import subsystem
 

@@ -161,6 +161,14 @@ def test_tau_exceeds_q_minus_one():
             assert tau_q(a, q) > q - 1.0
 
 
+def test_tau_bracket_stops_before_the_float_range_ends():
+    # at a = 0.75, tau(q) is about 2q; the doubling bracket for q = 1070 would need
+    # 0.5^(q - tau) past the largest float, and is refused before the power overflows
+    assert tau_q(0.75, 1000) == 2000.0
+    with pytest.raises(ParameterError, match="overflows a float"):
+        tau_q(0.75, 1070)
+
+
 def test_tau_increasing_in_q():
     a = 0.7
     vals = [tau_q(a, q) for q in (1.2, 1.5, 2.0, 3.0, 5.0)]

@@ -69,10 +69,13 @@ def _column_closed_form(a, n):
     )
 
 
-@pytest.mark.parametrize("af", [0.8333333333333334, 0.75, 0.6, 0.9, 2 / 3, 0.55, 0.7071067811865476])
+@pytest.mark.parametrize(
+    "af", [0.8333333333333334, 0.75, 0.6, 0.9, 2 / 3, 0.55, 0.7071067811865476, Fraction(2, 3), Fraction(999, 1000)]
+)
 def test_column_count_is_exact_at_the_float_input(af):
-    # a float a stands for the rational Fraction(af); its count is the exact count there
-    for n in range(1, 21):
+    # a float a stands for the rational Fraction(af); its count is the exact count there, which the
+    # integer column counts give as the Fraction formula does
+    for n in range(21):
         exact = Fraction(af)
         assert box_count_graph(af, n, "column") == box_count_graph(exact, n, "column") == _column_closed_form(exact, n)
 
@@ -801,6 +804,10 @@ def test_alias_table_of_equal_magnitudes_holds_no_per_entry_arrays():
     assert prob.strides == (0,) and len(prob) == len(alias) == 3
     rng, rng_copy = np.random.default_rng(3), np.random.default_rng(3)
     assert np.array_equal(_alias_draw(prob, alias, 1000, rng), (3 * rng_copy.random(1000)).astype(np.intp))
+    # the draw returns the column without a coin, which a table written out per entry
+    # would take (and keep every column, u n - col < 1 = prob) from the same uniforms
+    coin = _alias_draw(np.ones(3), np.zeros(3, dtype=np.intp), 1000, rng_copy)
+    assert np.array_equal(_alias_draw(prob, alias, 1000, rng), coin) and rng.random() == rng_copy.random()
 
 
 @pytest.mark.parametrize("n, kind", [(16_384, "random"), (30_000, "random"), (30_000, "equal")])

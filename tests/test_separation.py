@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from okamoto import separation
 from okamoto.errors import DepthCapError, ParameterError
 from okamoto.separation import delta_n_detail, verify_sesc
-from okamoto.systems import Level, expand_level, projection_parts
+from okamoto.systems import expand_level, projection_parts
 from okamoto.words import digit_rows
 from separation_oracle import conjugate_parts, delta_exhaustive
 from word_oracle import project, word_tuples
@@ -167,19 +168,83 @@ _TIE_BREAK_CASES = [(Fraction(p, q), 9) for q in range(2, 14) for p in range(1, 
 _TIE_BREAK_CASES.append((Fraction(999, 1000), 6))
 
 
+def _one_pass_details(b, n_max, monkeypatch):
+    """verify_sesc's report and the (gap, pair) of each of its delta_n_detail calls, in depth order."""
+    details = []
+    detail = separation.delta_n_detail
+
+    def spy(b, n, **kwargs):
+        details.append(detail(b, n, **kwargs))
+        return details[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(separation, "delta_n_detail", spy)
+        report = verify_sesc(b, n_max)
+    return report, details
+
+
 @pytest.mark.parametrize("b, n_max", _TIE_BREAK_CASES, ids=str)
-def test_witness_is_the_stably_sorted_pair(b, n_max):
-    # the plain sort's word-order scans pick the pair a stable sort places at the first minimal gap
-    for n in range(1, n_max + 1):
-        gap, pair = delta_n_detail(b, n)
+def test_witness_is_the_stably_sorted_pair(b, n_max, monkeypatch):
+    # the plain sort's word-order scans pick the pair a stable sort places at the first minimal gap,
+    # and verify_sesc's one kernel pass gives every depth what a call alone gives
+    report, details = _one_pass_details(b, n_max, monkeypatch)
+    assert report.gaps == tuple(gap for gap, _ in details) and len(details) == n_max
+    for n, (gap, pair) in enumerate(details, start=1):
+        alone_gap, alone_pair = delta_n_detail(b, n)
         expected_gap, expected_pair = _stable_sort_detail(b, n)
-        assert gap == expected_gap and np.array_equal(pair, expected_pair)
+        assert gap == alone_gap == expected_gap
+        assert np.array_equal(pair, alone_pair) and np.array_equal(pair, expected_pair)
+    first_zero = next((pair for gap, pair in details if gap == 0), None)
+    assert (report.witness is None) == (first_zero is None)
+    assert first_zero is None or np.array_equal(report.witness, first_zero)
+
+
+def test_shallow_int64_depths_run_on_the_deepest_kind(monkeypatch):
+    # depths 1 and 2 alone run on int64, but depth 3's integers pass 2^63: the one pass
+    # must take the kind of depth 3 for every depth, though its kernel stops at depth 2
+    b = Fraction(12345678, 100000001)
+    parts = projection_parts((1 + b) / 2)
+    assert [expand_level(*parts, n).t.dtype for n in (1, 2, 3)] == [np.int64, np.int64, object]
+    deepest = expand_level(*parts, 3)
+    assert max(abs(2 * t + r) for t, r in zip(deepest.t.tolist(), deepest.r.tolist())) >= 2**63
+    report, details = _one_pass_details(b, 3, monkeypatch)
+    for n, (gap, pair) in enumerate(details, start=1):
+        expected_gap, expected_pair = _stable_sort_detail(b, n)
+        assert gap == report.gaps[n - 1] == delta_exhaustive(b, n)[0] == delta_n_detail(b, n)[0] == expected_gap
+        assert np.array_equal(pair, expected_pair)
+
+
+def test_one_kernel_pass_of_depth_n_max_minus_one(monkeypatch):
+    calls = []
+    levels = separation._levels
+
+    def spy(d, tau, rho, n, *args):
+        calls.append(n)
+        return levels(d, tau, rho, n, *args)
+
+    monkeypatch.setattr(separation, "_levels", spy)
+    report = verify_sesc(Fraction(2, 5), 11)
+    assert calls == [10] and report.passed
+
+
+def test_one_pass_never_builds_the_deepest_maps():
+    # expanding depth 11 holds its t and r (3^11 int64 each) beside the sort, 6.93 MiB traced;
+    # the one pass forms the depth-11 integers from the depth-10 maps, 5.73 MiB
+    size = 3**11 * 8
+    verify_sesc(Fraction(2, 5), 11)  # first-call allocations (imports, caches) stay out of the peak
+    tracemalloc.start()
+    try:
+        verify_sesc(Fraction(2, 5), 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.6 * size
 
 
 def test_witness_of_a_threefold_tie_is_its_first_two_words(monkeypatch):
-    # no p/q above ties three words at a first zero gap; a crafted level pins the rule there
+    # no p/q above ties three words at a first zero gap; crafted projections pin the rule there
     t = np.array([3, 0, 3, 3, 7])
-    monkeypatch.setattr(separation, "expand_level", lambda *args: Level(t, np.zeros_like(t), None, 1))
+    monkeypatch.setattr(separation, "_projections", lambda b, n: iter([(2 * t, 1)]))
     gap, pair = delta_n_detail(Fraction(1, 3), 2)
     assert np.argsort(2 * t, kind="stable")[1:3].tolist() == [0, 2]
     assert gap == 0 and np.array_equal(pair, digit_rows([0, 2], 2) + 1)
