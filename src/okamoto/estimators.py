@@ -58,9 +58,8 @@ block, and the points advance in fixed-size chunks, so the memory beyond the
 sample stays bounded.  The tables are built once per law: the k copies of a
 subsystem's eta share one set.  Two probes read a sample: local-dimension
 slopes from closed-ball counts, and Monte-Carlo Fourier magnitudes with
-their decay fit.  The Fourier sums split their frequencies across the usable
-CPUs within FOURIER_BYTE_BUDGET bytes of scratch, each frequency computed as
-the serial loop computes it, so the magnitudes are the same for any CPU count.
+their decay fit, whose frequencies share one set of Taylor moments of the
+binned points, on the calling thread, so the output is the same on any CPUs.
 """
 
 from __future__ import annotations
@@ -94,9 +93,7 @@ LEVEL_SWEEP_DEPTH = 12  # deepest sorted suffix level, 3^12 words, that level_st
 # its bounds, root indices and masks, a chunk takes a third of the sorted depth-12 level's 8.5 MB
 SPLIT_FRONTIER_CAP = 3**10
 COVER_BYTE_BUDGET = 1 << 25  # bytes of the t and r arrays a level-set cover may keep at one depth: 2^21 words
-# bytes of argument and value scratch fourier_estimate may split across workers: 16 per point per worker, so
-# 2^22 points or more run on one worker, whose scratch is then the 16 bytes a point of a serial loop
-FOURIER_BYTE_BUDGET = 1 << 26
+_TAYLOR_TERMS = next(m for m in range(64) if math.factorial(m) >= 2**53)  # M = 19, the first with 1/M! <= 2^-53
 SCAN_TOLERANCE = 0.08  # a scan estimate above s0 - 1 + SCAN_TOLERANCE counts in frac_above
 
 
@@ -389,19 +386,18 @@ def _split_counts(a: Number, ys: Sequence, n: int, q: int) -> list:
     A depth-q word v has N_q's interval ends lo_v <= hi_v as _holds takes
     them, so N_q(z) = #{v : lo_v <= z} - #{v : hi_v < z}, two binary searches
     on the sorted ends, made with the keys in sorted order and scattered back.
-    A depth-n word is w = u v with a prefix u of depth
-    p = n - q, and y lies in I_w exactly when z_u = S_u^-1(y) lies in I_v, so
-    N_n(y) = sum over u in cover_p(y) of N_q(z_u).  One batched expand_level
-    finds the prefixes of all levels at once, one root per level, each child
-    tested against its own level (_EachLevel); the z_u of all of them
-    (_z_bounds) are searched together and summed per level over the root
-    index.  At q = n the prefix is empty: each level keeps its identity root,
-    z = y, and the same searches count the unsplit sweep.  The levels go in
-    chunks, split only between levels, whose children stay within
-    SPLIT_FRONTIER_CAP entries at every depth unless a chunk is a single
-    level: a chunk that outgrows it is retried in halves, and the next chunks
-    keep the smaller size.  Exact on rationals at every q; on floats see the
-    module docstring.
+    A depth-n word is w = u v with a prefix u of depth p = n - q, and y lies
+    in I_w exactly when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u
+    in cover_p(y) of N_q(z_u).  One batched expand_level finds the prefixes
+    of all levels at once, one root per level, each child tested against its
+    own level (_EachLevel); the z_u of all of them (_z_bounds) are searched
+    together and summed per level over the root index.  At q = n the prefix
+    is empty: each level keeps its identity root, z = y, and the same
+    searches count the unsplit sweep.  The levels go in chunks, split only
+    between levels, whose children stay within SPLIT_FRONTIER_CAP entries at
+    every depth unless a chunk is a single level: a chunk that outgrows it
+    is retried in halves, and the next chunks keep the smaller size.  Exact
+    on rationals at every q; on floats see the module docstring.
     """
     parts = projection_parts(a)
     lo, hi, unit = _sorted_ends(parts, q)
@@ -746,38 +742,44 @@ def local_dimension_slopes(
 def fourier_estimate(sample: MeasureSample, t_values: Sequence[float]) -> np.ndarray:
     """|mu_hat(t)| by Monte Carlo; standard error is at most 1/sqrt(count).
 
-    The frequencies split across w = min(len(t_values), usable CPUs,
-    FOURIER_BYTE_BUDGET // (16 count)) workers, at least one: worker i takes
-    every k = i mod w, the calling thread worker 0.  Each frequency runs the
-    same operations as a serial loop, on scratch the caller allocates before
-    any thread starts, so the magnitudes are the same bits for every w; numpy
-    releases the GIL inside the trig ufuncs and their means.
+    Taylor-series fast DFT (Anderson and Dahleh 1996): in g = min(ceil(t_max
+    span / 2), count) bins of half-width h, the sums of ((x - c_b)/h)^m / m!,
+    m < M, give a bin's sum of e^(itx) as e^(itc_b) times a polynomial in
+    ith, within 1/M! <= 2^-53 a point if |t| h <= 1; else the direct sum.
     """
-    pts = sample.points
-    out = np.empty(len(t_values))
-    workers = max(1, min(len(out), _usable_cpus(), FOURIER_BYTE_BUDGET // (16 * max(len(pts), 1))))
-    scratch = np.empty((workers, 2, len(pts)))
-
-    def frequency(k: int, i: int) -> None:
-        arg, val = scratch[i]
-        np.multiply(pts, t_values[k], out=arg)
-        out[k] = math.hypot(float(np.cos(arg, out=val).mean()), float(np.sin(arg, out=val).mean()))
-
-    split_tasks(len(out), workers, frequency)
+    ts = np.asarray(t_values)
+    if ts.ndim != 1 or ts.dtype.kind not in "biuf" or not np.isfinite(ts).all():
+        raise ParameterError(f"fourier frequencies must be finite real numbers, got {t_values!r}")
+    ts, xs, out = np.abs(ts), np.sort(sample.points), np.empty(len(ts))
+    lo, span = xs[0], xs[-1] - xs[0]
+    g = int(max(1, min(np.ceil(ts.max(initial=0) * span / 2), len(xs))))
+    h, centres = span / (2 * g), lo + span / (2 * g) * np.arange(1, 2 * g, 2)
+    sizes = np.diff(np.searchsorted(xs, centres[1:] - h), prepend=0, append=len(xs))  # points per bin
+    xs -= np.repeat(centres, sizes)  # x - c_b rounds within 2^-53 |x - c_b|, so t x rounds as before
+    xs /= h or 1.0
+    centres, starts = centres[sizes > 0], (np.cumsum(sizes) - sizes)[sizes > 0]  # reduceat takes nonempty bins
+    coeffs, power = np.empty((_TAYLOR_TERMS, len(starts))), np.ones_like(xs)
+    for m in range(_TAYLOR_TERMS):  # highest power first, as np.polyval takes them; pairwise sums per bin
+        coeffs[-1 - m] = np.add.reduceat(power, starts) / math.factorial(m)
+        power *= xs
+    del xs, power
+    for k, t in enumerate(ts):
+        if t * span <= 2 * g:  # |t| h <= 1
+            out[k] = abs((np.exp(1j * t * centres) * np.polyval(coeffs, 1j * t * h)).sum()) / sample.count
+        else:  # the bins capped at count: the direct sum
+            out[k] = math.hypot(float(np.cos(t * sample.points).mean()), float(np.sin(t * sample.points).mean()))
     return out
 
 
 def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple:
     """(slope, intercept, points used) of the log-log decay fit.
 
-    Points whose magnitude sits below three standard errors are noise and are
-    dropped before fitting; fewer than two points left, or points at fewer
-    than two distinct frequencies, through which no line is determined, is a
-    ParameterError.
+    Magnitudes below three standard errors are noise and are dropped before
+    fitting; fewer than two points left, or points at fewer than two distinct
+    frequencies, through which no line is determined, is a ParameterError.
     """
     mags = fourier_estimate(sample, t_values)
-    floor = 3.0 / math.sqrt(sample.count)
-    keep = mags > floor
+    keep = mags > 3.0 / math.sqrt(sample.count)
     if keep.sum() < 2:
         raise ParameterError(
             f"decay fit needs >= 2 magnitudes above the noise floor 3/sqrt({sample.count}), got {int(keep.sum())}"
@@ -785,9 +787,7 @@ def fourier_decay_fit(sample: MeasureSample, t_values: Sequence[float]) -> tuple
     kept_t = np.asarray(t_values, dtype=float)[keep]
     if np.all(kept_t == kept_t[0]):
         raise ParameterError(f"decay fit needs >= 2 distinct frequencies, got {len(kept_t)} points at t = {kept_t[0]}")
-    xs = np.log(kept_t)
-    ys = np.log(mags[keep])
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = np.polyfit(np.log(kept_t), np.log(mags[keep]), 1)
     return float(slope), float(intercept), int(keep.sum())
 
 

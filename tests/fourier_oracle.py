@@ -1,7 +1,8 @@
-"""Serial reference of the Monte-Carlo Fourier magnitudes: one frequency after another on the calling thread.
+"""Direct reference of the Monte-Carlo Fourier magnitudes: one cos and sin per point and frequency.
 
-The package splits the frequencies across worker threads with the same
-operations per frequency; the tests compare the two bit for bit.
+The package sums binned Taylor moments instead, and takes these operations
+only for a frequency its bins cannot resolve; the tests compare the two
+within the argument rounding, and bit for bit on those frequencies.
 """
 
 import math

@@ -70,7 +70,7 @@ def test_closed_stdout_ends_streamed_json_with_exit_code_1_and_no_traceback():
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
 def test_fourier_output_is_the_same_on_one_cpu():
-    # the child pins itself to one CPU before the package loads: the trig sums then run on one worker
+    # the child pins itself to one CPU before the package loads; the trig sums must not depend on the CPUs
     argv = ["fourier", "--a", "0.75", "--samples", "20000", "--seed", "3"]
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(okamoto.__file__))}
     pin = ("import os, runpy, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
