@@ -275,8 +275,7 @@ def _cmd_levelset_scan(cfg):
 def _cmd_separation(cfg):
     report = separation.verify_sesc(cfg.b, n_max=cfg.max_depth)
     if cfg.format == "csv":
-        roots = [float(g) ** (1.0 / n) if g > 0 else 0.0 for n, g in zip(report.depths, report.gaps)]
-        lines = _csv_lines(report.depths, map(float, report.gaps), roots, report.floors)
+        lines = _csv_lines(report.depths, map(float, report.gaps), report.roots, report.floors)
         return ["n", "gap", "gap_root", "floor"], [lines]
     return {
         "b": report.b,

@@ -19,8 +19,8 @@ their quantile summary, np.quantile's default "linear" rule and np.median
 bit for bit from one sort of the estimates (np.quantile's np.unique would
 import numpy.ma).  With lo_w <= hi_w the ends of word w's interval,
 N_q(y) = #{w : lo_w <= y} - #{w : hi_w < y}, so it sorts the two end arrays of
-one unpruned level of depth q, one on a thread beside the other where two CPUs
-are usable, and counts by two binary searches.  A depth-n
+one unpruned level of depth q, the upper ends on one helper thread beside the
+lower ends whatever the CPU count, and counts by two binary searches.  A depth-n
 word is w = u v with a prefix u of depth p = n - q, and y lies in I_w exactly
 when z_u = S_u^-1(y) lies in I_v, so N_n(y) = sum over u in cover_p(y) of
 N_q(z_u).  Up to depth LEVEL_SWEEP_DEPTH = 12, q = n: the prefix is empty,
@@ -67,7 +67,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -77,7 +77,6 @@ import numpy as np
 from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from .dimensions import LOG3, natural_weights, okamoto_s0
 from .systems import Level, expand_level, fold_rows, fold_word, projection_parts
-from .threads import split_tasks
 from .words import Number, check_a, digit_rows, float_a
 
 COLUMN_DEPTH_CAP = 20
@@ -350,28 +349,36 @@ def _suffix_depth(a: Number, levels: int, n: int) -> int:
     return q
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _sorted_ends(parts: tuple, q: int) -> tuple:
     """(lo, hi, unit): the sorted lower and upper interval ends of the unpruned depth-q level.
 
     The level's t becomes lo in place and its r the upper ends before hi is
-    taken, so only lo and hi outlive the call.  With two usable CPUs hi sorts on
-    a thread while the calling thread sorts lo: numpy sorts in place, with no
-    array allocated, and releases the GIL for numeric levels.
+    taken, so only lo and hi outlive the call.  hi sorts on one helper thread
+    while the calling thread sorts lo, whatever the CPU count: numpy sorts in
+    place, with no array allocated, and releases the GIL for numeric levels.
+    A failed sort is raised after the join as a serial loop raises it, lo's first.
     """
     level = expand_level(*parts, q)
     lo, end = level.t, level.r
     end += lo
     hi = np.maximum(lo, end)
     np.minimum(lo, end, out=lo)
-    split_tasks(2, min(2, _usable_cpus()), lambda k, i: (lo, hi)[k].sort())
+    failed = []
+
+    def sort_hi():
+        try:
+            hi.sort()
+        except Exception as exc:
+            failed.append(exc)
+
+    helper = threading.Thread(target=sort_hi)
+    helper.start()
+    try:
+        lo.sort()
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
     return lo, hi, level.unit
 
 

@@ -27,6 +27,8 @@ verify_sesc(b, 11) takes 5.6 ms, most of it the eleven sorts, and peaks at
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,11 +118,23 @@ def delta_n_detail(b, n: int, *, projections: tuple | None = None) -> tuple:
     return gap, digit_rows(pair, n) + 1
 
 
+def _gap_root(gap: Fraction, n: int) -> float:
+    """gap^(1/n): float(gap) ** (1/n) where float(gap) is normal, else from the logs of gap's integers.
+
+    A positive gap below the float range would round to 0.0 and its root
+    with it; the logs take the root from the exact numerator and denominator.
+    """
+    if gap == 0 or float(gap) >= sys.float_info.min:
+        return float(gap) ** (1.0 / n)
+    return math.exp((math.log(gap.numerator) - math.log(gap.denominator)) / n)
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     b: Fraction
     depths: tuple
     gaps: tuple  # Fractions, one per depth
+    roots: tuple  # floats gap_n^(1/n), one per depth
     epsilon: float  # min_n gap_n^(1/n)
     passed: bool  # all gaps positive
     floors: tuple  # comparison column (b*eps/2)^n
@@ -151,12 +165,14 @@ def verify_sesc(b, n_max: int = 8) -> SeparationReport:
         if gap == 0 and witness is None:
             witness = pair
     passed = all(g > 0 for g in gaps)
-    epsilon = min(float(g) ** (1.0 / n) for n, g in zip(depths, gaps)) if passed else 0.0
+    roots = tuple(_gap_root(g, n) for n, g in zip(depths, gaps))
+    epsilon = min(roots) if passed else 0.0
     floors = tuple((float(b) * epsilon / 2) ** n for n in depths)
     return SeparationReport(
         b=b,
         depths=depths,
         gaps=tuple(gaps),
+        roots=roots,
         epsilon=epsilon,
         passed=passed,
         floors=floors,

@@ -251,8 +251,8 @@ class EntropyRatioReport:
 def entropy_ratio(a: float, m: int, k: int) -> EntropyRatioReport:
     """(k-1) log|alphabet| / (-k log|lambda|) and its closed-form large-(m,k) limit."""
     af = float_a(a)
-    if m < 1 or k < 1:
-        raise ParameterError(f"m and k must be >= 1, got {m}, {k}")
+    if not (1 <= m <= 2**53 and 1 <= k <= 2**53):
+        raise ParameterError(f"m and k must lie in [1, 2^53], the integers float64 holds exactly, got {m}, {k}")
     p = (2.0 * af - 1.0) / (4.0 * af - 1.0)
     j = two_count(af, m)
     log_alphabet = (m - j) * math.log(2.0) + (

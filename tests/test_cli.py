@@ -234,6 +234,16 @@ def test_separation_json_and_csv():
     assert json.loads(out)["witness"] == ["132", "221"]
 
 
+def test_separation_roots_of_gaps_below_the_float_range_are_positive():
+    # the depth-12 gap of b = 1/10^30 is 10^-330: its float is 0.0, its 12th root 10^-27.5
+    argv = ["separation", "--b", f"1/{10**30}", "--max-depth", "12"]
+    payload = json.loads(_run(argv)[1])
+    assert payload["pass"] is True and payload["gap_floats"][-1] == 0.0
+    assert payload["epsilon"] == pytest.approx(10**-27.5, rel=1e-12)
+    roots = [float(row.split(",")[2]) for row in _cli_csv(argv).splitlines()[1:]]
+    assert len(roots) == 12 and min(roots) == payload["epsilon"] > 0
+
+
 def test_separation_rejects_decimal_b():
     code, out = _run(["separation", "--b", "0.5"])
     assert code == 1
@@ -727,6 +737,20 @@ def test_every_integer_option_is_bounded_before_any_work(no_kernel, argv):
     code, out = _run(argv)
     assert code in (1, 2)
     assert set(json.loads(out)) == {"error", "schema_version"}
+
+
+@pytest.mark.parametrize("option", ["--m", "--k"])
+@pytest.mark.parametrize("value", [pytest.param(2**53 + 1, id="2^53+1"), pytest.param(10**400, id="10^400")])
+def test_entropy_refuses_m_and_k_above_2_to_the_53(option, value):
+    # float64 holds every integer up to 2^53 exactly; past it the closed form's float arithmetic overflows or rounds
+    argv = ["subsystem", "--a", "0.75", "--m", "2", "--k", "2", "--check", "entropy"]
+    argv[argv.index(option) + 1] = str(value)
+    code, out = _run(argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "ParameterError"
+    argv[argv.index(option) + 1] = str(2**53)
+    code, out = _run(argv)
+    assert code == 0 and json.loads(out, parse_constant=_reject_constant)["limit_exceeds_one"] is True
 
 
 # --- a rational a whose float leaves (1/2, 1): float paths reject it, exact paths run it ---

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -337,27 +338,28 @@ def _serial_ends(parts, q):
     return np.sort(np.minimum(level.t, end)), np.sort(np.maximum(level.t, end))
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("a, q, dtype", [
     (0.75, 9, np.float64),
     (Fraction(3, 4), 7, np.int64),
     (Fraction(10**12 + 1, 2 * 10**12), 5, object),  # its level is too wide for int64
 ])
-def test_sorted_ends_match_a_serial_sort(monkeypatch, cpus, a, q, dtype):
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+def test_sorted_ends_match_a_serial_sort(monkeypatch, a, q, dtype):
     monkeypatch.setattr(threading, "Thread", _CountedThread)
     _CountedThread.started = 0
     before = threading.active_count()
     lo, hi, _ = _sorted_ends(projection_parts(a), q)
     assert threading.active_count() == before
-    assert _CountedThread.started == cpus - 1  # hi sorts on a thread with two CPUs, lo on the caller's
+    assert _CountedThread.started == 1  # hi sorts on one helper thread, lo on the caller's
     expected_lo, expected_hi = _serial_ends(projection_parts(a), q)
     assert lo.dtype == hi.dtype == dtype
     assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
 
 
 class _Unsortable:
-    """Added to a number it stays itself and is above the number; two of them do not compare."""
+    """Added to a number it stays itself and lies above the number, or below it; two of them do not compare."""
+
+    def __init__(self, message, above):
+        self.message, self.above = message, above
 
     def __add__(self, other):
         return self
@@ -366,32 +368,49 @@ class _Unsortable:
 
     def _cmp(self, other, result):
         if isinstance(other, _Unsortable):
-            raise TypeError("two unsortable ends")
+            raise TypeError(self.message)
         return result
 
     def __lt__(self, other):
-        return self._cmp(other, False)
+        return self._cmp(other, not self.above)
 
     def __le__(self, other):
-        return self._cmp(other, False)
+        return self._cmp(other, not self.above)
 
     def __gt__(self, other):
-        return self._cmp(other, True)
+        return self._cmp(other, self.above)
 
     def __ge__(self, other):
-        return self._cmp(other, True)
+        return self._cmp(other, self.above)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_sorted_ends_raise_a_failing_sort_of_the_upper_ends(monkeypatch, cpus):
-    # lo = [3, 1, 2] sorts, hi = [u, u, 2] does not: with two CPUs hi sorts on the thread, and a
-    # failure left there would return a half-sorted hi and wrong counts
-    t = np.array([3, 1, 2], dtype=object)
-    r = np.array([_Unsortable(), _Unsortable(), 0], dtype=object)
+class _LateThread(threading.Thread):
+    """Runs its target 50 ms late, so a caller that returns without joining it leaves it running."""
+
+    def run(self):
+        time.sleep(0.05)
+        super().run()
+
+
+_UPPER = _Unsortable("unsortable upper ends", above=True)
+_LOWER = _Unsortable("unsortable lower ends", above=False)
+
+
+@pytest.mark.parametrize("r, raised", [
+    pytest.param([_UPPER, _UPPER, 0, 0], "unsortable upper ends", id="hi"),
+    pytest.param([_LOWER, _LOWER, 0, 0], "unsortable lower ends", id="lo"),
+    pytest.param([_UPPER, _UPPER, _LOWER, _LOWER], "unsortable lower ends", id="both"),  # a serial loop sorts lo first
+])
+def test_sorted_ends_raise_a_failing_sort_of_the_upper_ends(monkeypatch, r, raised):
+    # t + r puts each unsortable end on its side of t, so the failing array holds two that do not compare.
+    # hi sorts on the helper thread: a failure left there would return a half-sorted hi and wrong counts;
+    # a failure of lo on the calling thread is raised only once the helper has joined
+    t = np.array([3, 1, 2, 5], dtype=object)
+    r = np.array(r, dtype=object)
     monkeypatch.setattr(estimators, "expand_level", lambda *args: Level(t, r, None, 1))
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", _LateThread)
     before = threading.active_count()
-    with pytest.raises(TypeError, match="two unsortable ends"):
+    with pytest.raises(TypeError, match=raised):
         _sorted_ends(projection_parts(0.75), 1)
     assert threading.active_count() == before
 
@@ -972,18 +991,16 @@ def test_fourier_kernel_is_the_serial_loop_within_rounding(a, count, grid):
     assert np.all(error <= _fourier_tolerance(sample.points, ts))
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 @pytest.mark.parametrize("grid", list(_FOURIER_GRIDS))
-def test_fourier_workers_match_the_serial_loop(monkeypatch, cpus, grid):
-    # the sums run on the calling thread whatever the usable CPU count: the same bits for every count
+def test_fourier_sums_start_no_thread_and_match_the_serial_loop(monkeypatch, grid):
     sample = sample_measure(0.75, 10_007, 50, seed=2)
     ts = _FOURIER_GRIDS[grid]
-    expected = fourier_estimate(sample, ts)
-    monkeypatch.setattr(estimators, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
     before = threading.active_count()
-    assert np.array_equal(fourier_estimate(sample, ts), expected)
-    assert threading.active_count() == before
-    assert np.all(np.abs(expected - fourier_serial(sample.points, ts)) <= _fourier_tolerance(sample.points, ts))
+    mags = fourier_estimate(sample, ts)
+    assert threading.active_count() == before and _CountedThread.started == 0
+    assert np.all(np.abs(mags - fourier_serial(sample.points, ts)) <= _fourier_tolerance(sample.points, ts))
 
 
 def test_fourier_of_a_point_mass_is_exactly_one():

@@ -93,8 +93,9 @@ def test_verify_sesc_passes_at_two_fifths():
     assert report.epsilon > 0
     assert report.witness is None
     assert len(report.gaps) == len(report.floors) == 8
-    for n, g in zip(report.depths, report.gaps):
-        assert float(g) ** (1.0 / n) >= report.epsilon - 1e-12
+    # normal float gaps take their roots as float(g) ** (1/n), bit for bit
+    assert report.roots == tuple(float(g) ** (1.0 / n) for n, g in zip(report.depths, report.gaps))
+    assert report.epsilon == min(report.roots)
 
 
 @pytest.mark.parametrize("b", [Fraction(1, 3), Fraction(2, 5), Fraction(7, 11), Fraction(999, 1000)])
