@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import threading
 import time
 import tracemalloc
@@ -338,18 +339,27 @@ def _serial_ends(parts, q):
     return np.sort(np.minimum(level.t, end)), np.sort(np.maximum(level.t, end))
 
 
+def _set_usable_cpus(monkeypatch, cpus):
+    """Make the operating system report `cpus` usable CPUs; no estimator may read them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("a, q, dtype", [
     (0.75, 9, np.float64),
     (Fraction(3, 4), 7, np.int64),
     (Fraction(10**12 + 1, 2 * 10**12), 5, object),  # its level is too wide for int64
 ])
-def test_sorted_ends_match_a_serial_sort(monkeypatch, a, q, dtype):
+def test_sorted_ends_match_a_serial_sort(monkeypatch, cpus, a, q, dtype):
+    # one path whatever the CPU count: hi sorts on one helper thread, lo on the caller's
+    _set_usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(threading, "Thread", _CountedThread)
     _CountedThread.started = 0
     before = threading.active_count()
     lo, hi, _ = _sorted_ends(projection_parts(a), q)
     assert threading.active_count() == before
-    assert _CountedThread.started == 1  # hi sorts on one helper thread, lo on the caller's
+    assert _CountedThread.started == 1
     expected_lo, expected_hi = _serial_ends(projection_parts(a), q)
     assert lo.dtype == hi.dtype == dtype
     assert np.array_equal(lo, expected_lo) and np.array_equal(hi, expected_hi)
@@ -396,15 +406,8 @@ _UPPER = _Unsortable("unsortable upper ends", above=True)
 _LOWER = _Unsortable("unsortable lower ends", above=False)
 
 
-@pytest.mark.parametrize("r, raised", [
-    pytest.param([_UPPER, _UPPER, 0, 0], "unsortable upper ends", id="hi"),
-    pytest.param([_LOWER, _LOWER, 0, 0], "unsortable lower ends", id="lo"),
-    pytest.param([_UPPER, _UPPER, _LOWER, _LOWER], "unsortable lower ends", id="both"),  # a serial loop sorts lo first
-])
-def test_sorted_ends_raise_a_failing_sort_of_the_upper_ends(monkeypatch, r, raised):
-    # t + r puts each unsortable end on its side of t, so the failing array holds two that do not compare.
-    # hi sorts on the helper thread: a failure left there would return a half-sorted hi and wrong counts;
-    # a failure of lo on the calling thread is raised only once the helper has joined
+def _raise_a_failing_sort(monkeypatch, r, raised):
+    # t + r puts each unsortable end on its side of t, so the failing array holds two that do not compare
     t = np.array([3, 1, 2, 5], dtype=object)
     r = np.array(r, dtype=object)
     monkeypatch.setattr(estimators, "expand_level", lambda *args: Level(t, r, None, 1))
@@ -413,6 +416,22 @@ def test_sorted_ends_raise_a_failing_sort_of_the_upper_ends(monkeypatch, r, rais
     with pytest.raises(TypeError, match=raised):
         _sorted_ends(projection_parts(0.75), 1)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sorted_ends_raise_a_failing_sort_of_the_upper_ends(monkeypatch, cpus):
+    # hi sorts on the helper thread at any CPU count: a failure left there would return a half-sorted hi
+    _set_usable_cpus(monkeypatch, cpus)
+    _raise_a_failing_sort(monkeypatch, [_UPPER, _UPPER, 0, 0], "unsortable upper ends")
+
+
+@pytest.mark.parametrize("r", [
+    pytest.param([_LOWER, _LOWER, 0, 0], id="lo"),
+    pytest.param([_UPPER, _UPPER, _LOWER, _LOWER], id="both"),  # a serial loop sorts lo first
+])
+def test_sorted_ends_raise_a_failing_sort_of_the_lower_ends_after_the_join(monkeypatch, r):
+    # lo sorts on the calling thread; its failure is raised only once the helper has joined
+    _raise_a_failing_sort(monkeypatch, r, "unsortable lower ends")
 
 
 @pytest.mark.parametrize("a, q", [(0.75, 12), (0.75, 8), (Fraction(3, 4), 6)])
@@ -991,10 +1010,13 @@ def test_fourier_kernel_is_the_serial_loop_within_rounding(a, count, grid):
     assert np.all(error <= _fourier_tolerance(sample.points, ts))
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
 @pytest.mark.parametrize("grid", list(_FOURIER_GRIDS))
-def test_fourier_sums_start_no_thread_and_match_the_serial_loop(monkeypatch, grid):
+def test_fourier_workers_match_the_serial_loop(monkeypatch, cpus, grid):
+    # the calling thread is the only worker: no thread starts whatever the usable CPU count
     sample = sample_measure(0.75, 10_007, 50, seed=2)
     ts = _FOURIER_GRIDS[grid]
+    _set_usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(threading, "Thread", _CountedThread)
     _CountedThread.started = 0
     before = threading.active_count()
