@@ -22,9 +22,12 @@ whole sorted level and split each word into a prefix and that level's
 suffix, scans and slices at depth 24, which only the split reaches,
 subsystem draws whose alias tables hold more than 2^14 entries, scans at
 both ends of the rule that sets the split's suffix depth from the level
-count, a negative --seed on every seeded command, and last the formats
-no earlier command prints: dims, lq and fourier as CSV, lq as JSON, the
-subsystem entropy check, a box count above 2^63 and a CSV written to --out.
+count, a negative --seed on every seeded command, the formats no earlier
+command prints (dims, lq and fourier as CSV, lq as JSON, the subsystem
+entropy check, a box count above 2^63 and a CSV written to --out), and last
+the refusals of the subsystem caps: samplers whose lambda near 1 would draw
+words deeper than the sampling depth cap, more draws than sample_measure
+takes, and alphabets past the word cap at m = 16.
 """
 
 import argparse
@@ -155,6 +158,20 @@ FORMATS = [
     "measure --a 0.75 --samples 1000 --seed 1 --format csv --out measure.csv",
 ]
 
+# subsystem inputs past a cap, each a BudgetError before the subsystem is built: sampling depths of lambda near 1
+# (1 577 146 at a = 0.99999, m = 2; the next one ran past 20 s before the cap), 1e8 draws of depth 78, and the
+# 7 454 720 words of m = 16 at a = 0.75 against the alphabet's cap of 2^20
+CAPS = [
+    "subsystem --a 0.99999 --m 2 --check convolution --samples 10 --seed 1",
+    "subsystem --a 0.9999999 --m 2 --check convolution --samples 10 --seed 1",
+    "subsystem --a 0.9999999999999999 --m 1 --check convolution --samples 10 --seed 1",
+    "subsystem --a 0.9999999999999999 --m 1 --check slices --samples 10 --seed 1",
+    "subsystem --a 0.75 --m 1 --k 2 --check convolution --samples 100000000 --seed 1",
+    "subsystem --a 0.75 --m 16 --check ratio",
+    "subsystem --a 0.75 --m 16 --check convolution --samples 10 --seed 1",
+    "subsystem --a 0.75 --m 16 --check slices --samples 10 --seed 1",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -193,7 +210,8 @@ def commands() -> list:
     out += WIDE_TABLES
     out += RULE_EDGES
     out += NEGATIVE_SEEDS
-    out += FORMATS  # last
+    out += FORMATS
+    out += CAPS  # last
     return out
 
 

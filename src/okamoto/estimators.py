@@ -51,15 +51,16 @@ _block_steps: i.i.d. random words of N maps x -> rho_s x + tau_s applied to
 y-projection of the natural measure; in a homogeneous subsystem every |rho|
 is |lambda|, so it draws the uniform coding measure.  Words come in blocks of
 k symbols, k the largest with N^k <= 3^SAMPLE_BLOCK (8 for S_a): the N^k
-block maps are folded at once (for k = 1 they are the maps themselves), and
-Walker's alias method (Vose's construction) picks one per uniform draw with
-weight |r|.  A depth that is not a multiple of k takes one shorter remainder
-block, and the points advance in fixed-size chunks, so the memory beyond the
-sample stays bounded.  The tables are built once per law: the k copies of a
-subsystem's eta share one set.  Two probes read a sample: local-dimension
-slopes from closed-ball counts, and Monte-Carlo Fourier magnitudes with
-their decay fit, whose frequencies share one set of Taylor moments of the
-binned points, on the calling thread, so the output is the same on any CPUs.
+block maps are the depth-k level of expand_level (for k = 1 the maps
+themselves, uncopied), and Walker's alias method (Vose's construction) picks
+one per uniform draw with weight |r|.  A depth that is not a multiple of k
+takes one shorter remainder block, and the points advance in fixed-size
+chunks, so the memory beyond the sample stays bounded.  The tables are built
+once per law: the k copies of a subsystem's eta share one set.  Two probes
+read a sample: local-dimension slopes from closed-ball counts, and
+Monte-Carlo Fourier magnitudes with their decay fit, whose frequencies share
+one set of Taylor moments of the binned points, on the calling thread, so
+the output is the same on any CPUs.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ import numpy as np
 
 from .errors import BudgetError, DepthCapError, OkamotoError, ParameterError
 from .dimensions import LOG3, natural_weights, okamoto_s0
-from .systems import Level, expand_level, fold_rows, fold_word, projection_parts
-from .words import Number, check_a, digit_rows, float_a
+from .systems import Level, expand_level, fold_word, projection_parts
+from .words import Number, check_a, float_a
 
 COLUMN_DEPTH_CAP = 20
 GRID_DEPTH_CAP = 14
@@ -641,13 +642,13 @@ def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.G
 def _block_table(tau: Sequence, rho: Sequence, k: int) -> tuple:
     """(t, r, prob, alias) of the N^k maps of a k-symbol block, in lexicographic order, weighted by |r|.
 
-    A one-symbol block's maps are the maps themselves, so k = 1 folds nothing.
+    k >= 2 takes the kernel's depth-k level; k = 1 keeps the maps themselves, uncopied.
     """
     if k == 1:
         t, r = np.asarray(tau, dtype=float), np.asarray(rho, dtype=float)
     else:
-        n = len(rho)
-        t, r, _ = fold_rows(tau, rho, digit_rows(np.arange(n**k), k, base=n) + 1)
+        level = expand_level(tau, rho, k)
+        t, r = level.t, level.r
     return (t, r, *_alias_table(r))
 
 

@@ -17,12 +17,12 @@ scans in word order (see delta_n_detail).
 Every depth's integers come from the maps one depth up, since
 S_us(1/2) = S_u(S_s(1/2)): with the kernel's scale d, the integers of w = us
 are 2d t_u + r_u (2 tau_s + rho_s), the depth-(n-1) maps applied to the three
-points S_s(1/2) = (2 tau_s + rho_s) / (2d).  So verify_sesc runs the kernel
-once, to depth n_max - 1, and takes every depth's gap on the way; the
-depth-n_max maps, the largest arrays, are never built.  At b = 2/5,
-verify_sesc(b, 11) takes 5.6 ms, most of it the eleven sorts, and peaks at
-5.3 MiB traced, against 7.5 ms and 6.9 MiB with every depth expanded afresh
-(timeit, best of 60, 2-vCPU VM).
+points S_s(1/2) = (2 tau_s + rho_s) / (2d), by the kernel's own children
+pass.  So verify_sesc runs the kernel once, to depth n_max - 1, and takes
+every depth's gap on the way; the depth-n_max maps, the largest arrays, are
+never built.  At b = 2/5, verify_sesc(b, 11) takes 5.6 ms, most of it the
+eleven sorts, and peaks at 5.1 MiB traced, against 7.5 ms and 6.9 MiB with
+every depth expanded afresh (timeit, best of 60, 2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthCapError, ParameterError
-from .systems import _levels, _number_kind, projection_parts
+from .systems import _children, _levels, _number_kind, projection_parts
 from .words import check_printable, digit_rows
 
 SEPARATION_DEPTH_CAP = 12
@@ -55,21 +55,16 @@ def _kernel(b: Fraction, n: int) -> tuple:
 
     values holds the integers 2t + r of every word one depth below the level,
     in word order, so S_w(1/2) = value / (2 unit): the level's maps applied to
-    the three points S_s(1/2), one strided pass per symbol into an (N, 3)
-    array whose C order is word order.  The number kind is chosen for depth
-    n, whose integers the last step forms.  form frees its 2d t temporary
-    when it returns, so no caller holds it through a depth's sort.
+    the three points S_s(1/2) by the kernel's children pass.  The number kind
+    is chosen for depth n, whose integers the last step forms.  The pass
+    frees its 2d t temporary when it returns, so no caller holds it through
+    a depth's sort.
     """
     d, tau, rho = _number_kind(*projection_parts((1 + b) / 2), n)
     points = 2 * tau + rho  # S_s(1/2) = points[s] / (2d)
 
     def form(level) -> tuple:
-        values = np.empty((len(level.t), 3), dtype=points.dtype)
-        dt = 2 * d * level.t
-        for s in range(3):
-            np.multiply(level.r, points[s], out=values[:, s])
-            values[:, s] += dt
-        return values.ravel(), d * level.unit
+        return _children(level.r, points, level.t, 2 * d), d * level.unit
 
     return _levels(d, tau, rho, n - 1), form
 

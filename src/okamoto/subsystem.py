@@ -35,8 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParameterError
-from .estimators import _block_steps, _check_count, _check_levels, _sample_words, ks_statistic, level_statistics
+from .errors import BudgetError, ParameterError
+from .estimators import (
+    SAMPLE_COUNT_CAP, SAMPLE_DEPTH_CAP, _block_steps, _check_count, _check_levels, _sample_words, ks_statistic,
+    level_statistics,
+)
 from .dimensions import okamoto_s0
 from .systems import fold_rows, fold_word, projection_parts
 from .words import (
@@ -44,6 +47,7 @@ from .words import (
 )
 
 SAMPLING_TAIL = 1e-9  # the sampling depth keeps the dropped tail sum_{l >= depth} |lambda|^l below this
+SAMPLING_DEPTH_CAP = 10**4  # deepest sampled word: refuses |lambda| above about 0.997
 GAMMA_TUPLE_BUDGET = 4096  # block tuples checked by the gamma conjugation
 SPLIT_CAP = 16  # largest block split k of the gamma conjugation and the convolution check
 SLICE_EPSILONS = (0.05, 0.1)  # slice report: share of estimates >= s0 - 1 - epsilon
@@ -102,19 +106,37 @@ def _sampling_depth(lam: float) -> int:
     return max(4, math.ceil(math.log(SAMPLING_TAIL * (1.0 - abs(lam))) / math.log(abs(lam))))
 
 
-def _coding_maps(a: float, m: int) -> tuple:
-    """(translations, lambda) of the subsystem's maps; the alphabet matrix is released before any draw."""
-    sub = build_subsystem(a, m)
-    return sub.translations, float(sub.ratio)
+def _coding_law(a: float, m: int, count: int, k: int = 1) -> tuple:
+    """(lambda, depth, steps) of count draws from the uniform coding measure, refused before the build.
+
+    lambda is subsystem_ratio's closed form and the depth _sampling_depth's,
+    rounded up to whole superblocks of k blocks.  A depth past
+    SAMPLING_DEPTH_CAP, or more draws than sample_measure takes (count *
+    depth past SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP), is a BudgetError before
+    the subsystem is built.  steps(ratio, depth) gives the block tables of a
+    depth-`depth` word of the maps x -> ratio*x + translations; the alphabet
+    matrix is released before any table is built.
+    """
+    check_block_length(m)
+    lam = subsystem_ratio(a, m)
+    depth = _sampling_depth(lam)
+    depth += (-depth) % k
+    if depth > SAMPLING_DEPTH_CAP:
+        raise BudgetError(f"sampling depth {depth} for |lambda| = {abs(lam)} exceeds cap {SAMPLING_DEPTH_CAP}")
+    if count * depth > SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP:
+        raise BudgetError(
+            f"{count} draws of depth {depth} exceed the cap of {SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP} symbol draws"
+        )
+    tau = build_subsystem(a, m).translations
+    return lam, depth, lambda ratio, n: _block_steps(tau, np.broadcast_to(ratio, tau.shape), n)
 
 
 def sample_subsystem_measure(a: float, m: int, count: int, seed: int) -> np.ndarray:
-    """Draw from the uniform-coding measure of the subsystem, a and the count checked before it is built."""
+    """Draw from the uniform-coding measure of the subsystem, every input checked before it is built."""
     a = float_a(a)
     _check_count(count)
-    tau, lam = _coding_maps(a, m)
-    steps = _block_steps(tau, np.broadcast_to(lam, tau.shape), _sampling_depth(lam))
-    return _sample_words(steps, count, np.random.default_rng(seed))
+    lam, depth, steps = _coding_law(a, m, count)
+    return _sample_words(steps(lam, depth), count, np.random.default_rng(seed))
 
 
 @dataclass(frozen=True)
@@ -133,12 +155,10 @@ def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> Convol
     a = float_a(a)
     _check_split(k, "convolution split")
     _check_count(count)
-    tau, lam = _coding_maps(a, m)
-    depth = _sampling_depth(lam)
-    depth += (-depth) % k  # whole superblocks
+    lam, depth, steps = _coding_law(a, m, count, k)
     rng_direct, *rng_copies = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k + 1))
-    direct = _sample_words(_block_steps(tau, np.broadcast_to(lam, tau.shape), depth), count, rng_direct)
-    eta = _block_steps(tau, np.broadcast_to(lam**k, tau.shape), depth // k)  # one set of tables for all k copies
+    direct = _sample_words(steps(lam, depth), count, rng_direct)
+    eta = steps(lam**k, depth // k)  # one set of tables for all k copies
     # sum_{j<k} lambda^j eta_j by Horner's rule, from the last copy down
     combined = np.zeros(count)
     for rng in reversed(rng_copies):

@@ -11,25 +11,24 @@ value of the infinite word w.222... .  All maps keep exact rationals exact: a
 Fraction parameter gives Fraction output.
 
 Every composed map comes from one recursion, the one-symbol extension
-t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.  It is
-written twice: `fold_word` runs it along one word (the grid count's sampled
-columns), or along every row of a symbol matrix at once (`fold_rows`:
-subsystem alphabets, the gamma check, the sampler's block maps), and
-`_levels` runs it over every word of a depth at once, handing out each depth
-in turn, with optional pruning, from one root or from several side by side
-(the level counts' batched prefix covers), one strided pass per symbol into
-(N, 3) arrays whose C order is the lexicographic order, keeping the prune's
-boolean masks to recover the surviving words as a symbol matrix.
-`expand_level` takes its deepest level (grid anchors, level-set covers, the
-graph sample); the separation gaps take every depth of one pass, applying
-the depth-(n-1) maps to three points instead of building depth n:
-verify_sesc(2/5, 11) takes 5.6 ms, against 7.5 ms with every depth expanded
-afresh (timeit, best of 60, 2-vCPU VM).  Symbols are not checked: every word
-folded is one the package built. Both array forms share one exact number kind,
-integers over the common denominator d of the coefficients, t' = d*t + r*tau_s
-with tau and rho scaled by d, int64 where a proven bound allows and Python
-ints beyond it; floats run on float64 with d = 1.0.  The depth-n anchors t are
-the values T(k/3^n), so the graph sample is one level array.
+t' = t + r*tau_s, r' = r*rho_s of the translation t and signed ratio r.
+`fold_word` runs it along chosen words: one, or every row of a symbol matrix
+at once (`fold_rows`: subsystem alphabets, the gamma check's block tuples).
+`expand_level` makes every all-words array (grid anchors, level-set covers,
+the graph sample, the sampler's block maps): `_levels` hands out each depth
+in turn, with optional pruning, from one root or several side by side (the
+level counts' batched prefix covers), each depth one `_children` pass, one
+strided pass per symbol whose C order is the lexicographic order, keeping
+the prune's boolean masks to recover the surviving words.  The separation
+gaps take every depth of one pass and apply `_children` to the depth-(n-1)
+maps and three points instead of building depth n: verify_sesc(2/5, 11)
+takes 5.6 ms, against 7.5 ms with every depth expanded afresh (timeit, best
+of 60, 2-vCPU VM).  Symbols are not checked: every word folded is one the
+package built.  Both array forms share one exact number kind, integers over
+the common denominator d of the coefficients, t' = d*t + r*tau_s with tau
+and rho scaled by d, int64 where a proven bound allows and Python ints beyond
+it; floats run on float64 with d = 1.0.  The depth-n anchors t are the
+values T(k/3^n), so the graph sample is one level array.
 """
 
 from __future__ import annotations
@@ -111,8 +110,8 @@ class Level:
     A word's map is x -> (r*x + t) / unit, unit being d^n over integers
     (see expand_level) and 1.0 for floats.  kept[l] is the boolean mask of
     the children kept at depth l+1, three per surviving parent in symbol
-    order; None for an unpruned expansion, whose i-th word is row i of
-    words.digit_rows(arange(3^n), n) + 1.
+    order (only S_a is pruned); None for an unpruned expansion of N maps,
+    whose i-th word is the i-th base-N digit row plus one.
     """
 
     t: np.ndarray
@@ -137,6 +136,19 @@ class Level:
         return symbols
 
 
+def _children(r: np.ndarray, coef: np.ndarray, t: np.ndarray, d, rho: np.ndarray | None = None):
+    """d*t + r*coef[s] of every child in word order, one strided pass per symbol s, and with rho r*rho[s]."""
+    T = np.empty((len(t), len(coef)), dtype=coef.dtype)
+    R = None if rho is None else np.empty_like(T)
+    dt = t if d == 1 else d * t  # formed after the children, an order that keeps the exact pass's peak; freed on return
+    for s in range(len(coef)):
+        np.multiply(r, coef[s], out=T[:, s])
+        T[:, s] += dt
+        if R is not None:
+            np.multiply(r, rho[s], out=R[:, s])
+    return T.ravel() if R is None else (T.ravel(), R.ravel())
+
+
 def _levels(d, tau: np.ndarray, rho: np.ndarray, n: int, keep: Callable | None = None, roots: int = 1):
     """Yield the Level of every depth 0..n in turn: the one-symbol extension, one depth per step.
 
@@ -148,14 +160,7 @@ def _levels(d, tau: np.ndarray, rho: np.ndarray, n: int, keep: Callable | None =
     kept = None if keep is None else []
     for depth in range(n + 1):
         if depth:
-            dt = t if d == 1 else d * t
-            T = np.empty((len(t), 3), dtype=t.dtype)
-            R = np.empty_like(T)
-            for s in range(3):
-                np.multiply(r, tau[s], out=T[:, s])
-                T[:, s] += dt
-                np.multiply(r, rho[s], out=R[:, s])
-            t, r = T.ravel(), R.ravel()
+            t, r = _children(r, tau, t, d, rho)
             if keep is not None:
                 mask = keep(t, r, d**depth)
                 t, r = t[mask], r[mask]
@@ -164,18 +169,17 @@ def _levels(d, tau: np.ndarray, rho: np.ndarray, n: int, keep: Callable | None =
 
 
 def expand_level(tau: Sequence, rho: Sequence, n: int, keep: Callable | None = None, roots: int = 1) -> Level:
-    """The one-symbol extension over all depth-n words of a three-map system at once.
+    """The one-symbol extension over all depth-n words of a system of N maps at once.
 
     Rational coefficients with common denominator d run exactly on integers,
     t' = d*t + r*tau_s and r' = r*rho_s with tau and rho scaled by d; floats
     run on float64 with d = 1.0, which is exact, so d*t is t itself there.
 
-    Each depth fills (N, 3) arrays column by column, one strided pass per
-    symbol s: column s holds the N children ending in s.  A C-order (N, 3)
-    array ravels row by row, parent by parent and symbol by symbol, which is
-    the lexicographic order of the children.  keep(t, r, unit) masks the words
-    to extend further, unit = d^l at depth l; the masks are kept to recover
-    the words.  Unpruned, no masks are kept.
+    Each depth is one _children pass, whose C-order (P, N) arrays ravel in
+    the lexicographic order of the children.  keep(t, r, unit) masks the
+    words to extend further, unit = d^l at depth l; the masks are kept to
+    recover the words.  Unpruned, no masks are kept, and entry i is the word
+    of the i-th base-N digit row of length n, plus one.
 
     roots > 1 starts from that many copies of the identity and extends them
     side by side, so one call runs several pruned expansions at once: the

@@ -25,6 +25,7 @@ Number = Union[int, float, Fraction]
 ALPHABET = (1, 2, 3)
 DEPTH_CAP = 16  # longest subsystem block
 STOPPING_COVER_BUDGET = 10**7  # stopping-cover size
+ALPHABET_WORD_CAP = 1 << 20  # subsystem words built: m = 14 at a = 0.75 (745 472 words), not m = 15
 
 
 def check_a(a: Number) -> Number:
@@ -115,13 +116,21 @@ def subsystem_alphabet(a: Number, m: int, limit: int | None = None) -> np.ndarra
     head leaves.  Heads in lexicographic order, each followed by its tails in
     lexicographic order, give the words in lexicographic order.  With a limit,
     only the first `limit` words are built, beyond the 3^(m//2) heads and
-    3^(m - m//2) tails.
+    3^(m - m//2) tails.  The C(m, j) 2^(m-j) words, j = floor(m*p), or the
+    limit if smaller, are counted first: past ALPHABET_WORD_CAP they are a
+    BudgetError before anything is built.
     """
     check_a(a)
     check_block_length(m)
+    twos = two_count(a, m)
+    size = math.comb(m, twos) * 2 ** (m - twos)
+    if limit is not None:
+        size = min(size, limit)
+    if size > ALPHABET_WORD_CAP:
+        raise BudgetError(f"subsystem alphabet of {size} words at m = {m} exceeds cap {ALPHABET_WORD_CAP}")
     h = m // 2
     heads, tails = (digit_rows(np.arange(3**n), n) + 1 for n in (h, m - h))
-    need = two_count(a, m) - np.count_nonzero(heads == 2, axis=1)  # twos each head leaves to its tails
+    need = twos - np.count_nonzero(heads == 2, axis=1)  # twos each head leaves to its tails
     tail_twos = np.count_nonzero(tails == 2, axis=1)
     by_twos = np.argsort(tail_twos, kind="stable")  # tails grouped by their twos, each group in order
     grouped = tail_twos[by_twos]

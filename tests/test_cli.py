@@ -843,6 +843,68 @@ def test_negative_seed_is_a_usage_error_before_any_work(no_kernel, monkeypatch, 
     assert error["type"] == "usage" and "--seed" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--a", "0.99999", "--m", "2", "--check", "convolution"],  # depth 1 577 146
+    ["--a", "0.9999999", "--m", "2", "--check", "convolution"],
+    ["--a", "0.9999999999999999", "--m", "1", "--check", "convolution"],
+    ["--a", "0.9999999999999999", "--m", "1", "--check", "slices"],
+    ["--a", "0.999", "--m", "2", "--check", "convolution"],  # depth 13 464
+], ids=lambda argv: f"a={argv[1]}:m={argv[3]}:{argv[-1]}")
+def test_subsystem_sampling_deeper_than_the_cap_fails_before_the_build(no_kernel, monkeypatch, argv):
+    from okamoto import subsystem
+
+    monkeypatch.setattr(subsystem, "build_subsystem", lambda *args: pytest.fail("the alphabet was built"))
+    code, out = _run(["subsystem", *argv, "--samples", "10", "--seed", "1"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetError"
+    assert f"exceeds cap {subsystem.SAMPLING_DEPTH_CAP}" in error["message"]
+
+
+class _Built(Exception):
+    """Raised by a build_subsystem stand-in: every check before the build passed."""
+
+
+def test_subsystem_draws_are_capped_at_the_sample_measure_draws_before_the_build(no_kernel, monkeypatch):
+    # a = 0.75, m = 1, k = 2: lambda = 0.75 and the sampling depth rounds up to whole superblocks
+    from okamoto import subsystem
+
+    def build(*args):
+        raise _Built
+
+    monkeypatch.setattr(subsystem, "build_subsystem", build)
+    depth = subsystem._sampling_depth(0.75)
+    depth += (-depth) % 2
+    most = estimators.SAMPLE_COUNT_CAP * estimators.SAMPLE_DEPTH_CAP // depth
+    argv = ["subsystem", "--a", "0.75", "--m", "1", "--k", "2", "--check", "convolution", "--seed", "1", "--samples"]
+    with pytest.raises(_Built):
+        _run(argv + [str(most)])
+    code, out = _run(argv + [str(most + 1)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetError" and f"{most + 1} draws of depth {depth}" in error["message"]
+    with pytest.raises(_Built):  # lambda = 0.9801 samples to depth 1226, under the depth cap
+        _run(["subsystem", "--a", "0.99", "--m", "2", "--check", "convolution", "--samples", "10", "--seed", "1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--m", "15", "--check", "ratio"],
+    ["--m", "16", "--check", "ratio"],
+    ["--m", "16", "--check", "convolution", "--samples", "10", "--seed", "1"],
+    ["--m", "16", "--check", "slices", "--samples", "10", "--seed", "1"],
+], ids=lambda argv: f"m={argv[1]}:{argv[3]}")
+def test_subsystem_alphabet_past_the_word_cap_fails_before_any_word(no_kernel, monkeypatch, argv):
+    # 1 863 680 words at m = 15 and 7 454 720 at m = 16 for a = 0.75, against the cap of 2^20
+    from okamoto import words
+
+    monkeypatch.setattr(words, "digit_rows", lambda *args: pytest.fail("a word was built"))
+    code, out = _run(["subsystem", "--a", "0.75", *argv])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "BudgetError"
+    assert f"exceeds cap {words.ALPHABET_WORD_CAP}" in error["message"]
+
+
 def test_boxdim_needs_three_depths_before_any_count(no_kernel):
     code, out = _run(["boxdim", "--a", "0.75", "--mode", "grid", "--min-depth", "13", "--max-depth", "14"])
     assert code == 1

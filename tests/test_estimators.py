@@ -46,8 +46,9 @@ from okamoto.estimators import (
     local_dimension_slopes,
     sample_measure,
 )
-from okamoto.subsystem import build_subsystem, sample_subsystem_measure
-from okamoto.systems import Level, expand_level, fold_word, projection_parts
+from okamoto.subsystem import build_subsystem, sample_subsystem_measure, subsystem_ratio
+from okamoto.systems import Level, expand_level, fold_rows, fold_word, projection_parts
+from okamoto.words import digit_rows
 from fourier_oracle import fourier_serial
 from ks_oracle import ks_searchsorted
 from graph_oracle import box_count_grid_sorted
@@ -669,6 +670,19 @@ def test_exact_cover_converts_its_level_once(monkeypatch, a, y, n):
     assert calls == [y]
 
 
+def test_float_cover_frees_each_parent_before_keep():
+    # depth 13 of a = 0.9, y = 0.5 extends P = 386 325 words: their children's t and r (48P bytes) and keep's
+    # t + r, max and mask (51P) peak at 38.22 MiB traced; the depth-12 t held through keep added 8P, 41.16 MiB
+    level_set_cover(0.9, 0.5, 13)
+    tracemalloc.start()
+    try:
+        level_set_cover(0.9, 0.5, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 39 * 2**20
+
+
 def test_level_set_cover_refuses_kept_words_past_the_byte_budget(monkeypatch):
     # 16 bytes of t and r per kept word on int64; the count never falls with depth, so the
     # deepest level is the largest and a budget of its bytes is the least that passes
@@ -819,6 +833,30 @@ def test_block_folds_are_the_level_kernel(a):
         t, r, _, _ = _block_table(*projection_parts(a), k)
         level = expand_level(*projection_parts(a), k)
         assert np.array_equal(t, level.t) and np.array_equal(r, level.r)
+
+
+@pytest.mark.parametrize("a, m", [
+    *((a, None) for a in (0.51, 0.6, 0.75, 0.9, 0.99)),
+    (0.75, 2), (0.6, 3), (0.9, 2), (0.75, 4),  # 4, 8, 4 and 32 maps sharing one ratio
+], ids=lambda v: "S_a" if v is None else str(v))
+def test_block_tables_are_the_folds_of_every_digit_row(a, m):
+    # reference: fold_rows over the base-N digit rows of length k, bit for bit, for every k >= 2 of one table;
+    # the maps come as the samplers pass them: S_a's floats, or a subsystem's translations and broadcast ratio
+    if m is None:
+        tau, rho = projection_parts(a)
+    else:
+        tau = build_subsystem(a, m).translations
+        rho = np.broadcast_to(float(subsystem_ratio(a, m)), tau.shape)
+    n = len(tau)
+    ks = [k for k in range(2, SAMPLE_BLOCK + 1) if n**k <= 3**SAMPLE_BLOCK]
+    assert ks
+    for k in ks:
+        t, r, prob, alias = _block_table(tau, rho, k)
+        ref_t, ref_r, _ = fold_rows(tau, rho, digit_rows(np.arange(n**k), k, base=n) + 1)
+        assert t.dtype == r.dtype == np.float64
+        assert t.tobytes() == ref_t.tobytes() and r.tobytes() == ref_r.tobytes()
+        ref_prob, ref_alias = _alias_table(ref_r)
+        assert np.array_equal(prob, ref_prob) and np.array_equal(alias, ref_alias)
 
 
 def test_alias_table_of_uniform_weights_is_trivial():

@@ -228,10 +228,24 @@ def test_one_kernel_pass_of_depth_n_max_minus_one(monkeypatch):
     assert calls == [10] and report.passed
 
 
+@pytest.mark.parametrize("b, n_max", [
+    (Fraction(2, 5), 8), (Fraction(12345678, 100000001), 3), (Fraction(999, 1000), 6),
+], ids=["int64", "int64-then-object", "object"])
+def test_each_depth_integers_are_two_t_plus_r_of_its_level(b, n_max):
+    # the children pass of the depth-(n-1) maps on the points 2 tau_s + rho_s gives depth n's 2t + r, over d^n
+    parts = projection_parts((1 + b) / 2)
+    for n, (values, unit) in enumerate(separation._projections(b, n_max), start=1):
+        level = expand_level(*parts, n)
+        expected = [2 * t + r for t, r in zip(level.t.tolist(), level.r.tolist())]
+        assert unit == level.unit and values.tolist() == expected
+        alone, alone_unit = separation._depth_projections(b, n)
+        assert alone_unit == unit and alone.tolist() == expected
+
+
 def test_one_pass_never_builds_the_deepest_maps():
     # expanding depth 11 holds its t and r (3^11 int64 each) beside the sort, 6.93 MiB traced;
-    # the one pass forms the depth-11 integers from the depth-10 maps, 5.28 MiB, and 5.73 MiB
-    # while the 2d t temporary of the last depth was still held through its sort
+    # the one pass forms the depth-11 integers from the depth-10 maps, 5.13 MiB; 5.28 MiB while the
+    # kernel still held depth 9's d t through the last sort, and 5.73 MiB while it held the 2d t of depth 10
     size = 3**11 * 8
     verify_sesc(Fraction(2, 5), 11)  # first-call allocations (imports, caches) stay out of the peak
     tracemalloc.start()
@@ -240,7 +254,7 @@ def test_one_pass_never_builds_the_deepest_maps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.1 * size
+    assert peak < 3.85 * size
 
 
 def test_witness_of_a_threefold_tie_is_its_first_two_words(monkeypatch):

@@ -11,6 +11,7 @@ from graph_oracle import evaluate_T, ternary_digits
 from okamoto.errors import ParameterError
 from okamoto.estimators import level_set_cover
 from okamoto.systems import expand_level, fold_rows, fold_word, projection_parts
+from okamoto.words import digit_rows
 from separation_oracle import conjugate_parts
 from word_oracle import exhaustive_level_filter, project, word_tuples
 
@@ -213,6 +214,27 @@ def test_compose_rows_is_the_word_fold_row_by_row(a, rows):
         assert t.dtype == r.dtype == (np.int64 if _bound(a, n) < 2**63 else object)
         assert unit == a.denominator**n
         assert [(Fraction(int(vt), unit), Fraction(int(vr), unit)) for vt, vr in zip(t, r)] == folds
+
+
+@pytest.mark.parametrize("tau, rho", [
+    ((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 3))),
+    ((Fraction(0), Fraction(1, 7), Fraction(2, 9), Fraction(5, 6)),
+     (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5), Fraction(-2, 7))),
+], ids=["2-map", "4-map"])
+def test_expand_level_lists_the_words_of_n_maps_in_lexicographic_order(tau, rho):
+    # entry i is the word of the i-th base-N digit row, on Fractions exactly and on their floats bit for bit
+    n_maps = len(tau)
+    floats = tuple(map(float, tau)), tuple(map(float, rho))
+    for n in range(5):
+        words = list(product(range(1, n_maps + 1), repeat=n))
+        assert words == [tuple(row) for row in (digit_rows(np.arange(n_maps**n), n, base=n_maps) + 1).tolist()]
+        level = expand_level(tau, rho, n)
+        exact = [(Fraction(t, level.unit), Fraction(r, level.unit)) for t, r in zip(level.t.tolist(), level.r.tolist())]
+        assert exact == [fold_word(tau, rho, w) for w in words]
+        level = expand_level(*floats, n)
+        assert [(t.hex(), r.hex()) for t, r in zip(level.t.tolist(), level.r.tolist())] == [
+            tuple(v.hex() for v in fold_word(*floats, w)) for w in words
+        ]
 
 
 def test_fold_rows_folds_any_number_of_maps():

@@ -122,6 +122,19 @@ def test_subsystem_alphabet_m1():
     assert word_tuples(subsystem_alphabet(0.75, 1)) == ((1,), (3,))
 
 
+def test_subsystem_alphabet_past_the_word_cap_is_refused_before_any_word(monkeypatch):
+    # C(m, j) 2^(m-j) words, j = floor(m/4) at a = 0.75: m = 14 is the last under the cap;
+    # a smaller limit is counted instead
+    sizes = {m: math.comb(m, two_count(0.75, m)) * 2 ** (m - two_count(0.75, m)) for m in (14, 15, 16)}
+    assert sizes == {14: 745472, 15: 1863680, 16: 7454720}
+    assert sizes[14] <= words.ALPHABET_WORD_CAP < sizes[15]
+    assert word_tuples(subsystem_alphabet(0.75, 16, 2)) == ((1,) * 12 + (2,) * 4, (1,) * 11 + (2, 1) + (2,) * 3)
+    monkeypatch.setattr(words, "digit_rows", lambda *args: pytest.fail("a word was built"))
+    for m, limit in ((15, None), (16, None), (16, words.ALPHABET_WORD_CAP + 1)):
+        with pytest.raises(BudgetError, match=f"alphabet of {limit or sizes[m]} words at m = {m} exceeds cap"):
+            subsystem_alphabet(0.75, m, limit)
+
+
 def test_subsystem_alphabet_m4():
     words = subsystem_alphabet(0.75, 4)
     assert words.shape == (32, 4) and words.dtype == np.uint8
