@@ -53,10 +53,12 @@ is |lambda|, so it draws the uniform coding measure.  Words come in blocks of
 k symbols, k the largest with N^k <= 3^SAMPLE_BLOCK (8 for S_a): the N^k
 block maps are the depth-k level of expand_level (for k = 1 the maps
 themselves, uncopied), and Walker's alias method (Vose's construction) picks
-one per uniform draw with weight |r|.  A depth that is not a multiple of k
-takes one shorter remainder block, and the points advance in fixed-size
-chunks, so the memory beyond the sample stays bounded.  The tables are built
-once per law: the k copies of a subsystem's eta share one set.  Two probes
+one per uniform u with weight |r| and no branch: the maps stacked over their
+aliases' maps are indexed at c + n [n u - c >= prob[c]], c = floor(n u).  A
+depth that is not a multiple of k takes one shorter remainder block, and the
+points advance in fixed-size chunks through scratch allocated once, so the
+memory beyond the sample stays bounded.  The tables are built once per law:
+the k copies of a subsystem's eta share one set.  Two probes
 read a sample: local-dimension slopes from closed-ball counts, and
 Monte-Carlo Fourier magnitudes with their decay fit, whose frequencies share
 one set of Taylor moments of the binned points, on the calling thread, so
@@ -628,17 +630,6 @@ def _alias_table(weights: np.ndarray) -> tuple:
     return prob, alias
 
 
-def _alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """size i.i.d. entry indices from an alias table: one uniform gives both the column and the coin."""
-    u = rng.random(size)
-    u *= len(prob)
-    col = u.astype(np.intp)
-    if not prob.strides[0]:  # equal weights: prob 1 everywhere, and the coin u - col lies in [0, 1)
-        return col
-    u -= col
-    return np.where(u < prob[col], col, alias[col])
-
-
 def _block_table(tau: Sequence, rho: Sequence, k: int) -> tuple:
     """(t, r, prob, alias) of the N^k maps of a k-symbol block, in lexicographic order, weighted by |r|.
 
@@ -652,37 +643,61 @@ def _block_table(tau: Sequence, rho: Sequence, k: int) -> tuple:
     return (t, r, *_alias_table(r))
 
 
-def _block_steps(tau: Sequence, rho: Sequence, depth: int) -> list:
-    """The block tables of a depth-`depth` word of the float maps x -> rho_s x + tau_s, outermost first.
+def _selection_step(t: np.ndarray, r: np.ndarray, prob: np.ndarray, alias: np.ndarray) -> tuple:
+    """(n, prob, r, t) of one block table as _sample_words selects from it.
 
-    Blocks of k symbols (see the module docstring) share one table, and a
-    shorter remainder block keeps the depth exact.
+    Weighted maps are stacked over their aliases' maps: index c + n is column
+    c's alias.  Equal weights keep the n maps and no coin (prob None); equal
+    ratios become one float, the same bits as every entry.
+    """
+    n = len(t)
+    if prob.strides[0]:
+        return n, prob, np.concatenate([r, r[alias]]), np.concatenate([t, t[alias]])
+    return n, None, float(r[0]) if r.min() == r.max() else r, t
+
+
+def _block_steps(tau: Sequence, rho: Sequence, depth: int) -> list:
+    """The selection steps of a depth-`depth` word of the float maps x -> rho_s x + tau_s, outermost first.
+
+    Blocks of k symbols (see the module docstring) share one table and step,
+    and a shorter remainder block keeps the depth exact.
     """
     k = 1
     while len(rho) ** (k + 1) <= 3**SAMPLE_BLOCK:
         k += 1
     blocks, rem = divmod(depth, k)
-    steps = [_block_table(tau, rho, k)] * blocks if blocks else []
+    steps = [_selection_step(*_block_table(tau, rho, k))] * blocks if blocks else []
     if rem:
-        steps.append(_block_table(tau, rho, rem))
+        steps.append(_selection_step(*_block_table(tau, rho, rem)))
     return steps
 
 
 def _sample_words(steps: list, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points of i.i.d. words drawn through the block tables of _block_steps, applied to 0.
+    """count points of i.i.d. words drawn through the selection steps of _block_steps, applied to 0.
 
-    Map s has weight |rho_s| / sum |rho|.  A block is one alias-table draw
-    and two gathers.  The points advance SAMPLE_CHUNK at a time, which keeps
-    the temporaries in cache.
+    Map s has weight |rho_s| / sum |rho|.  A uniform u gives the column c =
+    floor(n u) and the stacked index c + n [n u - c >= prob[c]], then two
+    gathers compose the map.  The points advance SAMPLE_CHUNK at a time, each
+    operation writing into scratch allocated once per call.
     """
     pts = np.zeros(count)
+    size = min(SAMPLE_CHUNK, count)
+    scratch = np.empty(size), np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size, bool)
     for lo in range(0, count, SAMPLE_CHUNK):
         x = pts[lo : lo + SAMPLE_CHUNK]  # a view: the chunk is composed in place
+        u, g, c, k, b = (a[: len(x)] for a in scratch)
         # each step applies its block map outermost: the steps' symbols form one i.i.d. word of the depth
-        for t, r, prob, alias in steps:
-            s = _alias_draw(prob, alias, len(x), rng)
-            x *= r[s]
-            x += t[s]
+        for n, prob, r, t in steps:
+            rng.random(out=u)
+            u *= n
+            np.floor(u, out=g)
+            c[...] = g  # floor(n u) >= 0, so the cast is the truncation astype(np.intp) gives
+            if prob is not None:  # the coin n u - c, exact, against prob[c]; the alias sits n entries on
+                u -= g
+                np.greater_equal(u, np.take(prob, c, out=g, mode="clip"), out=b)
+                c += np.multiply(b, n, out=k)
+            x *= r if type(r) is float else np.take(r, c, out=g, mode="clip")
+            x += np.take(t, c, out=g, mode="clip")
     return pts
 
 

@@ -54,8 +54,9 @@ SLICE_EPSILONS = (0.05, 0.1)  # slice report: share of estimates >= s0 - 1 - eps
 
 
 def subsystem_ratio(a: Number, m: int) -> Number:
-    """Signed shared contraction ratio a^(m-j) (1-2a)^j with j = floor(pm)."""
+    """Signed shared contraction ratio a^(m-j) (1-2a)^j with j = floor(pm), for m in [1, DEPTH_CAP]."""
     check_a(a)
+    check_block_length(m)
     j = two_count(a, m)
     return a ** (m - j) * (1 - 2 * a) ** j
 
@@ -106,27 +107,26 @@ def _sampling_depth(lam: float) -> int:
     return max(4, math.ceil(math.log(SAMPLING_TAIL * (1.0 - abs(lam))) / math.log(abs(lam))))
 
 
-def _coding_law(a: float, m: int, count: int, k: int = 1) -> tuple:
-    """(lambda, depth, steps) of count draws from the uniform coding measure, refused before the build.
+def _coding_law(a: float, m: int, count: int, k: int = 1, passes: int = 1) -> tuple:
+    """(lambda, depth, steps) of passes * count draws from the uniform coding measure, refused before the build.
 
     lambda is subsystem_ratio's closed form and the depth _sampling_depth's,
     rounded up to whole superblocks of k blocks.  A depth past
-    SAMPLING_DEPTH_CAP, or more draws than sample_measure takes (count *
-    depth past SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP), is a BudgetError before
-    the subsystem is built.  steps(ratio, depth) gives the block tables of a
-    depth-`depth` word of the maps x -> ratio*x + translations; the alphabet
-    matrix is released before any table is built.
+    SAMPLING_DEPTH_CAP, or more symbol draws than sample_measure takes
+    (passes * count * depth past SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP), is a
+    BudgetError before the subsystem is built.  steps(ratio, depth) gives the
+    selection steps of a depth-`depth` word of the maps x -> ratio*x +
+    translations; the alphabet matrix is released before any table is built.
     """
-    check_block_length(m)
     lam = subsystem_ratio(a, m)
     depth = _sampling_depth(lam)
     depth += (-depth) % k
     if depth > SAMPLING_DEPTH_CAP:
         raise BudgetError(f"sampling depth {depth} for |lambda| = {abs(lam)} exceeds cap {SAMPLING_DEPTH_CAP}")
-    if count * depth > SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP:
-        raise BudgetError(
-            f"{count} draws of depth {depth} exceed the cap of {SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP} symbol draws"
-        )
+    cap = SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP
+    if passes * count * depth > cap:
+        times = f"{passes} x " if passes > 1 else ""
+        raise BudgetError(f"{times}{count} draws of depth {depth} exceed the cap of {cap} symbol draws")
     tau = build_subsystem(a, m).translations
     return lam, depth, lambda ratio, n: _block_steps(tau, np.broadcast_to(ratio, tau.shape), n)
 
@@ -155,7 +155,7 @@ def convolution_check(a: float, m: int, k: int, count: int, seed: int) -> Convol
     a = float_a(a)
     _check_split(k, "convolution split")
     _check_count(count)
-    lam, depth, steps = _coding_law(a, m, count, k)
+    lam, depth, steps = _coding_law(a, m, count, k, passes=2)  # the direct draw, then k copies of depth/k
     rng_direct, *rng_copies = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(k + 1))
     direct = _sample_words(steps(lam, depth), count, rng_direct)
     eta = steps(lam**k, depth // k)  # one set of tables for all k copies

@@ -866,7 +866,8 @@ class _Built(Exception):
 
 
 def test_subsystem_draws_are_capped_at_the_sample_measure_draws_before_the_build(no_kernel, monkeypatch):
-    # a = 0.75, m = 1, k = 2: lambda = 0.75 and the sampling depth rounds up to whole superblocks
+    # a = 0.75, m = 1, k = 2: lambda = 0.75 and the sampling depth rounds up to whole superblocks; the
+    # check draws count words of the depth directly and again through k copies of eta, so twice the symbols
     from okamoto import subsystem
 
     def build(*args):
@@ -875,7 +876,7 @@ def test_subsystem_draws_are_capped_at_the_sample_measure_draws_before_the_build
     monkeypatch.setattr(subsystem, "build_subsystem", build)
     depth = subsystem._sampling_depth(0.75)
     depth += (-depth) % 2
-    most = estimators.SAMPLE_COUNT_CAP * estimators.SAMPLE_DEPTH_CAP // depth
+    most = estimators.SAMPLE_COUNT_CAP * estimators.SAMPLE_DEPTH_CAP // (2 * depth)
     argv = ["subsystem", "--a", "0.75", "--m", "1", "--k", "2", "--check", "convolution", "--seed", "1", "--samples"]
     with pytest.raises(_Built):
         _run(argv + [str(most)])

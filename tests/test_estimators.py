@@ -25,11 +25,13 @@ from okamoto.estimators import (
     _TAYLOR_TERMS,
     LevelSetCover,
     MeasureSample,
-    _alias_draw,
     _alias_table,
     _ball_counts,
+    _block_steps,
     _block_table,
     _level_counts,
+    _sample_words,
+    _selection_step,
     _sorted_ends,
     _split_counts,
     _summary,
@@ -52,7 +54,7 @@ from okamoto.words import digit_rows
 from fourier_oracle import fourier_serial
 from ks_oracle import ks_searchsorted
 from graph_oracle import box_count_grid_sorted
-from measure_oracle import sample_per_symbol
+from measure_oracle import alias_draw, sample_blocks, sample_per_symbol
 from word_oracle import exhaustive_level_filter, prefix_level_filter, word_tuples
 
 
@@ -875,14 +877,67 @@ def test_alias_table_of_equal_magnitudes_holds_no_per_entry_arrays():
     tracemalloc.stop()
     assert peak < 1 << 20
     assert prob.strides == alias.strides == (0,) and np.all(prob == 1.0)
-    prob, alias = _alias_table(np.array([0.5, -0.5, 0.5]))
+    r = np.array([0.5, -0.5, 0.5])
+    prob, alias = _alias_table(r)
     assert prob.strides == (0,) and len(prob) == len(alias) == 3
+    # translations 0, 1, 2 applied to 0 give the selected index itself as the point
+    step = _selection_step(np.arange(3.0), r, prob, alias)
+    assert step[1] is None and step[2] is r  # no coin, and the n signed ratios kept per entry
     rng, rng_copy = np.random.default_rng(3), np.random.default_rng(3)
-    assert np.array_equal(_alias_draw(prob, alias, 1000, rng), (3 * rng_copy.random(1000)).astype(np.intp))
-    # the draw returns the column without a coin, which a table written out per entry
+    assert np.array_equal(_sample_words([step], 1000, rng), (3 * rng_copy.random(1000)).astype(np.intp))
+    # the selection returns the column without a coin, which a table written out per entry
     # would take (and keep every column, u n - col < 1 = prob) from the same uniforms
-    coin = _alias_draw(np.ones(3), np.zeros(3, dtype=np.intp), 1000, rng_copy)
-    assert np.array_equal(_alias_draw(prob, alias, 1000, rng), coin) and rng.random() == rng_copy.random()
+    coin = _sample_words([_selection_step(np.arange(3.0), r, np.ones(3), np.zeros(3, dtype=np.intp))], 1000, rng_copy)
+    assert np.array_equal(_sample_words([step], 1000, rng), coin) and rng.random() == rng_copy.random()
+
+
+@pytest.mark.parametrize("system", [
+    *((a, None) for a in (0.51, 0.6, 0.75, 0.9, 0.99)),
+    (0.75, 2), (0.6, 3), (0.75, 4),  # 4, 8 and 32 maps sharing one ratio: equal weights, one float ratio
+    "signed",  # equal magnitudes of both signs: equal weights, the ratios kept per entry
+], ids=str)
+def test_branch_free_selection_is_the_alias_draw_bit_for_bit(system):
+    # the index c + n [coin >= prob[c]] into the stacked maps against np.where's branch between column and
+    # alias, on the same uniforms: whole and remainder blocks, whole and partial chunks, and the stream after
+    if system == "signed":
+        tau, rho = np.array([0.0, 1 / 3, 2 / 3]), np.array([0.5, -0.5, 0.5])
+    elif system[1] is None:
+        tau, rho = projection_parts(system[0])
+    else:
+        tau = build_subsystem(*system).translations
+        rho = np.broadcast_to(float(subsystem_ratio(*system)), tau.shape)
+    for depth in (0, 1, 7, 8, 9, 17, 60):
+        steps = _block_steps(tau, rho, depth)
+        for count in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1):
+            rng, rng_oracle = np.random.default_rng(depth + count), np.random.default_rng(depth + count)
+            pts = _sample_words(steps, count, rng)
+            assert pts.tobytes() == sample_blocks(tau, rho, depth, count, rng_oracle).tobytes()
+            assert rng.random() == rng_oracle.random()
+
+
+class _FixedUniforms:
+    """Stands in for a generator: the given uniforms, as rng.random(size) and rng.random(out=u) ask for them."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u)
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.u[:size].copy()
+        out[...] = self.u[: len(out)]
+        return out
+
+
+def test_selection_takes_the_alias_at_a_coin_equal_to_prob():
+    # coin >= prob[c] is the exact complement of np.where's u < prob[c]: a coin of exactly prob[0] (2u is
+    # exact) takes the alias, the next float below keeps the column; random uniforms almost never hit it
+    r = np.array([1.0, 3.0])
+    prob, alias = _alias_table(r)
+    assert 0.0 < prob[0] < 1.0 and alias[0] == 1 and prob[1] == 1.0
+    u = [prob[0] / 2, np.nextafter(prob[0] / 2, 0.0), 0.0, 0.75]
+    step = _selection_step(np.arange(2.0), r, prob, alias)
+    assert _sample_words([step], 4, _FixedUniforms(u)).tolist() == [1.0, 0.0, 0.0, 1.0]
+    assert alias_draw(prob, alias, 4, _FixedUniforms(u)).tolist() == [1, 0, 0, 1]
 
 
 @pytest.mark.parametrize("n, kind", [(16_384, "random"), (30_000, "random"), (30_000, "equal")])

@@ -9,8 +9,8 @@ import pytest
 
 from okamoto.cli import run
 from okamoto.dimensions import okamoto_s0
-from okamoto.errors import ParameterError
-from okamoto.estimators import _block_steps, _sample_words, ks_statistic
+from okamoto.errors import BudgetError, DepthCapError, ParameterError
+from okamoto.estimators import SAMPLE_COUNT_CAP, SAMPLE_DEPTH_CAP, _block_steps, _sample_words, ks_statistic
 from okamoto.subsystem import (
     GAMMA_TUPLE_BUDGET,
     SPLIT_CAP,
@@ -61,6 +61,13 @@ def test_ratio_uniform_exact(m):
     for w in word_tuples(sub.alphabet[:: max(1, len(sub.alphabet) // 8)]):
         assert fold_word(*parts, w)[1] == sub.ratio
     assert sub.ratio == subsystem_ratio(a, m)
+
+
+@pytest.mark.parametrize("m", [10**12, -1, 0])
+def test_subsystem_ratio_refuses_a_block_length_out_of_range(m):
+    # unchecked, m = 10^12 underflowed to the ratio 0.0 and m = -1 gave -2.0, of modulus above 1
+    with pytest.raises(DepthCapError):
+        subsystem_ratio(0.75, m)
 
 
 # --- gamma conjugation ---------------------------------------------------------
@@ -207,6 +214,25 @@ def test_convolution_builds_the_tables_of_eta_once(monkeypatch, m, k):
     report = convolution_check(0.75, m, k, 1000, seed=4)
     lam = float(subsystem_ratio(0.75, m))
     assert built == [(lam, report.depth), (lam**k, report.depth // k)]
+
+
+def test_subsystem_sampler_caps_count_times_depth_symbol_draws(monkeypatch):
+    # one pass of count words of the sampling depth, where the convolution check takes two
+    from okamoto import subsystem
+
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(subsystem, "build_subsystem", build)
+    depth = _sampling_depth(0.75)
+    most = SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP // depth
+    with pytest.raises(Built):
+        sample_subsystem_measure(0.75, 1, most, seed=1)
+    with pytest.raises(BudgetError, match=f"^{most + 1} draws of depth {depth} exceed"):
+        sample_subsystem_measure(0.75, 1, most + 1, seed=1)
 
 
 def _coding(sub, lam: float, count: int, depth: int, rng) -> np.ndarray:
