@@ -24,10 +24,13 @@ subsystem draws whose alias tables hold more than 2^14 entries, scans at
 both ends of the rule that sets the split's suffix depth from the level
 count, a negative --seed on every seeded command, the formats no earlier
 command prints (dims, lq and fourier as CSV, lq as JSON, the subsystem
-entropy check, a box count above 2^63 and a CSV written to --out), and last
-the refusals of the subsystem caps: samplers whose lambda near 1 would draw
+entropy check, a box count above 2^63 and a CSV written to --out), the
+refusals of the subsystem caps: samplers whose lambda near 1 would draw
 words deeper than the sampling depth cap, more draws than sample_measure
-takes, and alphabets past the word cap at m = 16.
+takes, and alphabets past the word cap at m = 16, and last, as JSON and CSV,
+the two branches no earlier command takes: a fourier probe whose frequencies
+pass the bins capped at the sample count, which take the direct sum, and
+separation gaps below the float range, whose roots come from logs.
 """
 
 import argparse
@@ -172,6 +175,15 @@ CAPS = [
     "subsystem --a 0.75 --m 16 --check slices --samples 10 --seed 1",
 ]
 
+# 7 of the 30 frequencies of 1000 samples pass the bins capped at the count; the depth-5 and depth-6 gaps of
+# b = 10^-80 lie below the float range
+LATE_BRANCHES = [
+    "fourier --a 0.75 --samples 1000 --seed 1",
+    "fourier --a 0.75 --samples 1000 --seed 1 --format csv",
+    f"separation --b 1/{10**80} --max-depth 6",
+    f"separation --b 1/{10**80} --max-depth 6 --format csv",
+]
+
 
 def commands() -> list:
     out = list(WORKLOAD_COMMANDS)
@@ -211,7 +223,8 @@ def commands() -> list:
     out += RULE_EDGES
     out += NEGATIVE_SEEDS
     out += FORMATS
-    out += CAPS  # last
+    out += CAPS
+    out += LATE_BRANCHES  # last
     return out
 
 

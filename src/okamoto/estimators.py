@@ -44,7 +44,7 @@ neither a subset nor a superset of the cover, and the batched prefixes round
 exactly as one level's alone.  Either differs from the cover only within
 rounding of an interval end.
 
-Every sample is drawn by one core, _sample_words on the block tables of
+Every sample is drawn by one core, _sample_words on the steps of
 _block_steps: i.i.d. random words of N maps x -> rho_s x + tau_s applied to
 0, map s drawn with weight |rho_s| / sum |rho|.  The natural weights
 (a, 2a-1, a)/(4a-1) of S_a are |rho_s|/(4a-1), so the core draws the
@@ -52,17 +52,19 @@ y-projection of the natural measure; in a homogeneous subsystem every |rho|
 is |lambda|, so it draws the uniform coding measure.  Words come in blocks of
 k symbols, k the largest with N^k <= 3^SAMPLE_BLOCK (8 for S_a): the N^k
 block maps are the depth-k level of expand_level (for k = 1 the maps
-themselves, uncopied), and Walker's alias method (Vose's construction) picks
-one per uniform u with weight |r| and no branch: the maps stacked over their
-aliases' maps are indexed at c + n [n u - c >= prob[c]], c = floor(n u).  A
-depth that is not a multiple of k takes one shorter remainder block, and the
-points advance in fixed-size chunks through scratch allocated once, so the
-memory beyond the sample stays bounded.  The tables are built once per law:
-the k copies of a subsystem's eta share one set.  Two probes
-read a sample: local-dimension slopes from closed-ball counts, and
-Monte-Carlo Fourier magnitudes with their decay fit, whose frequencies share
-one set of Taylor moments of the binned points, on the calling thread, so
-the output is the same on any CPUs.
+themselves, uncopied), and one uniform u picks one of them from its column
+c = floor(n u).  _block_step decides once per table how: maps of one ratio,
+as in every subsystem, have equal weights, so the map is column c, with no
+coin, and the ratio is one float; otherwise Walker's alias method (Vose's
+construction) weights them by |r| with no branch, the maps stacked over their
+aliases' maps being indexed at c + n [n u - c >= prob[c]].  A depth that is
+not a multiple of k takes one shorter remainder block, and the points advance
+in fixed-size chunks through scratch allocated once, so the memory beyond the
+sample stays bounded.  The tables are built once per law: the k copies of a
+subsystem's eta share one set.  Two probes read a sample: local-dimension
+slopes from closed-ball counts, and Monte-Carlo Fourier magnitudes with their
+decay fit, whose frequencies share one set of Taylor moments of the binned
+points, on the calling thread, so the output is the same on any CPUs.
 """
 
 from __future__ import annotations
@@ -604,14 +606,9 @@ def _alias_table(weights: np.ndarray) -> tuple:
     n * w_i / sum(w).  The weights are rounded to integer units, 2^bits for
     the largest with bits = min(49, 62 - bit length of n), so every sum stays
     below 2^62 and the construction on the units is exact: each prob is
-    rounded once, by its final division.  Equal magnitudes, as in every
-    subsystem table, are found before any units and give stride-0 arrays,
-    prob 1 and alias 0 in every column, whose draw is the column.
+    rounded once, by its final division.
     """
     n = len(weights)
-    lo, hi = weights.min(), weights.max()
-    if lo == hi or (lo == -hi and np.all(np.abs(weights) == hi)):
-        return np.broadcast_to(1.0, n), np.broadcast_to(np.intp(0), n)
     mass = np.abs(weights)  # the weights' magnitudes, then their units, then n units
     mass *= 2.0 ** min(49, 62 - n.bit_length()) / mass.max()
     mass = np.rint(mass, out=mass).astype(np.int64)
@@ -630,55 +627,49 @@ def _alias_table(weights: np.ndarray) -> tuple:
     return prob, alias
 
 
-def _block_table(tau: Sequence, rho: Sequence, k: int) -> tuple:
-    """(t, r, prob, alias) of the N^k maps of a k-symbol block, in lexicographic order, weighted by |r|.
+def _block_step(tau: Sequence, rho: Sequence, k: int) -> tuple:
+    """(n, prob, r, t): the N^k maps of a k-symbol block, lexicographic, as _sample_words selects from them.
 
-    k >= 2 takes the kernel's depth-k level; k = 1 keeps the maps themselves, uncopied.
+    k >= 2 takes the kernel's depth-k level; k = 1 keeps the maps themselves,
+    uncopied.  Maps of one ratio give prob None and r that ratio as one
+    float, the same bits as every entry; others give _alias_table's prob and
+    the maps stacked over their aliases' maps (see the module docstring).
     """
     if k == 1:
         t, r = np.asarray(tau, dtype=float), np.asarray(rho, dtype=float)
     else:
         level = expand_level(tau, rho, k)
         t, r = level.t, level.r
-    return (t, r, *_alias_table(r))
-
-
-def _selection_step(t: np.ndarray, r: np.ndarray, prob: np.ndarray, alias: np.ndarray) -> tuple:
-    """(n, prob, r, t) of one block table as _sample_words selects from it.
-
-    Weighted maps are stacked over their aliases' maps: index c + n is column
-    c's alias.  Equal weights keep the n maps and no coin (prob None); equal
-    ratios become one float, the same bits as every entry.
-    """
     n = len(t)
-    if prob.strides[0]:
-        return n, prob, np.concatenate([r, r[alias]]), np.concatenate([t, t[alias]])
-    return n, None, float(r[0]) if r.min() == r.max() else r, t
+    if r.min() == r.max():
+        return n, None, float(r[0]), t
+    prob, alias = _alias_table(r)
+    return n, prob, np.concatenate([r, r[alias]]), np.concatenate([t, t[alias]])
 
 
 def _block_steps(tau: Sequence, rho: Sequence, depth: int) -> list:
-    """The selection steps of a depth-`depth` word of the float maps x -> rho_s x + tau_s, outermost first.
+    """The _block_step of each block of a depth-`depth` word of the float maps x -> rho_s x + tau_s, outermost first.
 
-    Blocks of k symbols (see the module docstring) share one table and step,
-    and a shorter remainder block keeps the depth exact.
+    Blocks of k symbols (see the module docstring) share one step, and a
+    shorter remainder block keeps the depth exact.
     """
     k = 1
     while len(rho) ** (k + 1) <= 3**SAMPLE_BLOCK:
         k += 1
     blocks, rem = divmod(depth, k)
-    steps = [_selection_step(*_block_table(tau, rho, k))] * blocks if blocks else []
+    steps = [_block_step(tau, rho, k)] * blocks if blocks else []
     if rem:
-        steps.append(_selection_step(*_block_table(tau, rho, rem)))
+        steps.append(_block_step(tau, rho, rem))
     return steps
 
 
 def _sample_words(steps: list, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points of i.i.d. words drawn through the selection steps of _block_steps, applied to 0.
+    """count points of i.i.d. words drawn through the steps of _block_steps, applied to 0.
 
     Map s has weight |rho_s| / sum |rho|.  A uniform u gives the column c =
-    floor(n u) and the stacked index c + n [n u - c >= prob[c]], then two
-    gathers compose the map.  The points advance SAMPLE_CHUNK at a time, each
-    operation writing into scratch allocated once per call.
+    floor(n u), for a weighted step the stacked index c + n [n u - c >=
+    prob[c]], then gathers compose the map.  The points advance SAMPLE_CHUNK
+    at a time, each operation writing into scratch allocated once per call.
     """
     pts = np.zeros(count)
     size = min(SAMPLE_CHUNK, count)
@@ -692,11 +683,13 @@ def _sample_words(steps: list, count: int, rng: np.random.Generator) -> np.ndarr
             u *= n
             np.floor(u, out=g)
             c[...] = g  # floor(n u) >= 0, so the cast is the truncation astype(np.intp) gives
-            if prob is not None:  # the coin n u - c, exact, against prob[c]; the alias sits n entries on
+            if prob is None:  # one ratio: the column is the map
+                x *= r
+            else:  # the coin n u - c, exact, against prob[c]; the alias sits n entries on
                 u -= g
                 np.greater_equal(u, np.take(prob, c, out=g, mode="clip"), out=b)
                 c += np.multiply(b, n, out=k)
-            x *= r if type(r) is float else np.take(r, c, out=g, mode="clip")
+                x *= np.take(r, c, out=g, mode="clip")
             x += np.take(t, c, out=g, mode="clip")
     return pts
 
@@ -821,9 +814,11 @@ def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     (timsort merges the two sorted runs).  The sup is reached at the last
     value of a run of equal values, where cx and cy, the x and y draws up
     to it, give F_x = cx/nx and F_y = cy/ny.  Each temporary is freed as
-    soon as it is done.
+    soon as it is done.  An empty draw is a ParameterError.
     """
     nx, ny = len(x), len(y)
+    if not (nx and ny):
+        raise ParameterError(f"the KS statistic needs two nonempty draws, got {nx} and {ny} points")
     z = np.concatenate([x, y])
     z[:nx].sort()
     z[nx:].sort()

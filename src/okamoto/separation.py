@@ -18,11 +18,11 @@ Every depth's integers come from the maps one depth up, since
 S_us(1/2) = S_u(S_s(1/2)): with the kernel's scale d, the integers of w = us
 are 2d t_u + r_u (2 tau_s + rho_s), the depth-(n-1) maps applied to the three
 points S_s(1/2) = (2 tau_s + rho_s) / (2d), by the kernel's own children
-pass.  So verify_sesc runs the kernel once, to depth n_max - 1, and takes
-every depth's gap on the way; the depth-n_max maps, the largest arrays, are
-never built.  At b = 2/5, verify_sesc(b, 11) takes 5.6 ms, most of it the
-eleven sorts, and peaks at 5.1 MiB traced, against 7.5 ms and 6.9 MiB with
-every depth expanded afresh (timeit, best of 60, 2-vCPU VM).
+pass.  So one generator, _projections, runs the kernel once, to depth
+n_max - 1, and verify_sesc takes every depth's gap on the way; the
+depth-n_max maps, the largest arrays, are never built.  A lone
+delta_n_detail(b, n) runs the same generator with n_max = n and keeps its
+last item, depth n.
 """
 
 from __future__ import annotations
@@ -50,38 +50,20 @@ def _check_rational_b(b) -> Fraction:
     return b
 
 
-def _kernel(b: Fraction, n: int) -> tuple:
-    """(levels, form): the kernel's levels of depth 0..n-1 and form(level), the (values, unit) one depth below.
+def _projections(b: Fraction, n_max: int):
+    """Yield (values, unit) of each depth 1..n_max from one kernel pass to depth n_max - 1.
 
-    values holds the integers 2t + r of every word one depth below the level,
-    in word order, so S_w(1/2) = value / (2 unit): the level's maps applied to
+    values holds the integers 2t + r of every word of the depth, in word
+    order, so S_w(1/2) = value / (2 unit): the maps one depth up applied to
     the three points S_s(1/2) by the kernel's children pass.  The number kind
-    is chosen for depth n, whose integers the last step forms.  The pass
+    is chosen for depth n_max, whose integers the last step forms.  The pass
     frees its 2d t temporary when it returns, so no caller holds it through
     a depth's sort.
     """
-    d, tau, rho = _number_kind(*projection_parts((1 + b) / 2), n)
+    d, tau, rho = _number_kind(*projection_parts((1 + b) / 2), n_max)
     points = 2 * tau + rho  # S_s(1/2) = points[s] / (2d)
-
-    def form(level) -> tuple:
-        return _children(level.r, points, level.t, 2 * d), d * level.unit
-
-    return _levels(d, tau, rho, n - 1), form
-
-
-def _projections(b: Fraction, n_max: int):
-    """Yield (values, unit) of each depth 1..n_max from one kernel pass to depth n_max - 1."""
-    levels, form = _kernel(b, n_max)
-    for level in levels:
-        yield form(level)
-
-
-def _depth_projections(b: Fraction, n: int) -> tuple:
-    """(values, unit) of depth n alone: the kernel runs to depth n - 1 and only its last level is formed."""
-    levels, form = _kernel(b, n)
-    for _ in range(n - 1):
-        next(levels)  # dropped unbound, so each parent goes once its children are built
-    return form(next(levels))
+    for level in _levels(d, tau, rho, n_max - 1):
+        yield _children(level.r, points, level.t, 2 * d), d * level.unit
 
 
 def delta_n_detail(b, n: int, *, projections: tuple | None = None) -> tuple:
@@ -95,15 +77,18 @@ def delta_n_detail(b, n: int, *, projections: tuple | None = None) -> tuple:
     and the first at the upper one.
 
     projections is depth n's (values, unit) from _projections, which
-    verify_sesc passes from its one kernel pass; alone, the call forms depth
-    n's only, through _depth_projections.
+    verify_sesc passes from its one kernel pass; alone, the call runs
+    _projections(b, n) and takes its last item.
     """
     b = _check_rational_b(b)
     if n < 1:
         raise ParameterError(f"depth n must be >= 1, got {n}")
     if n > SEPARATION_DEPTH_CAP:
         raise DepthCapError(f"depth capped at n <= {SEPARATION_DEPTH_CAP}, got {n}")
-    values, unit = _depth_projections(b, n) if projections is None else projections
+    if projections is None:
+        for projections in _projections(b, n):  # each depth is dropped once the next is formed
+            pass
+    values, unit = projections
     ordered = np.sort(values)
     diffs = np.diff(ordered)
     i = int(np.argmin(diffs))

@@ -115,7 +115,7 @@ def _coding_law(a: float, m: int, count: int, k: int = 1, passes: int = 1) -> tu
     SAMPLING_DEPTH_CAP, or more symbol draws than sample_measure takes
     (passes * count * depth past SAMPLE_COUNT_CAP * SAMPLE_DEPTH_CAP), is a
     BudgetError before the subsystem is built.  steps(ratio, depth) gives the
-    selection steps of a depth-`depth` word of the maps x -> ratio*x +
+    _block_steps of a depth-`depth` word of the maps x -> ratio*x +
     translations; the alphabet matrix is released before any table is built.
     """
     lam = subsystem_ratio(a, m)

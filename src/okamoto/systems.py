@@ -21,14 +21,13 @@ level counts' batched prefix covers), each depth one `_children` pass, one
 strided pass per symbol whose C order is the lexicographic order, keeping
 the prune's boolean masks to recover the surviving words.  The separation
 gaps take every depth of one pass and apply `_children` to the depth-(n-1)
-maps and three points instead of building depth n: verify_sesc(2/5, 11)
-takes 5.6 ms, against 7.5 ms with every depth expanded afresh (timeit, best
-of 60, 2-vCPU VM).  Symbols are not checked: every word folded is one the
-package built.  Both array forms share one exact number kind, integers over
-the common denominator d of the coefficients, t' = d*t + r*tau_s with tau
-and rho scaled by d, int64 where a proven bound allows and Python ints beyond
-it; floats run on float64 with d = 1.0.  The depth-n anchors t are the
-values T(k/3^n), so the graph sample is one level array.
+maps and three points instead of building depth n, the largest arrays.
+Symbols are not checked: every word folded is one the package built.  Both
+array forms share one exact number kind, integers over the common denominator
+d of the coefficients, t' = d*t + r*tau_s with tau and rho scaled by d, int64
+where a proven bound allows and Python ints beyond it; floats run on float64
+with d = 1.0.  The depth-n anchors t are the values T(k/3^n), so the graph
+sample is one level array.
 """
 
 from __future__ import annotations
@@ -124,15 +123,17 @@ class Level:
 
         The kept masks turn into positions here only: the child at position p
         among a depth's 3N children is word p // 3 of the depth above followed
-        by symbol p % 3 + 1.
+        by symbol p % 3 + 1.  p % 3 goes straight into its uint8 column and p
+        is divided in place, so a depth holds one index array beside the matrix.
         """
         n = len(self.kept)
         symbols = np.empty((len(self.t), n), dtype=np.uint8)
         idx = np.arange(len(self.t))
         for depth in reversed(range(n)):
-            pos = np.flatnonzero(self.kept[depth])[idx]
-            symbols[:, depth] = pos % 3 + 1
-            idx = pos // 3
+            idx = np.flatnonzero(self.kept[depth])[idx]
+            np.remainder(idx, 3, out=symbols[:, depth], casting="unsafe")
+            idx //= 3
+        symbols += 1
         return symbols
 
 

@@ -10,8 +10,8 @@ as the bit-for-bit reference of the branch-free one.
 import numpy as np
 
 from okamoto.dimensions import natural_weights
-from okamoto.estimators import SAMPLE_BLOCK, SAMPLE_CHUNK, _block_table
-from okamoto.systems import projection_parts
+from okamoto.estimators import SAMPLE_BLOCK, SAMPLE_CHUNK, _alias_table
+from okamoto.systems import expand_level, projection_parts
 
 
 def sample_per_symbol(a: float, count: int, depth: int, seed: int) -> np.ndarray:
@@ -48,14 +48,22 @@ def alias_draw(prob: np.ndarray, alias: np.ndarray, size: int, rng: np.random.Ge
     u = rng.random(size)
     u *= len(prob)
     col = u.astype(np.intp)
-    if not prob.strides[0]:  # equal weights: prob 1 everywhere, and the coin u - col lies in [0, 1)
-        return col
     u -= col
     return np.where(u < prob[col], col, alias[col])
 
 
+def block_table(tau, rho, k: int) -> tuple:
+    """(t, r, prob, alias) of the N^k maps of a k-symbol block, in lexicographic order, weighted by |r|.
+
+    The maps are the kernel's depth-k level and the table _alias_table's,
+    for every table: one of equal ratios gets prob 1 in every column.
+    """
+    level = expand_level(tau, rho, k)
+    return (level.t, level.r, *_alias_table(level.r))
+
+
 def sample_blocks(tau, rho, depth: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count points of depth-`depth` words drawn by alias_draw from the package's block tables, applied to 0.
+    """count points of depth-`depth` words drawn by alias_draw from block_table's tables, applied to 0.
 
     The branching selection the package's sampler replaced, on the same
     blocks of k symbols, k the largest with N^k <= 3^SAMPLE_BLOCK, and the
@@ -65,7 +73,7 @@ def sample_blocks(tau, rho, depth: int, count: int, rng: np.random.Generator) ->
     while len(rho) ** (k + 1) <= 3**SAMPLE_BLOCK:
         k += 1
     blocks, rem = divmod(depth, k)
-    tables = [_block_table(tau, rho, k)] * blocks + ([_block_table(tau, rho, rem)] if rem else [])
+    tables = [block_table(tau, rho, k)] * blocks + ([block_table(tau, rho, rem)] if rem else [])
     pts = np.zeros(count)
     for lo in range(0, count, SAMPLE_CHUNK):
         x = pts[lo : lo + SAMPLE_CHUNK]

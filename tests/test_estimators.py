@@ -27,11 +27,10 @@ from okamoto.estimators import (
     MeasureSample,
     _alias_table,
     _ball_counts,
+    _block_step,
     _block_steps,
-    _block_table,
     _level_counts,
     _sample_words,
-    _selection_step,
     _sorted_ends,
     _split_counts,
     _summary,
@@ -54,7 +53,7 @@ from okamoto.words import digit_rows
 from fourier_oracle import fourier_serial
 from ks_oracle import ks_searchsorted
 from graph_oracle import box_count_grid_sorted
-from measure_oracle import alias_draw, sample_blocks, sample_per_symbol
+from measure_oracle import alias_draw, block_table, sample_blocks, sample_per_symbol
 from word_oracle import exhaustive_level_filter, prefix_level_filter, word_tuples
 
 
@@ -792,21 +791,25 @@ def _block_system(a):
 @pytest.mark.parametrize("k", [SAMPLE_BLOCK, 3])
 def test_block_maps_are_the_word_folds(a, k):
     # the block of SAMPLE_BLOCK symbols and a remainder block, entry i being the word at position i
+    # from _block_step's arrays: the first n^k maps, or the one ratio of the subsystem's
     *parts, weights = _block_system(a)
     n = len(weights)
-    t, r, prob, alias = _block_table(*parts, k)
-    assert len(t) == len(r) == len(prob) == len(alias) == n**k
+    size, prob, r, t = _block_step(*parts, k)
+    assert size == n**k and (prob is None) == (a == "m=2")
+    assert len(t) == (size if prob is None else 2 * size)
+    rs = np.full(size, r) if prob is None else r[:size]
     for i, word in enumerate(product(range(1, n + 1), repeat=k)):
-        assert (t[i], r[i]) == fold_word(*parts, word)
+        assert (t[i], rs[i]) == fold_word(*parts, word)
 
 
 @pytest.mark.parametrize("a", [0.6, 0.75, 0.9, "m=2"])
 @pytest.mark.parametrize("k", [SAMPLE_BLOCK, 1, 5])
 def test_alias_mass_is_the_block_weight(a, k):
-    # entry i is drawn from its own column with prob[i] and from every column aliased to it with the rest
+    # entry i is drawn from its own column with prob[i] and from every column aliased to it with the rest,
+    # on the table of the block's level; a one-ratio table, drawn without a coin, has prob 1 everywhere
     *parts, weights = _block_system(a)
     n = len(weights)
-    _, _, prob, alias = _block_table(*parts, k)
+    _, _, prob, alias = block_table(*parts, k)
     expected = np.array([math.prod(weights[s - 1] for s in word) for word in product(range(1, n + 1), repeat=k)])
     other = alias != np.arange(n**k)
     mass = prob.copy()
@@ -819,7 +822,9 @@ def test_alias_mass_is_the_block_weight(a, k):
 def test_block_table_weights_are_the_weight_level(a):
     # oracle: the table on the ratios of the system with zero translations and ratios natural_weights(a)
     for k in range(1, SAMPLE_BLOCK + 1):
-        _, _, prob, alias = _block_table(*projection_parts(a), k)
+        _, prob, _, _ = _block_step(*projection_parts(a), k)
+        _, _, level_prob, alias = block_table(*projection_parts(a), k)
+        assert np.array_equal(prob, level_prob)
         oracle_prob, oracle_alias = _alias_table(expand_level((0.0, 0.0, 0.0), natural_weights(a), k).r)
         assert np.array_equal(alias, oracle_alias)
         if a == 0.9:  # the two float products round apart, so a rounded integer unit can differ by one
@@ -832,9 +837,9 @@ def test_block_table_weights_are_the_weight_level(a):
 def test_block_folds_are_the_level_kernel(a):
     # the folded symbol matrix and the level kernel run the same float operations per word
     for k in range(1, SAMPLE_BLOCK + 1):
-        t, r, _, _ = _block_table(*projection_parts(a), k)
+        n, _, r, t = _block_step(*projection_parts(a), k)
         level = expand_level(*projection_parts(a), k)
-        assert np.array_equal(t, level.t) and np.array_equal(r, level.r)
+        assert np.array_equal(t[:n], level.t) and np.array_equal(r[:n], level.r)
 
 
 @pytest.mark.parametrize("a, m", [
@@ -853,12 +858,17 @@ def test_block_tables_are_the_folds_of_every_digit_row(a, m):
     ks = [k for k in range(2, SAMPLE_BLOCK + 1) if n**k <= 3**SAMPLE_BLOCK]
     assert ks
     for k in ks:
-        t, r, prob, alias = _block_table(tau, rho, k)
+        size, prob, r, t = _block_step(tau, rho, k)
         ref_t, ref_r, _ = fold_rows(tau, rho, digit_rows(np.arange(n**k), k, base=n) + 1)
-        assert t.dtype == r.dtype == np.float64
-        assert t.tobytes() == ref_t.tobytes() and r.tobytes() == ref_r.tobytes()
-        ref_prob, ref_alias = _alias_table(ref_r)
-        assert np.array_equal(prob, ref_prob) and np.array_equal(alias, ref_alias)
+        assert size == n**k and t.dtype == np.float64
+        if m is None:  # the maps stacked over their aliases' maps
+            ref_prob, ref_alias = _alias_table(ref_r)
+            assert np.array_equal(prob, ref_prob)
+            assert t.tobytes() == np.concatenate([ref_t, ref_t[ref_alias]]).tobytes()
+            assert r.dtype == np.float64 and r.tobytes() == np.concatenate([ref_r, ref_r[ref_alias]]).tobytes()
+        else:  # one ratio: no coin, and one float with the bits of every entry
+            assert prob is None and t.tobytes() == ref_t.tobytes()
+            assert type(r) is float and np.full(size, r).tobytes() == ref_r.tobytes()
 
 
 def test_alias_table_of_uniform_weights_is_trivial():
@@ -868,33 +878,29 @@ def test_alias_table_of_uniform_weights_is_trivial():
 
 
 def test_alias_table_of_equal_magnitudes_holds_no_per_entry_arrays():
-    # every subsystem table has equal |r|: its draw is the uniform column, so the table needs
-    # no prob and alias of its own length; signed ratios of one magnitude count as equal
-    weights = np.full(2**20, 0.25)
+    # a one-ratio table, as every subsystem's, draws the uniform column: its step holds no prob, alias or
+    # ratio per entry, only the translations as they come, with the ratio broadcast as _coding_law passes it
+    tau = np.arange(2.0**20)
     tracemalloc.start()
-    prob, alias = _alias_table(weights)
+    step = _block_step(tau, np.broadcast_to(0.25, tau.shape), 1)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20
-    assert prob.strides == alias.strides == (0,) and np.all(prob == 1.0)
-    r = np.array([0.5, -0.5, 0.5])
-    prob, alias = _alias_table(r)
-    assert prob.strides == (0,) and len(prob) == len(alias) == 3
-    # translations 0, 1, 2 applied to 0 give the selected index itself as the point
-    step = _selection_step(np.arange(3.0), r, prob, alias)
-    assert step[1] is None and step[2] is r  # no coin, and the n signed ratios kept per entry
+    n, prob, r, t = step
+    assert n == len(tau) and prob is None and type(r) is float and r == 0.25 and t is tau
+    # signed ratios of one magnitude are weighted equally through a coin that never flips: translations
+    # 0, 1, 2 applied to 0 give the selected index itself, the uniform column of the same uniforms
+    step = _block_step(np.arange(3.0), np.array([0.5, -0.5, 0.5]), 1)
+    assert np.array_equal(step[1], np.ones(3))
     rng, rng_copy = np.random.default_rng(3), np.random.default_rng(3)
     assert np.array_equal(_sample_words([step], 1000, rng), (3 * rng_copy.random(1000)).astype(np.intp))
-    # the selection returns the column without a coin, which a table written out per entry
-    # would take (and keep every column, u n - col < 1 = prob) from the same uniforms
-    coin = _sample_words([_selection_step(np.arange(3.0), r, np.ones(3), np.zeros(3, dtype=np.intp))], 1000, rng_copy)
-    assert np.array_equal(_sample_words([step], 1000, rng), coin) and rng.random() == rng_copy.random()
+    assert rng.random() == rng_copy.random()
 
 
 @pytest.mark.parametrize("system", [
     *((a, None) for a in (0.51, 0.6, 0.75, 0.9, 0.99)),
     (0.75, 2), (0.6, 3), (0.75, 4),  # 4, 8 and 32 maps sharing one ratio: equal weights, one float ratio
-    "signed",  # equal magnitudes of both signs: equal weights, the ratios kept per entry
+    "signed",  # equal magnitudes of both signs: equal weights, through a coin that never flips
 ], ids=str)
 def test_branch_free_selection_is_the_alias_draw_bit_for_bit(system):
     # the index c + n [coin >= prob[c]] into the stacked maps against np.where's branch between column and
@@ -935,7 +941,7 @@ def test_selection_takes_the_alias_at_a_coin_equal_to_prob():
     prob, alias = _alias_table(r)
     assert 0.0 < prob[0] < 1.0 and alias[0] == 1 and prob[1] == 1.0
     u = [prob[0] / 2, np.nextafter(prob[0] / 2, 0.0), 0.0, 0.75]
-    step = _selection_step(np.arange(2.0), r, prob, alias)
+    step = _block_step(np.arange(2.0), r, 1)
     assert _sample_words([step], 4, _FixedUniforms(u)).tolist() == [1.0, 0.0, 0.0, 1.0]
     assert alias_draw(prob, alias, 4, _FixedUniforms(u)).tolist() == [1, 0, 0, 1]
 
@@ -1184,6 +1190,13 @@ def test_ks_statistic_basics():
     rng = np.random.default_rng(0)
     same = ks_statistic(rng.random(100_000), rng.random(100_000))
     assert same < 0.01
+
+
+@pytest.mark.parametrize("x, y", [([], [0.5]), ([0.5], []), ([], [])], ids=["x", "y", "both"])
+def test_ks_statistic_refuses_an_empty_draw(x, y):
+    # before any arithmetic: an empty x gave nan with a RuntimeWarning, two empty draws an IndexError
+    with pytest.raises(ParameterError, match="nonempty"):
+        ks_statistic(np.array(x), np.array(y))
 
 
 _TIED = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, math.inf])

@@ -232,14 +232,15 @@ def test_one_kernel_pass_of_depth_n_max_minus_one(monkeypatch):
     (Fraction(2, 5), 8), (Fraction(12345678, 100000001), 3), (Fraction(999, 1000), 6),
 ], ids=["int64", "int64-then-object", "object"])
 def test_each_depth_integers_are_two_t_plus_r_of_its_level(b, n_max):
-    # the children pass of the depth-(n-1) maps on the points 2 tau_s + rho_s gives depth n's 2t + r, over d^n
+    # the children pass of the depth-(n-1) maps on the points 2 tau_s + rho_s gives depth n's 2t + r, over d^n,
+    # and a lone delta_n_detail, which runs the pass to depth n, finds the gap and pair the pass's depth gives
     parts = projection_parts((1 + b) / 2)
     for n, (values, unit) in enumerate(separation._projections(b, n_max), start=1):
         level = expand_level(*parts, n)
         expected = [2 * t + r for t, r in zip(level.t.tolist(), level.r.tolist())]
         assert unit == level.unit and values.tolist() == expected
-        alone, alone_unit = separation._depth_projections(b, n)
-        assert alone_unit == unit and alone.tolist() == expected
+        (gap, pair), (alone_gap, alone_pair) = delta_n_detail(b, n, projections=(values, unit)), delta_n_detail(b, n)
+        assert gap == alone_gap and np.array_equal(pair, alone_pair)
 
 
 def test_one_pass_never_builds_the_deepest_maps():
@@ -260,7 +261,8 @@ def test_one_pass_never_builds_the_deepest_maps():
 def test_witness_of_a_threefold_tie_is_its_first_two_words(monkeypatch):
     # no p/q above ties three words at a first zero gap; crafted projections pin the rule there
     t = np.array([3, 0, 3, 3, 7])
-    monkeypatch.setattr(separation, "_depth_projections", lambda b, n: (2 * t, 1))
+    # depth 1's values first: a lone call takes the last item the pass yields
+    monkeypatch.setattr(separation, "_projections", lambda b, n: iter([(np.array([0, 2, 4]), 1), (2 * t, 1)]))
     gap, pair = delta_n_detail(Fraction(1, 3), 2)
     assert np.argsort(2 * t, kind="stable")[1:3].tolist() == [0, 2]
     assert gap == 0 and np.array_equal(pair, digit_rows([0, 2], 2) + 1)
