@@ -59,9 +59,16 @@ coin, and the ratio is one float; otherwise Walker's alias method (Vose's
 construction) weights them by |r| with no branch, the maps stacked over their
 aliases' maps being indexed at c + n [n u - c >= prob[c]].  A depth that is
 not a multiple of k takes one shorter remainder block, and the points advance
-in fixed-size chunks through scratch allocated once, so the memory beyond the
-sample stays bounded.  The tables are built once per law: the k copies of a
-subsystem's eta share one set.  Two probes read a sample: local-dimension
+in chunks of SAMPLE_CHUNK, so the memory beyond the sample stays bounded.  The
+chunks are shared among W = min(usable CPUs, chunks) workers, the calling
+thread and W - 1 helper threads, each composing in place in five chunk-sized
+scratch arrays that the caller allocates.  A worker draws each of its chunks
+from a copy of the caller's PCG64 state advanced to the chunk's first uniform
+(one 64-bit output a uniform), and the caller's generator then advances past
+the whole draw, so the points and the stream left after the call are the same
+bits on any CPUs; with one worker the caller's generator draws every chunk in
+turn and no thread starts.  The tables are built once per law: the k copies of
+a subsystem's eta share one set.  Two probes read a sample: local-dimension
 slopes from closed-ball counts, and Monte-Carlo Fourier magnitudes with their
 decay fit, whose frequencies share one set of Taylor moments of the binned
 points, on the calling thread, so the output is the same on any CPUs.
@@ -72,6 +79,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,6 +362,46 @@ def _suffix_depth(a: Number, levels: int, n: int) -> int:
     return q
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_tasks(tasks: Sequence[Callable[[], None]]) -> None:
+    """Run tasks[0] on the calling thread and every other task on a thread started here, failing as a serial loop fails.
+
+    Every started thread is joined before the return, on success and on
+    failure, and only then is a failure raised: the first failing task's, in
+    task order.  A task should write only to arrays its caller allocated:
+    arrays allocated inside threads raised the peak memory, most likely
+    through glibc's per-thread malloc arenas, with no gain in time.
+    """
+    failed = [None] * len(tasks)
+
+    def run(i: int) -> None:
+        try:
+            tasks[i]()
+        except Exception as exc:
+            failed[i] = exc
+
+    started = []
+    try:
+        for i in range(1, len(tasks)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in failed:
+        if exc is not None:
+            raise exc
+
+
 def _sorted_ends(parts: tuple, q: int) -> tuple:
     """(lo, hi, unit): the sorted lower and upper interval ends of the unpruned depth-q level.
 
@@ -368,22 +416,7 @@ def _sorted_ends(parts: tuple, q: int) -> tuple:
     end += lo
     hi = np.maximum(lo, end)
     np.minimum(lo, end, out=lo)
-    failed = []
-
-    def sort_hi():
-        try:
-            hi.sort()
-        except Exception as exc:
-            failed.append(exc)
-
-    helper = threading.Thread(target=sort_hi)
-    helper.start()
-    try:
-        lo.sort()
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
+    _run_tasks([lo.sort, hi.sort])
     return lo, hi, level.unit
 
 
@@ -663,34 +696,66 @@ def _block_steps(tau: Sequence, rho: Sequence, depth: int) -> list:
     return steps
 
 
+def _draw_chunk(steps: list, x: np.ndarray, rng: np.random.Generator, scratch: tuple) -> None:
+    """Compose the points x in place through the steps, one uniform of rng per point and step, in scratch."""
+    u, g, c, k, b = (a[: len(x)] for a in scratch)
+    # each step applies its block map outermost: the steps' symbols form one i.i.d. word of the depth
+    for n, prob, r, t in steps:
+        rng.random(out=u)
+        u *= n
+        np.floor(u, out=g)
+        c[...] = g  # floor(n u) >= 0, so the cast is the truncation astype(np.intp) gives
+        if prob is None:  # one ratio: the column is the map
+            x *= r
+        else:  # the coin n u - c, exact, against prob[c]; the alias sits n entries on
+            u -= g
+            np.greater_equal(u, np.take(prob, c, out=g, mode="clip"), out=b)
+            c += np.multiply(b, n, out=k)
+            x *= np.take(r, c, out=g, mode="clip")
+        x += np.take(t, c, out=g, mode="clip")
+
+
 def _sample_words(steps: list, count: int, rng: np.random.Generator) -> np.ndarray:
     """count points of i.i.d. words drawn through the steps of _block_steps, applied to 0.
 
     Map s has weight |rho_s| / sum |rho|.  A uniform u gives the column c =
     floor(n u), for a weighted step the stacked index c + n [n u - c >=
-    prob[c]], then gathers compose the map.  The points advance SAMPLE_CHUNK
-    at a time, each operation writing into scratch allocated once per call.
+    prob[c]], then gathers compose the map.  The points advance in chunks of
+    SAMPLE_CHUNK; worker i of the W = min(usable CPUs, chunks) workers, the
+    calling thread for i = 0 and a helper thread otherwise, takes the chunks
+    i, i + W, ... into its own five scratch arrays, allocated here.  Its
+    generator takes a copy of rng's PCG64 state, advanced to the chunk's
+    first uniform: the chunk at point lo starts at draw lo len(steps).  rng
+    then advances past all count len(steps) uniforms, so the points and the
+    stream left in rng are the same bits for any CPU count.  With one worker
+    rng draws every chunk in turn and no thread starts.
     """
     pts = np.zeros(count)
+    starts = range(0, count, SAMPLE_CHUNK)
+    workers = min(_usable_cpus(), len(starts))
     size = min(SAMPLE_CHUNK, count)
-    scratch = np.empty(size), np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size, bool)
-    for lo in range(0, count, SAMPLE_CHUNK):
-        x = pts[lo : lo + SAMPLE_CHUNK]  # a view: the chunk is composed in place
-        u, g, c, k, b = (a[: len(x)] for a in scratch)
-        # each step applies its block map outermost: the steps' symbols form one i.i.d. word of the depth
-        for n, prob, r, t in steps:
-            rng.random(out=u)
-            u *= n
-            np.floor(u, out=g)
-            c[...] = g  # floor(n u) >= 0, so the cast is the truncation astype(np.intp) gives
-            if prob is None:  # one ratio: the column is the map
-                x *= r
-            else:  # the coin n u - c, exact, against prob[c]; the alias sits n entries on
-                u -= g
-                np.greater_equal(u, np.take(prob, c, out=g, mode="clip"), out=b)
-                c += np.multiply(b, n, out=k)
-                x *= np.take(r, c, out=g, mode="clip")
-            x += np.take(t, c, out=g, mode="clip")
+    scratch = [
+        (np.empty(size), np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size, bool))
+        for _ in range(workers)
+    ]
+    if workers == 1:
+        for lo in starts:
+            _draw_chunk(steps, pts[lo : lo + SAMPLE_CHUNK], rng, scratch[0])  # a view: composed in place
+        return pts
+    bits = rng.bit_generator
+    state = bits.state
+    gens = [np.random.Generator(type(bits)()) for _ in range(workers)]
+
+    def work(i: int) -> None:
+        for lo in starts[i::workers]:
+            gens[i].bit_generator.state = state
+            gens[i].bit_generator.advance(lo * len(steps))  # one 64-bit output a uniform
+            _draw_chunk(steps, pts[lo : lo + SAMPLE_CHUNK], gens[i], scratch[i])
+
+    _run_tasks([functools.partial(work, i) for i in range(workers)])
+    bits.advance(count * len(steps))
+    # advance clears the buffered 32-bit half that a serial draw of uniforms leaves as it was
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
     return pts
 
 
@@ -779,9 +844,15 @@ def fourier_estimate(sample: MeasureSample, t_values: Sequence[float]) -> np.nda
         coeffs[-1 - m] = np.add.reduceat(power, starts) / math.factorial(m)
         power *= xs
     del xs, power
+    y, e = np.empty(len(starts), complex), np.empty(len(starts), complex)
     for k, t in enumerate(ts):
-        if t * span <= 2 * g:  # |t| h <= 1
-            out[k] = abs((np.exp(1j * t * centres) * np.polyval(coeffs, 1j * t * h)).sum()) / sample.count
+        if t * span <= 2 * g:  # |t| h <= 1: np.polyval's Horner steps and the exponential, in place
+            z = np.asarray(1j * t * h)
+            y[...] = 0
+            for pv in coeffs:
+                np.add(np.multiply(y, z, out=y), pv, out=y)
+            np.exp(np.multiply(1j * t, centres, out=e), out=e)
+            out[k] = abs(np.multiply(e, y, out=e).sum()) / sample.count
         else:  # the bins capped at count: the direct sum
             out[k] = math.hypot(float(np.cos(t * sample.points).mean()), float(np.sin(t * sample.points).mean()))
     return out
@@ -828,8 +899,9 @@ def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     np.not_equal(z[1:], z[:-1], out=last[:-1])
     last[-1] = True
     del z
-    counts = np.cumsum(order < nx)
+    counts = (order < nx).astype(np.intp)  # cast once: a bool cumsum casts element by element
     del order
+    np.cumsum(counts, out=counts)
     cx = counts[last]
     del counts
     cy = np.flatnonzero(last)

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import sys
 import threading
 import time
 import tracemalloc
@@ -342,7 +343,7 @@ def _serial_ends(parts, q):
 
 
 def _set_usable_cpus(monkeypatch, cpus):
-    """Make the operating system report `cpus` usable CPUs; no estimator may read them."""
+    """Make the operating system report `cpus` usable CPUs: the sampler splits by them, no result may depend on them."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
 
@@ -919,6 +920,82 @@ def test_branch_free_selection_is_the_alias_draw_bit_for_bit(system):
             pts = _sample_words(steps, count, rng)
             assert pts.tobytes() == sample_blocks(tau, rho, depth, count, rng_oracle).tobytes()
             assert rng.random() == rng_oracle.random()
+
+
+def _sampler_system(kind):
+    """(tau, rho) of S_a's weighted maps, or of the --m 2 subsystem's maps of one ratio."""
+    if kind == "weighted":
+        return projection_parts(0.75)
+    tau = build_subsystem(0.75, 2).translations
+    return tau, np.broadcast_to(float(subsystem_ratio(0.75, 2)), tau.shape)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+@pytest.mark.parametrize("kind", ["weighted", "one-ratio"])
+def test_sample_words_split_across_cpus_is_the_serial_draw_bit_for_bit(monkeypatch, cpus, kind):
+    # min(cpus, chunks) workers, each on its own copy of the stream advanced to its chunks: the points and
+    # the stream left after the call are the serial oracle's for every CPU count, and no thread outlives it
+    tau, rho = _sampler_system(kind)
+    steps = _block_steps(tau, rho, 17)  # two whole blocks and a remainder
+    _set_usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    for count in (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 5):
+        rng, rng_oracle = np.random.default_rng(count), np.random.default_rng(count)
+        rng.integers(10), rng_oracle.integers(10)  # a 32-bit draw leaves half an output buffered
+        _CountedThread.started = 0
+        before = threading.active_count()
+        pts = _sample_words(steps, count, rng)
+        assert threading.active_count() == before
+        assert _CountedThread.started == min(cpus, -(-count // SAMPLE_CHUNK)) - 1
+        assert pts.tobytes() == sample_blocks(tau, rho, 17, count, rng_oracle).tobytes()
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+        assert rng.integers(10) == rng_oracle.integers(10) and rng.random() == rng_oracle.random()
+
+
+def test_sample_words_on_more_workers_than_cores_under_fast_switching(monkeypatch):
+    # eight workers write disjoint chunks of one array from copies of one state: a shared write or a lost
+    # chunk would change the bytes; a 1 us switch interval interleaves them as often as the GIL allows
+    tau, rho = projection_parts(0.75)
+    steps = _block_steps(tau, rho, 17)
+    _set_usable_cpus(monkeypatch, 8)
+    count = 8 * SAMPLE_CHUNK + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pts = _sample_words(steps, count, np.random.default_rng(8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pts.tobytes() == sample_blocks(tau, rho, 17, count, np.random.default_rng(8)).tobytes()
+
+
+class _FailingAdvance(np.random.PCG64):
+    """A PCG64 whose advance fails with a message naming the worker: the caller's chunk at 0, a helper's past it."""
+
+    fails = ()
+
+    def advance(self, delta):
+        side = "helper" if delta else "caller"
+        if side in self.fails:
+            raise RuntimeError(f"the {side}'s chunk fails")
+        return super().advance(delta)
+
+
+@pytest.mark.parametrize("fails, raised", [
+    pytest.param(("helper",), "helper", id="helper"),
+    pytest.param(("caller",), "caller", id="caller"),
+    pytest.param(("caller", "helper"), "caller", id="both"),  # a serial loop draws the caller's chunk first
+])
+def test_sample_words_raise_a_failing_chunk_after_the_join(monkeypatch, fails, raised):
+    # the helper runs 50 ms late (_LateThread): returning without the join would leave it running and
+    # miss its failure
+    _set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(threading, "Thread", _LateThread)
+    monkeypatch.setattr(_FailingAdvance, "fails", fails)
+    before = threading.active_count()
+    rng = np.random.Generator(_FailingAdvance(1))
+    with pytest.raises(RuntimeError, match=f"the {raised}'s chunk fails"):
+        _sample_words(_block_steps(*projection_parts(0.75), 8), 2 * SAMPLE_CHUNK, rng)
+    assert threading.active_count() == before
 
 
 class _FixedUniforms:
